@@ -1,0 +1,130 @@
+"""Golden report digests: every exact CLI report over the fixture pack is pinned.
+
+Each case runs one command in-process on a fixture written by
+``write_fixture_pack`` and compares the exit code and the sha256 of stdout
+(with the fixture's path replaced by its bare name) against the value
+recorded before the exact kernel was rewritten. A refactor of the exact
+arithmetic that changes any byte of these reports fails here. Float reports
+(eigenvalues, Perron) are left out on purpose.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hyperlin import cli
+from hyperlin.fixtures import write_fixture_pack
+
+FIXTURES = (
+    "h_a",
+    "h_tri_4",
+    "h_circ_4",
+    "h_units",
+    "h_eq",
+    "h_cov_source",
+    "h_cov_base",
+)
+
+COMMANDS = {
+    "check": ["check"],
+    "nullspace-vertices": ["nullspace", "--axis", "vertices"],
+    "nullspace-edges": ["nullspace", "--axis", "edges"],
+    "nullspace-incidence": ["nullspace", "--axis", "incidence"],
+    "partitions": ["partitions"],
+    "hitting": ["hitting", "--target"],  # the fixture's first vertex is appended
+    "rw_closeness": ["centrality", "--kind", "rw_closeness"],
+    "rw_betweenness": ["centrality", "--kind", "rw_betweenness", "--horizon", "10"],
+    "det-I": ["spectra", "--matrix", "I", "--det"],
+}
+
+#: (fixture, command) -> (exit code, sha256 of stdout), recorded before the
+#: exact kernel became fraction-free.
+GOLDEN = {
+    ("h_a", "check"): (0, "72cb3ef687576754b12dc5a4e11364232300058741156a01a8d927e4264196e0"),
+    ("h_a", "det-I"): (0, "95ac89691c0d5ffbff00fb36c83e210600118bba8c45328d4b9921cfc7ac4ab4"),
+    ("h_a", "hitting"): (0, "4065df0c979577ca073f1982d7e4bd908c3fa88fff30fdcd2711fbee8375cb13"),
+    ("h_a", "nullspace-edges"): (0, "fea9735ca72a2f8806b475cea019ae545029e5eee2309d740cc8e05b10484521"),
+    ("h_a", "nullspace-incidence"): (0, "b4cf645c1150505ddb434a3304280d8dc04a71aa148b66e256e979364e23296c"),
+    ("h_a", "nullspace-vertices"): (0, "95a24939610f913038bdee9123352d6fce6bfe52a55fc16cf65be8e3363e59b8"),
+    ("h_a", "partitions"): (0, "5afb6a78f2c4db4b41c708377fd26abef003fba9432369ae81a16344fdb88ed6"),
+    ("h_a", "rw_betweenness"): (0, "0f33e5d339edfc3095d8a0526c8ccac4886be9ea4a293efb2d5359fcb8719b35"),
+    ("h_a", "rw_closeness"): (0, "be7712d2a2e289fae2ebd0916abd9cafbe852b9fbdc6b0a42eb5fe3c606994dc"),
+    ("h_tri_4", "check"): (0, "5595e12a63a0f9aa2270876f859190e48728c839876ba0635d3a3295c3d7c08d"),
+    ("h_tri_4", "det-I"): (0, "ad81e60f8c5f68a07b45708b012bfc82080e4d009d57ba9fa3ff0daea8b77199"),
+    ("h_tri_4", "hitting"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_tri_4", "nullspace-edges"): (0, "4e633f247083fbf629668c475bb5acf935d945018889ff71b739ab56fd850053"),
+    ("h_tri_4", "nullspace-incidence"): (0, "86a3fe1aa4488ffcf9c8be785f2699c31363ecd3a5d851873cad47f37e103796"),
+    ("h_tri_4", "nullspace-vertices"): (0, "1f8cc5afcbf5a994863a2aed3da949dcc54ff90157200b51ecf83404283cc7a5"),
+    ("h_tri_4", "partitions"): (0, "b09cc3bd19fbf1ad1664522f2b3b0bc3a6aa0270e9e2eef4cff29cccb810023c"),
+    ("h_tri_4", "rw_betweenness"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_tri_4", "rw_closeness"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_circ_4", "check"): (0, "3ae6123f333d9d05b953e52d09e4e84188b5134cc5f9435b8d9c898cad163929"),
+    ("h_circ_4", "det-I"): (0, "5ea04030fe89a222225a180094ba75800e9efb0fbd8530da2d82865e802b382f"),
+    ("h_circ_4", "hitting"): (0, "5763228f9e442786727cd23193c72903bdafcf9f6a36802c6e1b01c5c7cd5c3d"),
+    ("h_circ_4", "nullspace-edges"): (0, "d150b82cd9e050370128cfe34c505f69b383ffec3e96ce03fb0c448073fc8e1a"),
+    ("h_circ_4", "nullspace-incidence"): (0, "f367a3a7c365492cd56d2d088683096922bb03a939f25a8647ed1757ad461b1e"),
+    ("h_circ_4", "nullspace-vertices"): (0, "2ded7cd1728e57d75cad6a6ba4d04daf9eba4babadf6edcb654c5dfa50b610e7"),
+    ("h_circ_4", "partitions"): (0, "b79596de91741390f44e95e67c8bcd34365f62662dba887f0f5241da9e197277"),
+    ("h_circ_4", "rw_betweenness"): (0, "3585531d9954f5cc5929dc2fe475c8a187223e59f5db35cc9cfb32a5431cfc80"),
+    ("h_circ_4", "rw_closeness"): (0, "719672dc590db585ea56a86dc431d10ca0932578a3fb3ff8bb326c38830f1a47"),
+    ("h_units", "check"): (0, "bb8365e27b1aff72c96a0ad548f5f5b464aeb8667be9030a6007797f65bd0466"),
+    ("h_units", "det-I"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_units", "hitting"): (0, "0ead6247fde18fd736da4e327c59bab4d9fe7b8af7f514c7db2cd4a8275f7b16"),
+    ("h_units", "nullspace-edges"): (0, "adc8b74485a3808182c46e1922bca2a5e68681e3de0fc4b1b76e6a0ff0ddd155"),
+    ("h_units", "nullspace-incidence"): (0, "0db77931c321333d3b7ee713fd3e67cbbf79bd7569faa4204e6ce093de7a2e18"),
+    ("h_units", "nullspace-vertices"): (0, "830db64621882e1b062487463a8ddb7e7719de766062f99c3e2b5c3396f5a014"),
+    ("h_units", "partitions"): (0, "2bc54feda26aa5804d9629ab815b64c8cf6052aab61654218de43b422b7294ad"),
+    ("h_units", "rw_betweenness"): (0, "da1eb5bdc97e49776b09e4a34c0e7921db8c95e931276fed0bac68ed408405b4"),
+    ("h_units", "rw_closeness"): (0, "66b6a1de213e70ea48730e34d7402050b067551043cdeb3fbea60eae9fec252b"),
+    ("h_eq", "check"): (0, "dc1e6d4bf77568ba553e4163844045605dc9ce10c69e4b409f1f59ae222aaa33"),
+    ("h_eq", "det-I"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_eq", "hitting"): (0, "586c54ea69b1af256fa662e5c7871abbae1d6c6a07aec180bbe44032034de296"),
+    ("h_eq", "nullspace-edges"): (0, "5f73383f5740472a3c7481d2aca1a8763798354ea7496695627ba5fe22769583"),
+    ("h_eq", "nullspace-incidence"): (0, "069926f809aa9bd3fa3cd094fab4df8a9beeed8e62a0455974aa3b462a72b2b0"),
+    ("h_eq", "nullspace-vertices"): (0, "b444a0ef5f11573d5d600f305457a0a76c9644870f5686c5d5b77fab6f33adb6"),
+    ("h_eq", "partitions"): (0, "7361c413308883f759c84eac3a6f145a929e59dc85beb3e9832aead73ba2254c"),
+    ("h_eq", "rw_betweenness"): (0, "379af086bbab7a4da9d2cf245ab66d683a26a18e38017fb18a404609cfd766c3"),
+    ("h_eq", "rw_closeness"): (0, "74e9eb1eb5fe260bc2c0279f35a4c07046f9e2bbb639f897ea3c88a76e9d932e"),
+    ("h_cov_source", "check"): (0, "b11c4906e27d9fee6a10050bcbcf8aee7c939c5bfe4f36fbb5a2806346153978"),
+    ("h_cov_source", "det-I"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_cov_source", "hitting"): (0, "dddc2be816f40bb1c0b03ab6a26c68ab4d9478fc49fbead73551047be84adca1"),
+    ("h_cov_source", "nullspace-edges"): (0, "1451bce9942f1fab4f60cb08ed35a1c5b0fa125d4834fa11af795be1e79e39c6"),
+    ("h_cov_source", "nullspace-incidence"): (0, "6693f492422731fea10717410afce95edc1df2f74dd885d7396c9dc14352fc45"),
+    ("h_cov_source", "nullspace-vertices"): (0, "12e0210ab1de8debe8952dd0a267528220c393ca08c3a037b739399e62b03078"),
+    ("h_cov_source", "partitions"): (0, "7fe36be0eef0aa2617cb544f5a9f76a7b3f1f9f5b66dccd3ae2dfb1a5fe960d2"),
+    ("h_cov_source", "rw_betweenness"): (0, "b8bb128aa718226e2fc916db7ac3fccdab8b07ac3935e14150737df8928587c2"),
+    ("h_cov_source", "rw_closeness"): (0, "405c3af47874c0819cf2151b6b2c25859f79a6f9a86932dd0c87cb891fefd734"),
+    ("h_cov_base", "check"): (0, "214d929d8bd976029cbfc2ba7cdb93df01bf25a8b9928c2b78686d1774d60910"),
+    ("h_cov_base", "det-I"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_cov_base", "hitting"): (0, "f854875122349006ae7fe52ce0221b1888dc4a5dfddcdec32ab36555b76b0403"),
+    ("h_cov_base", "nullspace-edges"): (0, "568cfbdb762ad9fcc3aa6bb41b517fb2f969e093bf70750ee86ac5418ea9c64a"),
+    ("h_cov_base", "nullspace-incidence"): (0, "009118d913a002a56c4bcdabc5fe35c57e1ed4e11c5765e1c876464a566e2ae0"),
+    ("h_cov_base", "nullspace-vertices"): (0, "fb30b98dccfdfcf87f26802bb6ad7d023e8587384aabd562aa26d168fbbfdf2a"),
+    ("h_cov_base", "partitions"): (0, "56835134772ec41b70302849183f687ed4f1202dc6a68196700b9a672e69998a"),
+    ("h_cov_base", "rw_betweenness"): (0, "b638219f2a4149b3c0d252a080767e32590475019aebf087b88360ba96f2622c"),
+    ("h_cov_base", "rw_closeness"): (0, "4cf5c3e807dad04439474fcd49b54f6ca91d82b1e86c9b77a19c9115b3e61c37"),
+}
+
+
+@pytest.fixture(scope="module")
+def pack(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    write_fixture_pack(directory)
+    return directory
+
+
+def report_digest(pack, capsys, fixture: str, command: str) -> tuple[int, str]:
+    path = str(pack / f"{fixture}.json")
+    argv = [COMMANDS[command][0], path, *COMMANDS[command][1:]]
+    if command == "hitting":
+        argv.append(json.loads((pack / f"{fixture}.json").read_text())["vertices"][0])
+    code = cli.main(argv)
+    out = capsys.readouterr().out.replace(path, fixture)
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_exact_report_digest(pack, capsys, fixture, command):
+    assert report_digest(pack, capsys, fixture, command) == GOLDEN[fixture, command]
