@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
 import numpy as np
@@ -18,8 +19,9 @@ from .errors import (
     WeightDomainMismatchError,
 )
 from .hypergraph import Hypergraph
-from .linalg import rat
+from .linalg import _integer_row, rat
 from .randwalk import TransitionMatrix, hitting_times
+from .spectra import _coincidence
 from .structures import UnitDecomposition, units
 
 __all__ = [
@@ -161,25 +163,19 @@ def rw_closeness(tm: TransitionMatrix, self_time: str = "return") -> CentralityR
     )
 
 
-def _mat_mult(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    m = len(b[0]) if b else 0
-    bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+def _integer_power_sums(m: list[list[int]], scale: int, horizon: int) -> list[list[int]]:
+    """scale^horizon (P^0 + ... + P^horizon) for P = M / scale, in ints.
 
-
-def _power_sums(p: list[list[Fraction]], horizon: int) -> list[list[Fraction]]:
-    """Sum of matrix powers P^0 + P^1 + ... + P^horizon."""
-    n = len(p)
-    total = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(horizon):
-        power = _mat_mult(power, p)
+    Horner form: T_0 = Id and T_(k+1) = M T_k + scale^(k+1) Id.
+    """
+    n = len(m)
+    total = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, horizon + 1):
+        cols = list(zip(*total))
+        diag = scale**k
+        total = [[sum(map(mul, row, col)) for col in cols] for row in m]
         for i in range(n):
-            row_t = total[i]
-            row_p = power[i]
-            for j in range(n):
-                row_t[j] += row_p[j]
+            total[i][i] += diag
     return total
 
 
@@ -192,25 +188,27 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
     (total u-to-v mass within the horizon, including the step-0 term) is
     zero contribute nothing. Horizon 1 forces every numerator to zero
     since no intermediate step exists.
+
+    With P = M / D for D the lcm of P's denominators, both masses of a
+    ratio carry the factor D^horizon, so ratios are taken between ints.
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise BadHorizonError("horizon must be a positive integer")
     states = list(tm.states)
     n = len(states)
-    p = [list(row) for row in tm.matrix.entries]
-    full = _power_sums(p, horizon)
+    flat, scale = _integer_row([x for row in tm.matrix.entries for x in row])
+    m = [flat[i * n : (i + 1) * n] for i in range(n)]
+    full = _integer_power_sums(m, scale, horizon)
     values: dict[str, object] = {}
     for wi, w in enumerate(states):
         keep = [i for i in range(n) if i != wi]
-        reduced = [[p[i][j] for j in keep] for i in keep]
-        avoided = _power_sums(reduced, horizon)
+        avoided = _integer_power_sums([[m[i][j] for j in keep] for i in keep], scale, horizon)
         score = Fraction(0)
         for a, i in enumerate(keep):
             for b, j in enumerate(keep):
                 denom = full[i][j]
-                if denom == 0:
-                    continue
-                score += (denom - avoided[a][b]) / denom
+                if denom:
+                    score += Fraction(denom - avoided[a][b], denom)
         values[w] = score
     return CentralityReport(
         kind="rw_betweenness",
@@ -288,13 +286,7 @@ def perron_centrality(
         if any(x <= 0 for x in weights.values()):
             raise WeightDomainMismatchError("edge weights must be positive")
     n = h.n_vertices
-    stars = {v: h.star(v) for v in h.vertices}
-    mat = np.zeros((n, n), dtype=float)
-    for i, u in enumerate(h.vertices):
-        for j, v in enumerate(h.vertices):
-            shared = stars[u] & stars[v]
-            if shared:
-                mat[i, j] = float(sum((weights[e] for e in shared), Fraction(0)))
+    mat = np.array(_coincidence(h, weights), dtype=float)
     x = np.ones(n, dtype=float)
     iterations = 0
     for iterations in range(1, max_iterations + 1):

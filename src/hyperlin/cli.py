@@ -45,12 +45,8 @@ from .randwalk import (
     verify_partition_transition,
 )
 from .spectra import (
-    build_A,
+    _MATRIX_BUILDERS,
     build_A_GH,
-    build_D,
-    build_K,
-    build_L,
-    build_Q,
     hypergraph_spectrum,
     verify_Q_annihilation,
     weight_scheme,
@@ -220,7 +216,7 @@ def cmd_spectra(args, h: Hypergraph) -> tuple[dict, dict]:
         elif args.matrix == "A_GH":
             mat = build_A_GH(h)
         else:
-            mat = _build_weighted(h, args.matrix, args.weights)
+            mat = _MATRIX_BUILDERS[args.matrix](h, weight_scheme(h, args.weights))
         return params, {"matrix": args.matrix, "determinant": determinant(mat)}
     if args.matrix == "I":
         raise ValueError(
@@ -229,11 +225,6 @@ def cmd_spectra(args, h: Hypergraph) -> tuple[dict, dict]:
     w = None if args.matrix == "A_GH" else weight_scheme(h, args.weights)
     spectrum = hypergraph_spectrum(h, args.matrix, w, tol=args.tol)
     return params, spectrum.to_json_dict()
-
-
-def _build_weighted(h: Hypergraph, matrix: str, weights: str):
-    builders = {"Q": build_Q, "D": build_D, "A": build_A, "K": build_K, "L": build_L}
-    return builders[matrix](h, weight_scheme(h, weights))
 
 
 def cmd_walk(args, h: Hypergraph) -> tuple[dict, dict]:

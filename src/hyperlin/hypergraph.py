@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -45,21 +45,22 @@ class Hypergraph:
 
     vertices: tuple[str, ...]
     hyperedges: tuple[tuple[str, frozenset[str]], ...]
+    #: Indexes built once so ``star``, ``degree`` and ``members`` scan nothing.
+    _stars: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    _members: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = tuple(str(v) for v in self.vertices)
         if len(set(verts)) != len(verts):
             raise HypergraphSyntaxError("duplicate vertex labels")
         vert_set = set(verts)
-        edges = []
-        seen_labels: set[str] = set()
+        members_of: dict[str, frozenset[str]] = {}
         seen_sets: dict[frozenset[str], str] = {}
         for label, members in self.hyperedges:
             label = str(label)
             members = frozenset(str(m) for m in members)
-            if label in seen_labels:
+            if label in members_of:
                 raise HypergraphSyntaxError(f"duplicate hyperedge label {label!r}")
-            seen_labels.add(label)
             if not members:
                 raise EmptyHyperedgeError(f"hyperedge {label!r} is empty")
             unknown = members - vert_set
@@ -72,9 +73,13 @@ class Hypergraph:
                     f"hyperedges {seen_sets[members]!r} and {label!r} have the same members"
                 )
             seen_sets[members] = label
-            edges.append((label, members))
+            members_of[label] = members
+        edges = tuple(members_of.items())
+        stars = {v: frozenset(label for label, ms in edges if v in ms) for v in verts}
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "hyperedges", tuple(edges))
+        object.__setattr__(self, "hyperedges", edges)
+        object.__setattr__(self, "_stars", stars)
+        object.__setattr__(self, "_members", members_of)
 
     # -- basic accessors --------------------------------------------------
 
@@ -91,19 +96,20 @@ class Hypergraph:
         return tuple(label for label, _ in self.hyperedges)
 
     def members(self, edge_label: str) -> frozenset[str]:
-        for label, members in self.hyperedges:
-            if label == edge_label:
-                return members
-        raise UnknownLabelError(f"no hyperedge labeled {edge_label!r}")
+        try:
+            return self._members[edge_label]
+        except KeyError:
+            raise UnknownLabelError(f"no hyperedge labeled {edge_label!r}") from None
 
     def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
+        return v in self._stars
 
     def star(self, v: str) -> frozenset[str]:
         """Labels of the hyperedges containing ``v``."""
-        if v not in self.vertices:
-            raise UnknownLabelError(f"no vertex labeled {v!r}")
-        return frozenset(label for label, members in self.hyperedges if v in members)
+        try:
+            return self._stars[v]
+        except KeyError:
+            raise UnknownLabelError(f"no vertex labeled {v!r}") from None
 
     def degree(self, v: str) -> int:
         return len(self.star(v))
@@ -120,21 +126,13 @@ class Hypergraph:
         """True when every vertex is reachable through shared hyperedges."""
         if self.n_vertices <= 1:
             return True
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for _, members in self.hyperedges:
-            ms = sorted(members)
-            for a in ms:
-                adj[a].update(m for m in ms if m != a)
         seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
+        stack = [self.vertices[0]]
+        while stack:
+            for e in self._stars[stack.pop()]:
+                fresh = self._members[e] - seen
+                seen |= fresh
+                stack.extend(fresh)
         return len(seen) == self.n_vertices
 
     # -- serialization -----------------------------------------------------
@@ -184,8 +182,9 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, text: str) -> "Hypergraph":
+        """Parse the canonical JSON form; a repeated key anywhere is an error."""
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise HypergraphSyntaxError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -253,6 +252,16 @@ class Hypergraph:
                 seen.add(m)
                 order.append(m)
         return cls(tuple(order), tuple(pairs))
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook that rejects a key given twice instead of keeping the last."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = sorted(k for k in out if keys.count(k) > 1)
+        raise HypergraphSyntaxError(f"duplicate JSON keys {repeated}")
+    return out
 
 
 def parse(text: str, format: str = "json") -> Hypergraph:

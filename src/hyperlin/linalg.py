@@ -1,13 +1,18 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
-All arithmetic in this module uses :class:`fractions.Fraction`, so ranks,
-determinants, nullspaces and solutions are exact, never approximate.
-Matrices carry row and column labels so results can be read back in terms
-of the objects they were built from (vertices, hyperedges, states).
+Matrices hold :class:`fractions.Fraction` entries at the API boundary.
+Elimination (RREF, nullspace, solve, determinant) runs inside on plain
+Python ints: each row is scaled by the lcm of its denominators, reduced
+fraction-free, and converted back to ``Fraction`` once at the end. Ranks,
+determinants, nullspaces and solutions are therefore exact, never
+approximate. Matrices carry row and column labels so results can be read
+back in terms of the objects they were built from (vertices, hyperedges,
+states).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -306,6 +311,46 @@ class NullspaceBasis:
         return len(self.vectors)
 
 
+def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, as ints, and that lcm."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _fraction_free_reduce(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Gauss-Jordan on integer rows in place, dividing exactly by the previous pivot.
+
+    After each pivot ``d`` every row is ``d`` times the Gauss-Jordan iterate
+    and ``d`` is the determinant of the pivot block (Bareiss 1968), so a row
+    whose pivot-column entry is zero still needs scaling by ``d / prev``.
+    Pivots are sought in the first ``ncols`` columns. Returns the pivot
+    columns, the last pivot ``d`` (the RREF is ``a / d``) and the sign of
+    the row permutation.
+    """
+    nrows = len(a)
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        top = a[r]
+        piv = top[c]
+        for i in range(nrows):
+            f = a[i][c]
+            if i != r and (f or piv != prev):
+                a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], top)]
+        prev = piv
+        pivots.append(c)
+    return pivots, prev, sign
+
+
 def rref(m: RationalMatrix) -> RrefResult:
     """Reduced row echelon form by exact Gauss-Jordan elimination.
 
@@ -315,26 +360,11 @@ def rref(m: RationalMatrix) -> RrefResult:
         The echelon matrix (same labels), its rank, and pivot column
         indices in increasing order.
     """
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    reduced = RationalMatrix.from_rows(m.row_labels, m.col_labels, a)
+    a = [_integer_row(row)[0] for row in m.entries]
+    pivots, d, _ = _fraction_free_reduce(a, m.cols)
+    reduced = RationalMatrix.from_rows(
+        m.row_labels, m.col_labels, [[Fraction(x, d) for x in row] for row in a]
+    )
     return RrefResult(matrix=reduced, rank=len(pivots), pivot_cols=tuple(pivots))
 
 
@@ -367,11 +397,10 @@ def nullspace(m: RationalMatrix) -> NullspaceBasis:
 
 
 def determinant(m: RationalMatrix) -> Fraction:
-    """Exact determinant by Bareiss elimination.
+    """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Bareiss keeps intermediate values as ratios of minors, which bounds
-    entry growth compared with plain fraction-free expansion. Division is
-    exact at every step.
+    The last pivot is the determinant of the row-scaled integer matrix up
+    to the permutation sign; dividing by the row scales gives the result.
 
     Raises
     ------
@@ -380,29 +409,12 @@ def determinant(m: RationalMatrix) -> Fraction:
     """
     if not m.is_square:
         raise NotSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) / prev
-            row_i[k] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    rows = [_integer_row(row) for row in m.entries]
+    a = [row for row, _ in rows]
+    pivots, d, sign = _fraction_free_reduce(a, m.cols)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * d, math.prod(scale for _, scale in rows))
 
 
 def solve(m: RationalMatrix, b: Mapping[str, RationalLike] | Sequence[RationalLike]) -> dict[str, Fraction]:
@@ -434,19 +446,11 @@ def solve(m: RationalMatrix, b: Mapping[str, RationalLike] | Sequence[RationalLi
         rhs = [rat(x) for x in b]
         if len(rhs) != n:
             raise ValueError("right hand side length does not match")
-    a = [list(row) + [rhs[i]] for i, row in enumerate(m.entries)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularError("matrix is singular")
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return {lab: a[i][n] for i, lab in enumerate(m.col_labels)}
+    a = [_integer_row(row + (rhs[i],))[0] for i, row in enumerate(m.entries)]
+    pivots, d, _ = _fraction_free_reduce(a, n)
+    if len(pivots) < n:
+        raise SingularError("matrix is singular")
+    return {lab: Fraction(a[i][n], d) for i, lab in enumerate(m.col_labels)}
 
 
 def vector_support(x: Mapping[str, Fraction]) -> frozenset:

@@ -175,7 +175,9 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
             )
     matrix = RationalMatrix.from_rows(vstates, vstates, rows)
     for lab, row in zip(vstates, matrix.entries):
-        assert sum(row, Fraction(0)) == 1, f"row {lab!r} must be stochastic"
+        total = sum(row, Fraction(0))
+        if total != 1:
+            raise BadDistributionError(f"row {lab!r} sums to {total}, not 1")
     return TransitionMatrix(source=h, policy=policy, matrix=matrix)
 
 

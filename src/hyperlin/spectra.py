@@ -141,29 +141,39 @@ def _check_weights(h: Hypergraph, w: WeightScheme) -> None:
         raise WeightDomainMismatchError("weights must be positive")
 
 
+def _coincidence(h: Hypergraph, edge_weights: Mapping[str, Fraction]) -> list[list[Fraction]]:
+    """Entry (u, v) is the total weight over star(u) meet star(v), in vertex order."""
+    stars = [h.star(v) for v in h.vertices]
+    return [[sum((edge_weights[e] for e in su & sv), Fraction(0)) for sv in stars] for su in stars]
+
+
+def _weighted_degrees(h: Hypergraph, w: WeightScheme) -> dict[str, Fraction]:
+    """w_V(v) times the total edge weight over star(v), for every vertex."""
+    return {
+        v: w.vertex_weights[v] * sum((w.edge_weights[e] for e in h.star(v)), Fraction(0))
+        for v in h.vertices
+    }
+
+
 def build_Q(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Signless product matrix D_V I D_E I^T.
 
     Entry (u, v) is the vertex weight of u times the total edge weight of
-    the hyperedges containing both u and v. The diagonal carries the
-    weighted degree.
+    the hyperedges containing both u and v, read off the star index rather
+    than multiplied out. The diagonal carries the weighted degree.
     """
     _check_weights(h, w)
-    inc = incidence_matrix(h)
-    dv = RationalMatrix.diagonal(h.vertices, w.vertex_weights)
-    de = RationalMatrix.diagonal(h.edge_labels, w.edge_weights)
-    return dv @ inc @ de @ inc.transpose()
+    rows = [
+        [w.vertex_weights[u] * x for x in row]
+        for u, row in zip(h.vertices, _coincidence(h, w.edge_weights))
+    ]
+    return RationalMatrix.from_rows(h.vertices, h.vertices, rows)
 
 
 def build_D(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Diagonal weighted-degree matrix: entry (v, v) is w_V(v) sum of w_E over star(v)."""
     _check_weights(h, w)
-    diag = {
-        v: w.vertex_weights[v]
-        * sum((w.edge_weights[e] for e in h.star(v)), Fraction(0))
-        for v in h.vertices
-    }
-    return RationalMatrix.diagonal(h.vertices, diag)
+    return RationalMatrix.diagonal(h.vertices, _weighted_degrees(h, w))
 
 
 def build_A(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
@@ -427,9 +437,10 @@ def _eigen_check(
     c = constants.pop()
     expected = Fraction(sign) * c
     image = matrix.apply(cert.coefficients)
-    assert all(
-        image[v] == expected * cert.coefficients[v] for v in h.vertices
-    ), "eigenvalue identity must hold exactly once the constancy condition does"
+    if any(image[v] != expected * cert.coefficients[v] for v in h.vertices):
+        raise InvalidCertificateError(
+            "eigenvalue identity fails although the constancy condition holds"
+        )
     return expected
 
 
@@ -441,12 +452,7 @@ def verify_A_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fr
     constant, verified exactly; returns None when the degrees differ.
     """
     _check_weights(h, w)
-    degree = {
-        v: w.vertex_weights[v]
-        * sum((w.edge_weights[e] for e in h.star(v)), Fraction(0))
-        for v in h.vertices
-    }
-    return _eigen_check(h, cert, build_A(h, w), degree, sign=-1)
+    return _eigen_check(h, cert, build_A(h, w), _weighted_degrees(h, w), sign=-1)
 
 
 def verify_L_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fraction | None:
@@ -456,13 +462,6 @@ def verify_L_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fr
     vertices jointly incident with v, scaled by v's weight. When constant on
     the support, L has the certificate as an eigenvector with that eigenvalue.
     """
-    _check_weights(h, w)
-    constant = {}
-    for v in h.vertices:
-        star_v = h.star(v)
-        total = Fraction(0)
-        for u in h.vertices:
-            shared = star_v & h.star(u)
-            total += sum((w.edge_weights[e] for e in shared), Fraction(0))
-        constant[v] = w.vertex_weights[v] * total
+    q = build_Q(h, w)
+    constant = {v: sum(row, Fraction(0)) for v, row in zip(q.row_labels, q.entries)}
     return _eigen_check(h, cert, build_L(h, w), constant, sign=1)

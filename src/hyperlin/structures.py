@@ -614,7 +614,8 @@ def pullback_dependent_set(
         raise InvalidCertificateError("certificate is not annihilated on the target")
     coeffs = {u: cert.coefficients[fmap[u]] for u in source.vertices}
     check = incidence_matrix(source).transpose().apply(coeffs)
-    assert all(v == 0 for v in check.values()), "pullback must stay in the nullspace"
+    if any(v != 0 for v in check.values()):
+        raise NotInNullspaceError("the pulled-back vector left the source nullspace")
     return _certificate_from_vector(
         CertificateKind.DEPENDENT_VERTICES, coeffs, VERTEX_AXIS
     )

@@ -1,0 +1,118 @@
+"""Reference implementations in plain Fraction arithmetic.
+
+These are the straightforward loops the library's integer kernel replaced.
+They are slow and obviously correct, and the kernel tests require the
+library to agree with them exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan with pivots sought in the first ``ncols`` columns.
+
+    Returns the reduced rows and the pivot columns.
+    """
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def nullspace_vectors(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """One vector per free column, leading nonzero coordinate +1."""
+    a, pivots = gauss_jordan(rows, ncols)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        coeffs = [Fraction(0)] * ncols
+        coeffs[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            coeffs[p] = -a[r][f]
+        lead = next(x for x in coeffs if x != 0)
+        out.append([-x for x in coeffs] if lead < 0 else coeffs)
+    return out
+
+
+def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """The unique solution of a square system, or None when it is singular."""
+    n = len(rows)
+    a, pivots = gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return [a[i][n] for i in range(n)]
+
+
+def determinant(rows: list[list[Fraction]]) -> Fraction:
+    """Bareiss elimination on Fractions."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            lead = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - lead * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def mat_mult(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    bt = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+
+
+def power_sums(p: list[list[Fraction]], horizon: int) -> list[list[Fraction]]:
+    """Sum of matrix powers P^0 + P^1 + ... + P^horizon."""
+    n = len(p)
+    total = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(horizon):
+        power = mat_mult(power, p)
+        total = [[x + y for x, y in zip(rt, rp)] for rt, rp in zip(total, power)]
+    return total
+
+
+def rw_betweenness(p: list[list[Fraction]], horizon: int) -> list[Fraction]:
+    """Truncated random-walk betweenness of every state of the kernel ``p``."""
+    n = len(p)
+    full = power_sums(p, horizon)
+    scores = []
+    for w in range(n):
+        keep = [i for i in range(n) if i != w]
+        avoided = power_sums([[p[i][j] for j in keep] for i in keep], horizon)
+        score = Fraction(0)
+        for a, i in enumerate(keep):
+            for b, j in enumerate(keep):
+                if full[i][j] != 0:
+                    score += (full[i][j] - avoided[a][b]) / full[i][j]
+        scores.append(score)
+    return scores

@@ -132,6 +132,18 @@ def test_exit_one_on_bad_json(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_exit_one_on_repeated_hyperedge_key(capsys, tmp_path):
+    dup = tmp_path / "dup.json"
+    dup.write_text(
+        '{"vertices": ["1", "2", "3"], "hyperedges": {"e1": ["1", "2"], "e1": ["2", "3"]}}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "units", str(dup))
+    assert code == 1
+    assert "HypergraphSyntaxError" in err
+    assert out == ""
+
+
 def test_exit_two_on_unknown_target(pack, capsys):
     code, _, err = run(
         capsys, "hitting", str(pack / "h_a.json"), "--target", "zzz"

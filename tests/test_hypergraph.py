@@ -49,6 +49,12 @@ def test_rejects_duplicate_edge_labels():
         Hypergraph.from_members([("e", ["a"]), ("e", ["a", "b"])])
 
 
+def test_from_json_rejects_repeated_hyperedge_key():
+    text = '{"vertices": ["1", "2", "3"], "hyperedges": {"e1": ["1", "2"], "e1": ["2", "3"]}}'
+    with pytest.raises(HypergraphSyntaxError, match="'e1'"):
+        Hypergraph.from_json(text)
+
+
 def test_star_degree_members():
     h = fx.hub_cycle()
     assert h.star("5") == frozenset({"e1", "e2", "e3", "e4"})
