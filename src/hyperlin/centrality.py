@@ -18,7 +18,7 @@ from .errors import (
     UnknownLabelError,
     WeightDomainMismatchError,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _dot_quote
 from .linalg import _integer_row, rat
 from .randwalk import TransitionMatrix, hitting_times
 from .spectra import _coincidence
@@ -80,9 +80,9 @@ class GraphProjection:
     def to_dot(self) -> str:
         out = ["graph projection {"]
         for n in self.nodes:
-            out.append(f'  "{n}" [shape=box];')
+            out.append(f"  {_dot_quote(n)} [shape=box];")
         for a, b in self.edges:
-            out.append(f'  "{a}" -- "{b}";')
+            out.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
         out.append("}")
         return "\n".join(out) + "\n"
 

@@ -10,7 +10,6 @@ failure (the library error name is printed), 3 a theorem check failed.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -23,44 +22,34 @@ from .centrality import (
     unit_closeness,
     unit_eccentricity,
 )
-from .errors import (
-    HyperlinError,
-    IsolatedVertexError,
-    SingletonEdgeNonLazyError,
-    UnreachableError,
-)
+from .checks import run_checks
+from .errors import HyperlinError
 from .fixtures import resolve_input_path
 from .hypergraph import (
     Hypergraph,
     incidence_graph,
     incidence_matrix,
 )
-from .linalg import determinant, nullspace, rref
+from .linalg import determinant, nullspace
 from .randwalk import (
     WalkPolicy,
     first_hit_probabilities,
     hitting_times,
     simulate,
     transition_matrix,
-    verify_partition_transition,
 )
 from .spectra import (
     _MATRIX_BUILDERS,
     build_A_GH,
     hypergraph_spectrum,
-    verify_Q_annihilation,
     weight_scheme,
 )
 from .structures import (
-    Certificate,
-    CertificateKind,
-    VERTEX_AXIS,
     find_equal_edge_partitions,
     is_dependent_set,
     unit_contraction,
     units,
     verify_equal_edge_partition,
-    verify_unit_maximality,
 )
 
 __all__ = ["main"]
@@ -292,270 +281,8 @@ def cmd_dot(args, h: Hypergraph) -> tuple[dict, dict]:
     return {}, {}
 
 
-# ---------------------------------------------------------------------------
-# theorem-check suite
-
-
-def _check_rank_equality(h, inc, checks) -> None:
-    r_rows = rref(inc).rank
-    r_cols = rref(inc.transpose()).rank
-    status = "pass" if r_rows == r_cols else "fail"
-    checks.append(
-        {
-            "name": "rank_equality",
-            "status": status,
-            "witness": f"rank(I)={r_rows}, rank(I^T)={r_cols}",
-        }
-    )
-
-
-def _check_nullity_additivity(h, inc, checks) -> int:
-    n_edge = nullspace(inc).dimension
-    n_vertex = nullspace(inc.transpose()).dimension
-    n_big = nullspace(build_A_GH(h)).dimension
-    bound = abs(h.n_vertices - h.n_hyperedges)
-    ok = n_big == n_edge + n_vertex and n_big >= bound
-    checks.append(
-        {
-            "name": "nullity_additivity",
-            "status": "pass" if ok else "fail",
-            "witness": (
-                f"nullity(A_GH)={n_big}, nullity(I)={n_edge}, "
-                f"nullity(I^T)={n_vertex}, lower bound {bound}"
-            ),
-        }
-    )
-    return n_big
-
-
-def _check_square_determinant(h, inc, n_big, checks) -> None:
-    if h.n_vertices != h.n_hyperedges:
-        checks.append(
-            {
-                "name": "square_determinant",
-                "status": "not-applicable",
-                "witness": f"|V|={h.n_vertices} != |E|={h.n_hyperedges}",
-            }
-        )
-        return
-    det = determinant(inc)
-    ok = (det != 0) == (n_big == 0)
-    checks.append(
-        {
-            "name": "square_determinant",
-            "status": "pass" if ok else "fail",
-            "witness": f"det(I)={det}, nullity(A_GH)={n_big}",
-        }
-    )
-
-
-def _check_unit_soundness(h, checks):
-    dec = units(h)
-    sound = True
-    for u in dec.units:
-        stars = {frozenset(h.star(v)) for v in u.members}
-        if len(stars) != 1:
-            sound = False
-        if len(u.members) >= 2 and not verify_unit_maximality(h, u.members):
-            sound = False
-    covered = sorted(v for u in dec.units for v in u.members)
-    if covered != sorted(h.vertices):
-        sound = False
-    checks.append(
-        {
-            "name": "unit_soundness",
-            "status": "pass" if sound else "fail",
-            "witness": f"{len(dec.units)} units partition {h.n_vertices} vertices",
-        }
-    )
-    return dec
-
-
-def _check_q_annihilation(h, inc, checks) -> None:
-    basis = nullspace(inc.transpose())
-    if basis.dimension == 0:
-        checks.append(
-            {
-                "name": "q_annihilation",
-                "status": "not-applicable",
-                "witness": "nullity(I^T)=0, no certificates",
-            }
-        )
-        return
-    presets = ["unit"]
-    if all(len(m) >= 2 for _, m in h.hyperedges):
-        presets.append("edgenorm")
-        if all(h.degree(v) >= 1 for v in h.vertices):
-            presets.append("fullnorm")
-    ok = True
-    for vec in basis.vectors:
-        support = frozenset(lab for lab, val in vec.items() if val != 0)
-        cert = Certificate(
-            CertificateKind.DEPENDENT_VERTICES, support, dict(vec), VERTEX_AXIS
-        )
-        for preset in presets:
-            if not verify_Q_annihilation(h, weight_scheme(h, preset), cert):
-                ok = False
-    checks.append(
-        {
-            "name": "q_annihilation",
-            "status": "pass" if ok else "fail",
-            "witness": (
-                f"{basis.dimension} basis certificates under {len(presets)} "
-                f"weight presets"
-            ),
-        }
-    )
-
-
-def _signed_indicator_in_nullspace(h, inc_t, u_set, v_set) -> bool:
-    chi = {v: Fraction(1) for v in u_set}
-    chi.update({v: Fraction(-1) for v in v_set})
-    image = inc_t.apply(chi)
-    return all(val == 0 for val in image.values())
-
-
-def _check_partition_nullspace(h, inc, checks) -> None:
-    inc_t = inc.transpose()
-    pairs = find_equal_edge_partitions(h, max_support=h.n_vertices)
-    ok = True
-    for u_set, v_set in pairs:
-        counted, _ = verify_equal_edge_partition(h, u_set, v_set)
-        if not counted or not _signed_indicator_in_nullspace(h, inc_t, u_set, v_set):
-            ok = False
-    witness = f"{len(pairs)} partitions from the nullspace all verified by counting"
-    if h.n_vertices <= 10:
-        found = set(pairs)
-        labels = list(h.vertices)
-        for assignment in itertools.product((-1, 0, 1), repeat=len(labels)):
-            u_set = frozenset(l for l, s in zip(labels, assignment) if s == 1)
-            v_set = frozenset(l for l, s in zip(labels, assignment) if s == -1)
-            if not u_set and not v_set:
-                continue
-            for lab in labels:
-                if lab in u_set:
-                    break
-                if lab in v_set:
-                    u_set, v_set = v_set, u_set
-                    break
-            counted, _ = verify_equal_edge_partition(h, u_set, v_set)
-            if counted != _signed_indicator_in_nullspace(h, inc_t, u_set, v_set):
-                ok = False
-            if counted and (u_set, v_set) not in found:
-                ok = False
-        witness += "; exhaustive counting sweep agreed both directions"
-    checks.append(
-        {
-            "name": "partition_nullspace",
-            "status": "pass" if ok else "fail",
-            "witness": witness,
-        }
-    )
-
-
-def _check_walk_symmetries(h, dec, checks) -> None:
-    multi = [u for u in dec.units if len(u.members) >= 2]
-    if not multi:
-        checks.append(
-            {
-                "name": "walk_symmetries",
-                "status": "not-applicable",
-                "witness": "no unit has two or more members",
-            }
-        )
-        return
-    try:
-        tm = transition_matrix(h, WalkPolicy.uniform_nonlazy())
-        tables = {}
-        ok = True
-        pairs = 0
-        for u in multi:
-            members = list(u.members)
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    for t in (a, b):
-                        if t not in tables:
-                            tables[t] = hitting_times(tm, t)
-                    if tables[b][a] != tables[a][b]:
-                        ok = False
-                    for w in h.vertices:
-                        if w in (a, b):
-                            continue
-                        if tables[a][w] != tables[b][w]:
-                            ok = False
-                    pairs += 1
-    except (
-        IsolatedVertexError,
-        SingletonEdgeNonLazyError,
-        UnreachableError,
-    ) as exc:
-        checks.append(
-            {
-                "name": "walk_symmetries",
-                "status": "not-applicable",
-                "witness": type(exc).__name__,
-            }
-        )
-        return
-    checks.append(
-        {
-            "name": "walk_symmetries",
-            "status": "pass" if ok else "fail",
-            "witness": f"{pairs} unit pairs, exact hitting-time symmetry",
-        }
-    )
-
-
-def _check_partition_transition(h, inc, checks) -> None:
-    pairs = find_equal_edge_partitions(h, max_support=h.n_vertices)
-    if not pairs:
-        checks.append(
-            {
-                "name": "partition_transition",
-                "status": "not-applicable",
-                "witness": "no equal partitions",
-            }
-        )
-        return
-    try:
-        tm = transition_matrix(h, WalkPolicy.uniform_nonlazy())
-    except (IsolatedVertexError, SingletonEdgeNonLazyError) as exc:
-        checks.append(
-            {
-                "name": "partition_transition",
-                "status": "not-applicable",
-                "witness": type(exc).__name__,
-            }
-        )
-        return
-    two_sided = [(u, v) for u, v in pairs if v]
-    ok = all(verify_partition_transition(tm, u, v) for u, v in two_sided)
-    checks.append(
-        {
-            "name": "partition_transition",
-            "status": "pass" if ok else "fail",
-            "witness": f"{len(two_sided)} partitions balance transition mass",
-        }
-    )
-
-
 def cmd_check(args, h: Hypergraph) -> tuple[dict, dict]:
-    inc = incidence_matrix(h)
-    checks: list[dict] = []
-    _check_rank_equality(h, inc, checks)
-    n_big = _check_nullity_additivity(h, inc, checks)
-    _check_square_determinant(h, inc, n_big, checks)
-    dec = _check_unit_soundness(h, checks)
-    _check_q_annihilation(h, inc, checks)
-    _check_partition_nullspace(h, inc, checks)
-    _check_partition_transition(h, inc, checks)
-    _check_walk_symmetries(h, dec, checks)
-    results = {
-        "nullity_A_GH": n_big,
-        "theorem_checks": checks,
-        "failed": sum(1 for c in checks if c["status"] == "fail"),
-    }
-    return {}, results
+    return {}, run_checks(h)
 
 
 # ---------------------------------------------------------------------------

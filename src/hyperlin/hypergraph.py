@@ -282,6 +282,11 @@ def incidence_matrix(h: Hypergraph) -> RationalMatrix:
     return RationalMatrix.from_rows(h.vertices, h.edge_labels, rows)
 
 
+def _dot_quote(text: str) -> str:
+    """``text`` as a DOT quoted string: backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 @dataclass(frozen=True)
 class IncidenceGraph:
     """Bipartite incidence graph: vertices on the left, hyperedges on the right."""
@@ -302,11 +307,11 @@ class IncidenceGraph:
         """Graphviz rendering with circles for vertices and boxes for hyperedges."""
         out = ["graph incidence {"]
         for v in self.left:
-            out.append(f'  "v_{v}" [label="{v}", shape=circle];')
+            out.append(f"  {_dot_quote('v_' + v)} [label={_dot_quote(v)}, shape=circle];")
         for e in self.right:
-            out.append(f'  "e_{e}" [label="{e}", shape=box];')
+            out.append(f"  {_dot_quote('e_' + e)} [label={_dot_quote(e)}, shape=box];")
         for v, e in self.edges:
-            out.append(f'  "v_{v}" -- "e_{e}";')
+            out.append(f"  {_dot_quote('v_' + v)} -- {_dot_quote('e_' + e)};")
         out.append("}")
         return "\n".join(out) + "\n"
 

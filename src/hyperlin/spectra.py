@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     InvalidCertificateError,
     IsolatedVertexError,
-    NoConvergenceError,
     NotSquareError,
     NotSymmetrizableError,
     SingletonEdgeError,
@@ -237,47 +236,6 @@ class Spectrum:
         }
 
 
-def _jacobi_eigenvalues(a: np.ndarray, tol: float, max_sweeps: int = 100) -> np.ndarray:
-    """Cyclic Jacobi rotations until the off-diagonal Frobenius norm drops below tol."""
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if n <= 1:
-        return np.diagonal(a).copy()
-
-    def off_norm(mat: np.ndarray) -> float:
-        off = mat - np.diag(np.diagonal(mat))
-        return float(np.sqrt(np.sum(off * off)))
-
-    for _ in range(max_sweeps):
-        if off_norm(a) < tol:
-            return np.sort(np.diagonal(a).copy())
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                tau = diff / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # apply the rotation to rows p,q and columns p,q in place
-                rows_pq = a[[p, q], :].copy()
-                a[p, :] = c * rows_pq[0] - s * rows_pq[1]
-                a[q, :] = s * rows_pq[0] + c * rows_pq[1]
-                cols_pq = a[:, [p, q]].copy()
-                a[:, p] = c * cols_pq[:, 0] - s * cols_pq[:, 1]
-                a[:, q] = s * cols_pq[:, 0] + c * cols_pq[:, 1]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    if off_norm(a) < tol:
-        return np.sort(np.diagonal(a).copy())
-    raise NoConvergenceError("Jacobi sweeps exhausted before reaching the tolerance")
-
-
 def _group_eigenvalues(values: Sequence[float], group_tol: float) -> tuple[tuple[float, int], ...]:
     """Cluster ascending values whose successive gaps stay below group_tol."""
     groups: list[tuple[float, int]] = []
@@ -305,18 +263,18 @@ def eigenvalues_sym(
     declared. The exact condition m[i][j] * d[j] == m[j][i] * d[i] is then
     checked rationally; when it holds, the similar symmetric matrix with
     entries sign(m[i][j]) * sqrt(m[i][j] * m[j][i]) shares the spectrum and
-    is handed to the Jacobi iteration.
+    is handed to ``numpy.linalg.eigvalsh``.
 
     Parameters
     ----------
     tol : float
-        Jacobi termination: off-diagonal Frobenius norm below this value.
+        Sets the default ``group_tol``.
     group_tol : float, optional
         Clustering width for multiplicities; defaults to 10 * tol.
 
     Raises
     ------
-    NotSquareError, NotSymmetrizableError, NoConvergenceError
+    NotSquareError, NotSymmetrizableError
     """
     if not m.is_square:
         raise NotSquareError("eigenvalues need a square matrix")
@@ -350,7 +308,7 @@ def eigenvalues_sym(
                 arr[j, i] = val
     else:
         raise NotSymmetrizableError("matrix is not symmetric and no similarity was declared")
-    eigs = _jacobi_eigenvalues(arr, tol)
+    eigs = np.linalg.eigvalsh(arr)
     return Spectrum(
         matrix_kind=matrix_kind,
         tolerance=group_tol,

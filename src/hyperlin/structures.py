@@ -9,7 +9,7 @@ hypergraphs.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,7 +24,12 @@ from .errors import (
     TooSmallError,
     UnknownLabelError,
 )
-from .hypergraph import Hypergraph, incidence_graph_adjacency, incidence_matrix
+from .hypergraph import (
+    Hypergraph,
+    _dot_quote,
+    incidence_graph_adjacency,
+    incidence_matrix,
+)
 from .linalg import RationalMatrix, nullspace, rat, vector_support
 
 __all__ = [
@@ -291,13 +296,15 @@ class ContractionMap:
         """Incidence rendering of the contraction, units drawn as boxes."""
         out = ["graph contraction {"]
         for u in self.decomposition.units:
-            out.append(f'  "u_{u.label}" [label="{u.label}", shape=box];')
+            out.append(
+                f"  {_dot_quote('u_' + u.label)} [label={_dot_quote(u.label)}, shape=box];"
+            )
         for e in self.contracted.edge_labels:
-            out.append(f'  "e_{e}" [label="{e}", shape=ellipse];')
+            out.append(f"  {_dot_quote('e_' + e)} [label={_dot_quote(e)}, shape=ellipse];")
         for e, members in self.contracted.hyperedges:
             for ulabel in self.contracted.vertices:
                 if ulabel in members:
-                    out.append(f'  "u_{ulabel}" -- "e_{e}";')
+                    out.append(f"  {_dot_quote('u_' + ulabel)} -- {_dot_quote('e_' + e)};")
         out.append("}")
         return "\n".join(out) + "\n"
 
@@ -416,41 +423,47 @@ def find_equal_edge_partitions(
     The search walks the nullspace of the transposed incidence matrix: a
     valid pair's signed indicator chi_U - chi_V must lie in it, so only
     sign combinations of the canonical basis vectors are enumerated (cost
-    grows as 3^nullity, not with the number of vertex subsets). Pairs are
-    deduplicated by orienting the first supported vertex into U, so U is
-    never empty; V may be empty (isolated vertices make this legitimate).
+    grows as 3^nullity, not with the number of vertex subsets). Each basis
+    vector is +-1 on its own free column and 0 on the others, so no other
+    coefficients can give a {-1, 0, 1} vector. The basis is scaled to ints
+    by the lcm D of its denominators and the combinations are summed
+    depth-first as running integer vectors; those with every entry in
+    {-D, 0, D} are candidates. Pairs are deduplicated by orienting the
+    first supported vertex into U, so U is never empty; V may be empty
+    (isolated vertices make this legitimate).
     """
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
     basis = nullspace(incidence_matrix(h).transpose())
-    d = basis.dimension
-    if d == 0:
+    if basis.dimension == 0:
         return []
+    scale = math.lcm(*(x.denominator for vec in basis.vectors for x in vec.values()))
+    scaled = [
+        [vec[v].numerator * (scale // vec[v].denominator) for v in h.vertices]
+        for vec in basis.vectors
+    ]
+    allowed = (-scale, 0, scale)
     vertex_pos = {v: i for i, v in enumerate(h.vertices)}
     results: list[tuple[frozenset[str], frozenset[str]]] = []
-    for combo in itertools.product((-1, 0, 1), repeat=d):
-        if all(c == 0 for c in combo):
-            continue
-        coeffs = [Fraction(0)] * h.n_vertices
-        for c, vec in zip(combo, basis.vectors):
-            if c == 0:
-                continue
-            for lab, val in vec.items():
-                if val != 0:
-                    coeffs[vertex_pos[lab]] += c * val
-        lead = next((x for x in coeffs if x != 0), None)
-        if lead is None or lead < 0:
-            continue
-        if any(x not in (-1, 0, 1) for x in coeffs):
-            continue
-        support = [i for i, x in enumerate(coeffs) if x != 0]
-        if len(support) > max_support:
-            continue
-        u_set = frozenset(h.vertices[i] for i in support if coeffs[i] == 1)
-        v_set = frozenset(h.vertices[i] for i in support if coeffs[i] == -1)
+
+    def extend(k: int, sums: list[int]) -> None:
+        if k < len(scaled):
+            for c in (-1, 0, 1):
+                step = sums if c == 0 else [x + c * y for x, y in zip(sums, scaled[k])]
+                extend(k + 1, step)
+            return
+        if any(x not in allowed for x in sums):
+            return
+        support = [i for i, x in enumerate(sums) if x]
+        if not support or sums[support[0]] < 0 or len(support) > max_support:
+            return
+        u_set = frozenset(h.vertices[i] for i in support if sums[i] > 0)
+        v_set = frozenset(h.vertices[i] for i in support if sums[i] < 0)
         ok, _ = verify_equal_edge_partition(h, u_set, v_set)
         if ok:
             results.append((u_set, v_set))
+
+    extend(0, [0] * h.n_vertices)
     results.sort(
         key=lambda pair: (
             len(pair[0] | pair[1]),

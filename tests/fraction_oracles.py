@@ -7,6 +7,7 @@ library to agree with them exactly.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
@@ -116,3 +117,38 @@ def rw_betweenness(p: list[list[Fraction]], horizon: int) -> list[Fraction]:
                     score += (full[i][j] - avoided[a][b]) / full[i][j]
         scores.append(score)
     return scores
+
+
+def equal_edge_partitions(h, max_support: int) -> list[tuple[frozenset, frozenset]]:
+    """Equal partitions (U, V) from every {-1, 0, 1} combination of the
+    Fraction nullspace basis of I^T, verified by counting per hyperedge.
+
+    Same contract and order as ``find_equal_edge_partitions``.
+    """
+    verts = list(h.vertices)
+    rows = [[Fraction(int(v in members)) for v in verts] for _, members in h.hyperedges]
+    basis = nullspace_vectors(rows, len(verts))
+    pos = {v: i for i, v in enumerate(verts)}
+    results = []
+    for combo in itertools.product((-1, 0, 1), repeat=len(basis)):
+        coeffs = [Fraction(0)] * len(verts)
+        for c, vec in zip(combo, basis):
+            coeffs = [x + c * y for x, y in zip(coeffs, vec)]
+        lead = next((x for x in coeffs if x != 0), None)
+        if lead is None or lead < 0 or any(x not in (-1, 0, 1) for x in coeffs):
+            continue
+        support = [i for i, x in enumerate(coeffs) if x != 0]
+        if len(support) > max_support:
+            continue
+        u_set = frozenset(verts[i] for i in support if coeffs[i] == 1)
+        v_set = frozenset(verts[i] for i in support if coeffs[i] == -1)
+        if all(len(u_set & m) == len(v_set & m) for _, m in h.hyperedges):
+            results.append((u_set, v_set))
+    results.sort(
+        key=lambda pair: (
+            len(pair[0] | pair[1]),
+            tuple(sorted(pos[v] for v in pair[0] | pair[1])),
+            tuple(sorted(pos[v] for v in pair[0])),
+        )
+    )
+    return results

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hyperlin import cli
+from hyperlin import Hypergraph, checks, cli
 from hyperlin import fixtures as fx
 from hyperlin.fixtures import write_fixture_pack
 
@@ -108,13 +108,35 @@ def test_check_marks_inapplicable_determinant(pack, capsys):
 
 def test_check_exit_three_when_a_theorem_fails(pack, capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "verify_equal_edge_partition", lambda h, u, v: (False, {})
+        checks, "verify_equal_edge_partition", lambda h, u, v: (False, {})
     )
     code, out, err = run(capsys, "check", str(pack / "h_eq.json"))
     assert code == 3
     assert "theorem check(s) failed" in err
     report = json.loads(out)
     assert report["results"]["failed"] >= 1
+
+
+def test_check_skips_partition_checks_over_the_enumeration_budget(capsys, tmp_path):
+    # 11 twin pairs plus a hub: nullity(I^T) = 11 and 3^11 > ENUMERATION_BUDGET
+    k = 11
+    pairs = [(f"p{i}", [f"a{i}", f"b{i}"]) for i in range(k)]
+    pairs += [(f"g{i}", ["h", f"a{i}", f"b{i}"]) for i in range(k)]
+    path = tmp_path / "twins.json"
+    path.write_text(Hypergraph.from_members(pairs).to_json(), encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    report = json.loads(out)
+    checks_by_name = {c["name"]: c for c in report["theorem_checks"]}
+    for name in ("partition_nullspace", "partition_transition"):
+        assert checks_by_name[name]["status"] == "skipped"
+        assert "ENUMERATION_BUDGET=59049" in checks_by_name[name]["witness"]
+    assert checks_by_name["square_determinant"]["status"] == "not-applicable"
+    others = set(checks_by_name) - {
+        "partition_nullspace", "partition_transition", "square_determinant"
+    }
+    assert {checks_by_name[name]["status"] for name in others} == {"pass"}
+    assert report["results"] == {"failed": 0, "nullity_A_GH": 21}
 
 
 def test_exit_one_on_missing_file(capsys, tmp_path):

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from hyperlin import Hypergraph, incidence_graph, incidence_matrix, parse
+from hyperlin import (
+    Hypergraph,
+    graph_projection,
+    incidence_graph,
+    incidence_matrix,
+    parse,
+    unit_contraction,
+)
 from hyperlin.errors import (
     DuplicateHyperedgeSetError,
     EmptyHyperedgeError,
@@ -192,3 +199,38 @@ def test_json_format_shape():
     assert set(data) == {"vertices", "hyperedges"}
     assert data["vertices"] == ["1", "2", "3", "4", "5"]
     assert data["hyperedges"]["e1"] == ["1", "2", "3", "5"]
+
+
+def _quoted_strings(line: str) -> list[str]:
+    """The DOT quoted strings of one line, unescaped; IndexError if one is unclosed."""
+    out, i = [], 0
+    while i < len(line):
+        if line[i] != '"':
+            i += 1
+            continue
+        j, chars = i + 1, []
+        while line[j] != '"':
+            if line[j] == "\\":
+                j += 1
+            chars.append(line[j])
+            j += 1
+        out.append("".join(chars))
+        i = j + 1
+    return out
+
+
+QUOTED = Hypergraph.from_members([('e"1', ['a"b', "c\\d"]), ("e2", ["c\\d", "x"])])
+
+
+@pytest.mark.parametrize(
+    "writer, names",
+    [
+        (incidence_graph, {'v_a"b', 'a"b', "v_c\\d", "c\\d", 'e_e"1', 'e"1'}),
+        (graph_projection, {'{a"b}', "{c\\d}", "{x}"}),
+        (unit_contraction, {'u_{a"b}', '{a"b}', "u_{c\\d}", 'e_e"1', 'e"1'}),
+    ],
+)
+def test_dot_escapes_quotes_and_backslashes_in_labels(writer, names):
+    dot = writer(QUOTED).to_dot()
+    strings = {s for line in dot.splitlines() for s in _quoted_strings(line)}
+    assert names <= strings

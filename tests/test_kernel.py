@@ -1,9 +1,10 @@
-"""The integer elimination and power-sum kernel agrees with plain Fraction loops.
+"""The integer kernels agree with plain Fraction loops.
 
 Each public exact routine is compared, entry by entry, with the reference
 loop in ``fraction_oracles`` on generated matrices: empty shapes,
 rank-deficient matrices, zero columns ahead of a pivot, negative entries
-and non-unit denominators.
+and non-unit denominators. The integer partition search is compared with
+the Fraction enumeration on generated hypergraphs and twin families.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ import fraction_oracles as oracle
 from hyperlin import Hypergraph, WalkPolicy, rw_betweenness, transition_matrix
 from hyperlin.errors import SingularError
 from hyperlin.linalg import RationalMatrix, determinant, nullspace, rref, solve
+from hyperlin.structures import find_equal_edge_partitions
 
 KERNEL = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -133,3 +135,58 @@ def test_rw_betweenness_matches_fraction_power_sums(tm, horizon):
     expected = oracle.rw_betweenness([list(r) for r in tm.matrix.entries], horizon)
     rep = rw_betweenness(tm, horizon)
     assert [rep.values[v] for v in tm.states] == expected
+
+
+@st.composite
+def hypergraphs_with_cap(draw):
+    """A hypergraph (isolated vertices allowed) and a support cap up to |V|."""
+    n = draw(st.integers(1, 7))
+    verts = [str(i) for i in range(1, n + 1)]
+    member_sets = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(verts), min_size=1),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    h = Hypergraph.from_members(
+        [(f"e{j}", sorted(ms)) for j, ms in enumerate(member_sets)], vertices=verts
+    )
+    return h, draw(st.integers(1, n))
+
+
+def _twins(k: int, hub: bool) -> Hypergraph:
+    """k twin pairs a_i, b_i, each pair also in one edge with the hub if ``hub``."""
+    pairs = [(f"p{i}", [f"a{i}", f"b{i}"]) for i in range(k)]
+    if hub:
+        pairs += [(f"g{i}", ["h", f"a{i}", f"b{i}"]) for i in range(k)]
+    return Hypergraph.from_members(pairs)
+
+
+# a basis with denominator 2 whose combinations still give a partition
+HALVES = Hypergraph.from_members(
+    [
+        ("e0", ["1", "2", "3", "4", "5", "6", "7"]),
+        ("e1", ["1", "2", "5", "6", "7"]),
+        ("e2", ["1", "3", "5", "6", "7"]),
+        ("e3", ["1", "4", "5", "7"]),
+        ("e4", ["4", "5"]),
+    ]
+)
+
+
+@KERNEL
+@given(hypergraphs_with_cap())
+@example((HALVES, 7))
+def test_partition_search_matches_fraction_enumeration(case):
+    h, cap = case
+    assert find_equal_edge_partitions(h, max_support=cap) == oracle.equal_edge_partitions(h, cap)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("hub", [False, True])
+def test_partition_search_matches_fraction_enumeration_on_twins(k, hub):
+    h = _twins(k, hub)
+    for cap in (1, 2, 4, h.n_vertices):
+        assert find_equal_edge_partitions(h, max_support=cap) == oracle.equal_edge_partitions(h, cap)
