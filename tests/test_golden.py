@@ -26,20 +26,28 @@ FIXTURES = (
     "h_cov_base",
 )
 
+#: Placeholders for the fixture's first and last vertex.
+FIRST, LAST = "<first>", "<last>"
+
 COMMANDS = {
     "check": ["check"],
     "nullspace-vertices": ["nullspace", "--axis", "vertices"],
     "nullspace-edges": ["nullspace", "--axis", "edges"],
     "nullspace-incidence": ["nullspace", "--axis", "incidence"],
     "partitions": ["partitions"],
-    "hitting": ["hitting", "--target"],  # the fixture's first vertex is appended
+    "hitting": ["hitting", "--target", FIRST],
     "rw_closeness": ["centrality", "--kind", "rw_closeness"],
     "rw_betweenness": ["centrality", "--kind", "rw_betweenness", "--horizon", "10"],
     "det-I": ["spectra", "--matrix", "I", "--det"],
+    "walk": ["walk"],
+    "walk-lazy": ["walk", "--policy", "lazy"],
+    "walk-start": ["walk", "--start", FIRST, "--steps", "50", "--trajectories", "200", "--seed", "7"],
+    "first-hit": ["hitting", "--target", FIRST, "--start", LAST, "--horizon", "20"],
 }
 
 #: (fixture, command) -> (exit code, sha256 of stdout), recorded before the
-#: exact kernel became fraction-free.
+#: exact kernel became fraction-free; the walk and first-hit reports were
+#: recorded before the walk functions read integer transition rows.
 GOLDEN = {
     ("h_a", "check"): (0, "72cb3ef687576754b12dc5a4e11364232300058741156a01a8d927e4264196e0"),
     ("h_a", "det-I"): (0, "95ac89691c0d5ffbff00fb36c83e210600118bba8c45328d4b9921cfc7ac4ab4"),
@@ -50,6 +58,10 @@ GOLDEN = {
     ("h_a", "partitions"): (0, "5afb6a78f2c4db4b41c708377fd26abef003fba9432369ae81a16344fdb88ed6"),
     ("h_a", "rw_betweenness"): (0, "0f33e5d339edfc3095d8a0526c8ccac4886be9ea4a293efb2d5359fcb8719b35"),
     ("h_a", "rw_closeness"): (0, "be7712d2a2e289fae2ebd0916abd9cafbe852b9fbdc6b0a42eb5fe3c606994dc"),
+    ("h_a", "first-hit"): (0, "e253bd6f376b748676d1db91031733437624ba29ba53d8beb7f2fd539cbdf836"),
+    ("h_a", "walk"): (0, "53a0109db78cdd413ca043f1a8da8939d5aaa025c3282cecb8b541e729f6baeb"),
+    ("h_a", "walk-lazy"): (0, "20734a530de8f6dc510b657d0524af07a93525271076a32500415ea8d66bab0b"),
+    ("h_a", "walk-start"): (0, "5328d56c3db99f45190a973f45ec4394a642080a11557696314024024eabacc8"),
     ("h_tri_4", "check"): (0, "5595e12a63a0f9aa2270876f859190e48728c839876ba0635d3a3295c3d7c08d"),
     ("h_tri_4", "det-I"): (0, "ad81e60f8c5f68a07b45708b012bfc82080e4d009d57ba9fa3ff0daea8b77199"),
     ("h_tri_4", "hitting"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -59,6 +71,10 @@ GOLDEN = {
     ("h_tri_4", "partitions"): (0, "b09cc3bd19fbf1ad1664522f2b3b0bc3a6aa0270e9e2eef4cff29cccb810023c"),
     ("h_tri_4", "rw_betweenness"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("h_tri_4", "rw_closeness"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_tri_4", "first-hit"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_tri_4", "walk"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_tri_4", "walk-lazy"): (0, "f044529c9d57ed49a3f597a7f0e7dcde544a0a5e0d58d8eba58f3783d6f109c3"),
+    ("h_tri_4", "walk-start"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("h_circ_4", "check"): (0, "3ae6123f333d9d05b953e52d09e4e84188b5134cc5f9435b8d9c898cad163929"),
     ("h_circ_4", "det-I"): (0, "5ea04030fe89a222225a180094ba75800e9efb0fbd8530da2d82865e802b382f"),
     ("h_circ_4", "hitting"): (0, "5763228f9e442786727cd23193c72903bdafcf9f6a36802c6e1b01c5c7cd5c3d"),
@@ -68,6 +84,10 @@ GOLDEN = {
     ("h_circ_4", "partitions"): (0, "b79596de91741390f44e95e67c8bcd34365f62662dba887f0f5241da9e197277"),
     ("h_circ_4", "rw_betweenness"): (0, "3585531d9954f5cc5929dc2fe475c8a187223e59f5db35cc9cfb32a5431cfc80"),
     ("h_circ_4", "rw_closeness"): (0, "719672dc590db585ea56a86dc431d10ca0932578a3fb3ff8bb326c38830f1a47"),
+    ("h_circ_4", "first-hit"): (0, "f58eb466ff4489678c17d12469b7ffa2b815bca5b58cdd7a210bd88fa5f9c9d2"),
+    ("h_circ_4", "walk"): (0, "8e21dd9d3842c62c2bd9b5ebfeec6a5651bb0c9e3467a857ba085662c2dd02d9"),
+    ("h_circ_4", "walk-lazy"): (0, "e3fc78fc485c7608d34f2c45cc4630129cfd48c1ea5c61628b8841ac9b9c10e4"),
+    ("h_circ_4", "walk-start"): (0, "251913f6dc927e2ca8a1e0ca35effa1667439352b1cf5791709fb59fb5ab6471"),
     ("h_units", "check"): (0, "bb8365e27b1aff72c96a0ad548f5f5b464aeb8667be9030a6007797f65bd0466"),
     ("h_units", "det-I"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("h_units", "hitting"): (0, "0ead6247fde18fd736da4e327c59bab4d9fe7b8af7f514c7db2cd4a8275f7b16"),
@@ -77,6 +97,10 @@ GOLDEN = {
     ("h_units", "partitions"): (0, "2bc54feda26aa5804d9629ab815b64c8cf6052aab61654218de43b422b7294ad"),
     ("h_units", "rw_betweenness"): (0, "da1eb5bdc97e49776b09e4a34c0e7921db8c95e931276fed0bac68ed408405b4"),
     ("h_units", "rw_closeness"): (0, "66b6a1de213e70ea48730e34d7402050b067551043cdeb3fbea60eae9fec252b"),
+    ("h_units", "first-hit"): (0, "4e5946016e70aa565cc18a362dc36a115cdac451e170896f7f7ecad456eaaf1a"),
+    ("h_units", "walk"): (0, "0f182be9e1d67d31e4d7860059afa9d902689c2a934a83718fa17f39d64b7650"),
+    ("h_units", "walk-lazy"): (0, "8008facfb88337b53253fdc5050e0e043096bac41a8291262d6603279584f05b"),
+    ("h_units", "walk-start"): (0, "d498c0c3bacb3eae3698aaf1c82380c666a23a03d006146153f9a4bd9551b242"),
     ("h_eq", "check"): (0, "dc1e6d4bf77568ba553e4163844045605dc9ce10c69e4b409f1f59ae222aaa33"),
     ("h_eq", "det-I"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("h_eq", "hitting"): (0, "586c54ea69b1af256fa662e5c7871abbae1d6c6a07aec180bbe44032034de296"),
@@ -86,6 +110,10 @@ GOLDEN = {
     ("h_eq", "partitions"): (0, "7361c413308883f759c84eac3a6f145a929e59dc85beb3e9832aead73ba2254c"),
     ("h_eq", "rw_betweenness"): (0, "379af086bbab7a4da9d2cf245ab66d683a26a18e38017fb18a404609cfd766c3"),
     ("h_eq", "rw_closeness"): (0, "74e9eb1eb5fe260bc2c0279f35a4c07046f9e2bbb639f897ea3c88a76e9d932e"),
+    ("h_eq", "first-hit"): (0, "29fa0ffc9fc85af34daa810cde015514e213ec4e94bcb72a7a6b14c3d8c6a5e2"),
+    ("h_eq", "walk"): (0, "1d75a1207739bda2a987eb75c220f1e3c7a1918347b2bc8ac3828328f9d35ef0"),
+    ("h_eq", "walk-lazy"): (0, "63682310cb5a4c936d1281457b7bbadde4d32c34dec3f56f2c460f9e8ea2ebb5"),
+    ("h_eq", "walk-start"): (0, "cb5e22da8b9f21b091792652ba9b0e65f5eede2c962a87a92948c8efc11446ce"),
     ("h_cov_source", "check"): (0, "b11c4906e27d9fee6a10050bcbcf8aee7c939c5bfe4f36fbb5a2806346153978"),
     ("h_cov_source", "det-I"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("h_cov_source", "hitting"): (0, "dddc2be816f40bb1c0b03ab6a26c68ab4d9478fc49fbead73551047be84adca1"),
@@ -95,6 +123,10 @@ GOLDEN = {
     ("h_cov_source", "partitions"): (0, "7fe36be0eef0aa2617cb544f5a9f76a7b3f1f9f5b66dccd3ae2dfb1a5fe960d2"),
     ("h_cov_source", "rw_betweenness"): (0, "b8bb128aa718226e2fc916db7ac3fccdab8b07ac3935e14150737df8928587c2"),
     ("h_cov_source", "rw_closeness"): (0, "405c3af47874c0819cf2151b6b2c25859f79a6f9a86932dd0c87cb891fefd734"),
+    ("h_cov_source", "first-hit"): (0, "ac022c7493a84f8cceb8e7cd95dfff5e81456c71c8e9ff7ed605e30297e689d8"),
+    ("h_cov_source", "walk"): (0, "d441d2fcf6e5e073aa5b68755ce56cb2f9df8356c55745404bfcfac3f405bfc0"),
+    ("h_cov_source", "walk-lazy"): (0, "0bdc961dd299f378aa9887054a290b12487cc781e0239b781c91e9e6c78dbda0"),
+    ("h_cov_source", "walk-start"): (0, "460481a32e46db665369ebd2d2c83fa432a7344081886da64c6fb6ce876b5679"),
     ("h_cov_base", "check"): (0, "214d929d8bd976029cbfc2ba7cdb93df01bf25a8b9928c2b78686d1774d60910"),
     ("h_cov_base", "det-I"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("h_cov_base", "hitting"): (0, "f854875122349006ae7fe52ce0221b1888dc4a5dfddcdec32ab36555b76b0403"),
@@ -104,6 +136,10 @@ GOLDEN = {
     ("h_cov_base", "partitions"): (0, "56835134772ec41b70302849183f687ed4f1202dc6a68196700b9a672e69998a"),
     ("h_cov_base", "rw_betweenness"): (0, "b638219f2a4149b3c0d252a080767e32590475019aebf087b88360ba96f2622c"),
     ("h_cov_base", "rw_closeness"): (0, "4cf5c3e807dad04439474fcd49b54f6ca91d82b1e86c9b77a19c9115b3e61c37"),
+    ("h_cov_base", "first-hit"): (0, "9f2b7af618fea64e8b21d5d92875af6a3a67b6cba5765b8254cfcea444078306"),
+    ("h_cov_base", "walk"): (0, "be78860792e80371d7a8425829fdfa04effeaf1ea407d5d5f49337803bc7d01f"),
+    ("h_cov_base", "walk-lazy"): (0, "823a5102418220e7010d309bf49327603f571c423ed433b2db0ccc6156299db5"),
+    ("h_cov_base", "walk-start"): (0, "f540cd76e7dca065780f1715527c6635ef073496c7e8c24d17935170d72c2a75"),
 }
 
 
@@ -116,9 +152,9 @@ def pack(tmp_path_factory):
 
 def report_digest(pack, capsys, fixture: str, command: str) -> tuple[int, str]:
     path = str(pack / f"{fixture}.json")
-    argv = [COMMANDS[command][0], path, *COMMANDS[command][1:]]
-    if command == "hitting":
-        argv.append(json.loads((pack / f"{fixture}.json").read_text())["vertices"][0])
+    vertices = json.loads((pack / f"{fixture}.json").read_text())["vertices"]
+    labels = {FIRST: vertices[0], LAST: vertices[-1]}
+    argv = [COMMANDS[command][0], path, *(labels.get(a, a) for a in COMMANDS[command][1:])]
     code = cli.main(argv)
     out = capsys.readouterr().out.replace(path, fixture)
     return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
