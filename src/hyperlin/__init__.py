@@ -8,177 +8,18 @@ measures.
 """
 
 from .errors import *  # noqa: F401,F403
-from .errors import __all__ as _errors_all
-from .hypergraph import (
-    Hypergraph,
-    IncidenceGraph,
-    dual,
-    incidence_graph,
-    incidence_graph_adjacency,
-    incidence_matrix,
-    parse,
-)
-from .linalg import (
-    NullspaceBasis,
-    Rational,
-    RationalMatrix,
-    RrefResult,
-    determinant,
-    nullspace,
-    rank,
-    rat,
-    rref,
-    solve,
-    vector_support,
-)
-from .structures import (
-    Certificate,
-    CertificateKind,
-    ContractionMap,
-    ProjectionClass,
-    Unit,
-    UnitDecomposition,
-    contraction_nullspace_lift,
-    dependent_hyperedges,
-    dependent_vertices,
-    find_equal_edge_partitions,
-    is_dependent_set,
-    partition_certificate,
-    pullback_dependent_set,
-    unit_contraction,
-    units,
-    verify_covering_projection,
-    verify_equal_edge_partition,
-    verify_equal_star_partition,
-    verify_star_partition,
-    verify_unit_maximality,
-    vertex_pair_certificate,
-)
-from .spectra import (
-    Spectrum,
-    WeightScheme,
-    build_A,
-    build_A_GH,
-    build_D,
-    build_K,
-    build_L,
-    build_Q,
-    edge_normalized_weights,
-    eigenvalues_sym,
-    fully_normalized_weights,
-    hypergraph_spectrum,
-    unit_weights,
-    verify_A_eigenvalue,
-    verify_L_eigenvalue,
-    verify_Q_annihilation,
-    weight_scheme,
-)
-from .randwalk import (
-    SimulationResult,
-    SplitMix64,
-    TransitionMatrix,
-    WalkPolicy,
-    first_hit_probabilities,
-    hitting_times,
-    simulate,
-    step_distribution,
-    transition_matrix,
-    verify_partition_transition,
-)
-from .centrality import (
-    CentralityReport,
-    GraphProjection,
-    graph_projection,
-    perron_centrality,
-    rw_betweenness,
-    rw_closeness,
-    unit_closeness,
-    unit_distance,
-    unit_eccentricity,
-)
-from . import fixtures
+from .hypergraph import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .structures import *  # noqa: F401,F403
+from .spectra import *  # noqa: F401,F403
+from .randwalk import *  # noqa: F401,F403
+from .centrality import *  # noqa: F401,F403
+from . import centrality, errors, fixtures, hypergraph, linalg, randwalk, spectra, structures
 
 __version__ = "0.1.0"
 
-__all__ = (
-    list(_errors_all)
-    + [
-        "Hypergraph",
-        "IncidenceGraph",
-        "parse",
-        "incidence_matrix",
-        "incidence_graph",
-        "incidence_graph_adjacency",
-        "dual",
-        "Rational",
-        "rat",
-        "RationalMatrix",
-        "RrefResult",
-        "NullspaceBasis",
-        "rref",
-        "rank",
-        "nullspace",
-        "determinant",
-        "solve",
-        "vector_support",
-        "Certificate",
-        "CertificateKind",
-        "Unit",
-        "UnitDecomposition",
-        "ContractionMap",
-        "ProjectionClass",
-        "dependent_vertices",
-        "dependent_hyperedges",
-        "is_dependent_set",
-        "vertex_pair_certificate",
-        "partition_certificate",
-        "units",
-        "unit_contraction",
-        "verify_unit_maximality",
-        "contraction_nullspace_lift",
-        "verify_equal_edge_partition",
-        "find_equal_edge_partitions",
-        "verify_star_partition",
-        "verify_equal_star_partition",
-        "verify_covering_projection",
-        "pullback_dependent_set",
-        "WeightScheme",
-        "Spectrum",
-        "unit_weights",
-        "edge_normalized_weights",
-        "fully_normalized_weights",
-        "weight_scheme",
-        "build_Q",
-        "build_D",
-        "build_A",
-        "build_K",
-        "build_L",
-        "build_A_GH",
-        "eigenvalues_sym",
-        "hypergraph_spectrum",
-        "verify_Q_annihilation",
-        "verify_A_eigenvalue",
-        "verify_L_eigenvalue",
-        "WalkPolicy",
-        "TransitionMatrix",
-        "SplitMix64",
-        "SimulationResult",
-        "transition_matrix",
-        "step_distribution",
-        "hitting_times",
-        "first_hit_probabilities",
-        "verify_partition_transition",
-        "simulate",
-        "GraphProjection",
-        "CentralityReport",
-        "graph_projection",
-        "unit_distance",
-        "rw_closeness",
-        "rw_betweenness",
-        "unit_closeness",
-        "unit_eccentricity",
-        "perron_centrality",
-        "fixtures",
-        "__version__",
-    ]
-)
+__all__ = [
+    name
+    for module in (errors, hypergraph, linalg, structures, spectra, randwalk, centrality)
+    for name in module.__all__
+] + ["fixtures", "__version__"]

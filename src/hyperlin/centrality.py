@@ -19,7 +19,7 @@ from .errors import (
     WeightDomainMismatchError,
 )
 from .hypergraph import Hypergraph, _dot_quote
-from .linalg import _integer_row, rat
+from .linalg import rat
 from .randwalk import TransitionMatrix, hitting_times
 from .spectra import _coincidence
 from .structures import UnitDecomposition, units
@@ -189,15 +189,14 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
     zero contribute nothing. Horizon 1 forces every numerator to zero
     since no intermediate step exists.
 
-    With P = M / D for D the lcm of P's denominators, both masses of a
-    ratio carry the factor D^horizon, so ratios are taken between ints.
+    With the kernel's P = M / D, both masses of a ratio carry the factor
+    D^horizon, so ratios are taken between ints.
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise BadHorizonError("horizon must be a positive integer")
-    states = list(tm.states)
+    states = tm.states
     n = len(states)
-    flat, scale = _integer_row([x for row in tm.matrix.entries for x in row])
-    m = [flat[i * n : (i + 1) * n] for i in range(n)]
+    m, scale = tm._numerators, tm._denominator
     full = _integer_power_sums(m, scale, horizon)
     values: dict[str, object] = {}
     for wi, w in enumerate(states):

@@ -257,7 +257,7 @@ def run_checks(h: Hypergraph) -> dict:
     dec = units(h)
     pairs = None
     if 3 ** vertex_nullity <= ENUMERATION_BUDGET:
-        pairs = find_equal_edge_partitions(h, max_support=h.n_vertices)
+        pairs = find_equal_edge_partitions(h, max_support=max(h.n_vertices, 1))
     memo: list = []
 
     def kernel():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .hypergraph import Hypergraph
 

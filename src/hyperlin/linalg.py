@@ -109,13 +109,6 @@ class RationalMatrix:
         )
 
     @classmethod
-    def zeros(cls, row_labels: Sequence[str], col_labels: Sequence[str]) -> "RationalMatrix":
-        return cls.from_rows(
-            row_labels, col_labels,
-            [[Fraction(0)] * len(col_labels) for _ in row_labels],
-        )
-
-    @classmethod
     def diagonal(cls, labels: Sequence[str], values: Mapping[str, RationalLike]) -> "RationalMatrix":
         n = len(labels)
         rows = [[Fraction(0)] * n for _ in range(n)]
@@ -160,10 +153,6 @@ class RationalMatrix:
         i = self.row_index(label)
         return dict(zip(self.col_labels, self.entries[i]))
 
-    def column(self, label: str) -> dict[str, Fraction]:
-        j = self.col_index(label)
-        return {lab: self.entries[i][j] for i, lab in enumerate(self.row_labels)}
-
     # -- algebra ---------------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
@@ -195,14 +184,6 @@ class RationalMatrix:
             ),
         )
 
-    def scaled(self, k: RationalLike) -> "RationalMatrix":
-        kk = rat(k)
-        return RationalMatrix(
-            self.row_labels,
-            self.col_labels,
-            tuple(tuple(kk * x for x in row) for row in self.entries),
-        )
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
@@ -223,14 +204,6 @@ class RationalMatrix:
             lab: sum((a * b for a, b in zip(row, vec)), Fraction(0))
             for lab, row in zip(self.row_labels, self.entries)
         }
-
-    def apply_left(self, x: Mapping[str, RationalLike]) -> dict[str, Fraction]:
-        """Vector-matrix product x M with x indexed by row labels."""
-        vec = [rat(x.get(lab, 0)) for lab in self.row_labels]
-        out: dict[str, Fraction] = {}
-        for j, lab in enumerate(self.col_labels):
-            out[lab] = sum((vec[i] * self.entries[i][j] for i in range(self.rows)), Fraction(0))
-        return out
 
     def is_symmetric(self) -> bool:
         if not self.is_square:

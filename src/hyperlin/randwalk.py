@@ -3,8 +3,9 @@
 A walk step from vertex u first picks a hyperedge e containing u (weight
 r(u, e)), then a vertex v in e (weight s(u, e, v)), so the transition
 kernel is P[u][v] = sum over shared hyperedges of r * s. All kernels are
-exact rationals; Monte-Carlo simulation draws 64-bit integers from a
-fully specified generator so runs are bit-reproducible.
+exact rationals, kept alongside as integer rows M over one denominator D
+(P = M / D) for the exact walk algebra; Monte-Carlo simulation draws 64-bit
+integers from a fully specified generator so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Mapping, Union
 
 from .errors import (
@@ -21,11 +23,12 @@ from .errors import (
     NotDisjointError,
     NotUniformPolicyError,
     SingletonEdgeNonLazyError,
+    SingularError,
     UnknownLabelError,
     UnreachableError,
 )
 from .hypergraph import Hypergraph
-from .linalg import RationalMatrix, rat, solve
+from .linalg import RationalMatrix, _fraction_free_reduce, _integer_row, rat
 
 __all__ = [
     "WalkPolicy",
@@ -84,11 +87,24 @@ class WalkPolicy:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """An exact row-stochastic kernel bound to its hypergraph and policy."""
+    """An exact row-stochastic kernel bound to its hypergraph and policy.
+
+    Construction also writes the kernel as integer rows over one common
+    denominator, P = M / D, which the exact walk functions read.
+    """
 
     source: Hypergraph
     policy: WalkPolicy
     matrix: RationalMatrix
+    _numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.matrix.cols
+        flat, scale = _integer_row([x for row in self.matrix.entries for x in row])
+        rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(self.matrix.rows))
+        object.__setattr__(self, "_numerators", rows)
+        object.__setattr__(self, "_denominator", scale)
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -174,14 +190,19 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
                 f"edge choice from {u!r} sums to {edge_mass}, not 1"
             )
     matrix = RationalMatrix.from_rows(vstates, vstates, rows)
-    for lab, row in zip(vstates, matrix.entries):
-        total = sum(row, Fraction(0))
-        if total != 1:
+    tm = TransitionMatrix(source=h, policy=policy, matrix=matrix)
+    for lab, row in zip(vstates, tm._numerators):
+        if sum(row) != tm._denominator:
+            total = Fraction(sum(row), tm._denominator)
             raise BadDistributionError(f"row {lab!r} sums to {total}, not 1")
-    return TransitionMatrix(source=h, policy=policy, matrix=matrix)
+    return tm
 
 
-def _check_distribution(tm: TransitionMatrix, init: Mapping[str, Fraction]) -> dict[str, Fraction]:
+def _as_distribution(tm: TransitionMatrix, init: Union[str, Mapping[str, Fraction]]) -> dict[str, Fraction]:
+    if isinstance(init, str):
+        if init not in tm.states:
+            raise UnknownLabelError(f"unknown state {init!r}")
+        return {v: Fraction(int(v == init)) for v in tm.states}
     dist = {str(k): rat(v) for k, v in init.items()}
     unknown = set(dist) - set(tm.states)
     if unknown:
@@ -194,12 +215,29 @@ def _check_distribution(tm: TransitionMatrix, init: Mapping[str, Fraction]) -> d
     return {v: dist.get(v, Fraction(0)) for v in tm.states}
 
 
-def _as_distribution(tm: TransitionMatrix, init: Union[str, Mapping[str, Fraction]]) -> dict[str, Fraction]:
-    if isinstance(init, str):
-        if init not in tm.states:
-            raise UnknownLabelError(f"unknown state {init!r}")
-        return {v: Fraction(int(v == init)) for v in tm.states}
-    return _check_distribution(tm, init)
+def _integer_walk(
+    tm: TransitionMatrix,
+    init: Union[str, Mapping[str, Fraction]],
+    steps: int,
+    absorb: int | None = None,
+) -> tuple[list[int], int, list[Fraction]]:
+    """Step ``init`` ``steps`` times as integer masses over one denominator.
+
+    With P = M / D a step multiplies the masses by M and the denominator by
+    D. Returns the final masses in state order, their denominator, and, when
+    ``absorb`` is a state index, the mass entering that state at each step,
+    which is then removed from the walk.
+    """
+    masses, denom = _integer_row(list(_as_distribution(tm, init).values()))
+    cols = list(zip(*tm._numerators))
+    absorbed: list[Fraction] = []
+    for _ in range(steps):
+        masses = [sum(map(mul, masses, col)) for col in cols]
+        denom *= tm._denominator
+        if absorb is not None:
+            absorbed.append(Fraction(masses[absorb], denom))
+            masses[absorb] = 0
+    return masses, denom, absorbed
 
 
 def step_distribution(
@@ -208,19 +246,8 @@ def step_distribution(
     """Exact distribution after ``t`` steps from ``init`` (a state or a distribution)."""
     if t < 0:
         raise BadHorizonError("step count must be nonnegative")
-    dist = _as_distribution(tm, init)
-    for _ in range(t):
-        dist = tm.matrix.apply_left(dist)
-    return dist
-
-
-def _support_predecessors(tm: TransitionMatrix) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {v: [] for v in tm.states}
-    for u in tm.states:
-        for v, p in tm.matrix.row(u).items():
-            if p > 0:
-                preds[v].append(u)
-    return preds
+    masses, denom, _ = _integer_walk(tm, init, t)
+    return {v: Fraction(x, denom) for v, x in zip(tm.states, masses)}
 
 
 def hitting_times(
@@ -229,7 +256,8 @@ def hitting_times(
     """Expected number of steps to reach ``target`` from every state, exactly.
 
     Solves the linear system (Id - P') h = 1 over the non-target states,
-    where P' deletes the target row and column. The target's own entry is
+    where P' deletes the target row and column, in integers as
+    (D Id - M') h = D 1. The target's own entry is
     the expected first-return time 1 + sum_u P[target][u] h[u] by default;
     pass self_time="zero" for the convention that the target is already hit.
 
@@ -243,35 +271,30 @@ def hitting_times(
         raise UnknownLabelError(f"unknown state {target!r}")
     if self_time not in ("return", "zero"):
         raise ValueError("self_time must be 'return' or 'zero'")
-    preds = _support_predecessors(tm)
-    reached = {target}
-    frontier = [target]
+    m, d = tm._numerators, tm._denominator
+    t = tm.states.index(target)
+    reached, frontier = {t}, [t]
     while frontier:
-        nxt = []
-        for v in frontier:
-            for u in preds[v]:
-                if u not in reached:
-                    reached.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    missing = set(tm.states) - reached
+        frontier = [
+            u for u, row in enumerate(m)
+            if u not in reached and any(row[v] > 0 for v in frontier)
+        ]
+        reached.update(frontier)
+    others = [i for i in range(len(tm.states)) if i != t]
+    missing = sorted(tm.states[i] for i in others if i not in reached)
     if missing:
-        raise UnreachableError(f"states cannot reach {target!r}: {sorted(missing)}")
-    others = [v for v in tm.states if v != target]
-    out: dict[str, Fraction] = {}
-    if others:
-        taboo = tm.matrix.submatrix(others, others)
-        system = RationalMatrix.identity(others) - taboo
-        ones = {v: Fraction(1) for v in others}
-        sol = solve(system, ones)
-        out.update(sol)
+        raise UnreachableError(f"states cannot reach {target!r}: {missing}")
+    k = len(others)
+    a = [[d * (i == j) - m[i][j] for j in others] + [d] for i in others]
+    pivots, last, _ = _fraction_free_reduce(a, k)
+    if len(pivots) < k:
+        raise SingularError("matrix is singular")
+    out = {tm.states[i]: Fraction(a[r][k], last) for r, i in enumerate(others)}
     if self_time == "zero":
         out[target] = Fraction(0)
     else:
-        row = tm.matrix.row(target)
-        out[target] = Fraction(1) + sum(
-            (row[u] * out[u] for u in others), Fraction(0)
-        )
+        back = sum(m[t][i] * a[r][k] for r, i in enumerate(others))
+        out[target] = 1 + Fraction(back, d * last)
     return {v: out[v] for v in tm.states}
 
 
@@ -291,14 +314,7 @@ def first_hit_probabilities(
         raise BadHorizonError("horizon must be a positive integer")
     if target not in tm.states:
         raise UnknownLabelError(f"unknown state {target!r}")
-    cur = _as_distribution(tm, init)
-    out: list[Fraction] = []
-    for _ in range(horizon):
-        stepped = tm.matrix.apply_left(cur)
-        out.append(stepped[target])
-        stepped[target] = Fraction(0)
-        cur = stepped
-    return out
+    return _integer_walk(tm, init, horizon, absorb=tm.states.index(target))[2]
 
 
 def verify_partition_transition(
@@ -307,7 +323,8 @@ def verify_partition_transition(
     """Check the walk symmetry of an equal partition under a uniform policy.
 
     For every state w outside U and V, the one-step probability of entering
-    U equals that of entering V, exactly.
+    U equals that of entering V, exactly: row w of M sums to the same
+    integer over U as over V, since every row shares the denominator D.
     """
     if not tm.policy.is_uniform:
         raise NotUniformPolicyError("the symmetry check applies to uniform policies")
@@ -318,13 +335,12 @@ def verify_partition_transition(
         raise UnknownLabelError(f"unknown states: {sorted(unknown)}")
     if u_set & v_set:
         raise NotDisjointError(f"sets overlap on {sorted(u_set & v_set)}")
-    for w in tm.states:
+    u_idx = [tm.states.index(x) for x in u_set]
+    v_idx = [tm.states.index(x) for x in v_set]
+    for w, row in zip(tm.states, tm._numerators):
         if w in u_set or w in v_set:
             continue
-        row = tm.matrix.row(w)
-        mass_u = sum((row[x] for x in u_set), Fraction(0))
-        mass_v = sum((row[x] for x in v_set), Fraction(0))
-        if mass_u != mass_v:
+        if sum(row[i] for i in u_idx) != sum(row[j] for j in v_idx):
             return False
     return True
 

@@ -146,12 +146,26 @@ def _coincidence(h: Hypergraph, edge_weights: Mapping[str, Fraction]) -> list[li
     return [[sum((edge_weights[e] for e in su & sv), Fraction(0)) for sv in stars] for su in stars]
 
 
-def _weighted_degrees(h: Hypergraph, w: WeightScheme) -> dict[str, Fraction]:
-    """w_V(v) times the total edge weight over star(v), for every vertex."""
-    return {
-        v: w.vertex_weights[v] * sum((w.edge_weights[e] for e in h.star(v)), Fraction(0))
-        for v in h.vertices
-    }
+def _q_rows(h: Hypergraph, w: WeightScheme) -> list[list[Fraction]]:
+    """Rows of Q in vertex order; every weighted matrix is read off this table."""
+    _check_weights(h, w)
+    return [
+        [w.vertex_weights[u] * x for x in row]
+        for u, row in zip(h.vertices, _coincidence(h, w.edge_weights))
+    ]
+
+
+def _adjacency_rows(q: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Q with the diagonal zeroed."""
+    return [[Fraction(0) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(q)]
+
+
+def _laplacian_rows(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """K - A for adjacency rows A, K carrying the row sums of A."""
+    return [
+        [sum(row, Fraction(0)) if i == j else -x for j, x in enumerate(row)]
+        for i, row in enumerate(a)
+    ]
 
 
 def build_Q(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
@@ -161,42 +175,32 @@ def build_Q(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     the hyperedges containing both u and v, read off the star index rather
     than multiplied out. The diagonal carries the weighted degree.
     """
-    _check_weights(h, w)
-    rows = [
-        [w.vertex_weights[u] * x for x in row]
-        for u, row in zip(h.vertices, _coincidence(h, w.edge_weights))
-    ]
-    return RationalMatrix.from_rows(h.vertices, h.vertices, rows)
+    return RationalMatrix.from_rows(h.vertices, h.vertices, _q_rows(h, w))
 
 
 def build_D(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Diagonal weighted-degree matrix: entry (v, v) is w_V(v) sum of w_E over star(v)."""
-    _check_weights(h, w)
-    return RationalMatrix.diagonal(h.vertices, _weighted_degrees(h, w))
+    q = _q_rows(h, w)
+    return RationalMatrix.diagonal(h.vertices, {v: q[i][i] for i, v in enumerate(h.vertices)})
 
 
 def build_A(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Weighted adjacency: Q with the diagonal zeroed (equivalently Q - D)."""
-    q = build_Q(h, w)
-    rows = [
-        tuple(Fraction(0) if i == j else x for j, x in enumerate(row))
-        for i, row in enumerate(q.entries)
-    ]
-    return RationalMatrix(q.row_labels, q.col_labels, tuple(rows))
+    return RationalMatrix.from_rows(h.vertices, h.vertices, _adjacency_rows(_q_rows(h, w)))
 
 
 def build_K(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Diagonal row-sum matrix of the weighted adjacency."""
-    a = build_A(h, w)
-    diag = {
-        lab: sum(row, Fraction(0)) for lab, row in zip(a.row_labels, a.entries)
-    }
-    return RationalMatrix.diagonal(h.vertices, diag)
+    a = _adjacency_rows(_q_rows(h, w))
+    return RationalMatrix.diagonal(
+        h.vertices, {v: sum(row, Fraction(0)) for v, row in zip(h.vertices, a)}
+    )
 
 
 def build_L(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Weighted Laplacian K - A."""
-    return build_K(h, w) - build_A(h, w)
+    a = _adjacency_rows(_q_rows(h, w))
+    return RationalMatrix.from_rows(h.vertices, h.vertices, _laplacian_rows(a))
 
 
 def build_A_GH(h: Hypergraph) -> RationalMatrix:
@@ -409,8 +413,10 @@ def verify_A_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fr
     coefficient vector is an eigenvector of A with eigenvalue minus that
     constant, verified exactly; returns None when the degrees differ.
     """
-    _check_weights(h, w)
-    return _eigen_check(h, cert, build_A(h, w), _weighted_degrees(h, w), sign=-1)
+    q = _q_rows(h, w)
+    degrees = {v: q[i][i] for i, v in enumerate(h.vertices)}
+    adjacency = RationalMatrix.from_rows(h.vertices, h.vertices, _adjacency_rows(q))
+    return _eigen_check(h, cert, adjacency, degrees, sign=-1)
 
 
 def verify_L_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fraction | None:
@@ -420,6 +426,8 @@ def verify_L_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fr
     vertices jointly incident with v, scaled by v's weight. When constant on
     the support, L has the certificate as an eigenvector with that eigenvalue.
     """
-    q = build_Q(h, w)
-    constant = {v: sum(row, Fraction(0)) for v, row in zip(q.row_labels, q.entries)}
-    return _eigen_check(h, cert, build_L(h, w), constant, sign=1)
+    q = _q_rows(h, w)
+    constant = {v: sum(row, Fraction(0)) for v, row in zip(h.vertices, q)}
+    rows = _laplacian_rows(_adjacency_rows(q))
+    laplacian = RationalMatrix.from_rows(h.vertices, h.vertices, rows)
+    return _eigen_check(h, cert, laplacian, constant, sign=1)

@@ -30,7 +30,7 @@ from .hypergraph import (
     incidence_graph_adjacency,
     incidence_matrix,
 )
-from .linalg import RationalMatrix, nullspace, rat, vector_support
+from .linalg import nullspace, rat, vector_support
 
 __all__ = [
     "CertificateKind",

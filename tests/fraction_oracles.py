@@ -119,6 +119,59 @@ def rw_betweenness(p: list[list[Fraction]], horizon: int) -> list[Fraction]:
     return scores
 
 
+def step_left(p: list[list[Fraction]], x: list[Fraction]) -> list[Fraction]:
+    """The row vector x P."""
+    n = len(p)
+    return [sum((x[i] * p[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
+
+
+def step_distribution(p: list[list[Fraction]], x: list[Fraction], t: int) -> list[Fraction]:
+    """The distribution x P^t, one step at a time."""
+    for _ in range(t):
+        x = step_left(p, x)
+    return x
+
+
+def first_hit_probabilities(
+    p: list[list[Fraction]], target: int, horizon: int, x: list[Fraction]
+) -> list[Fraction]:
+    """Mass entering ``target`` at each step 1..horizon, absorbed there."""
+    out = []
+    for _ in range(horizon):
+        x = step_left(p, x)
+        out.append(x[target])
+        x[target] = Fraction(0)
+    return out
+
+
+def partition_balanced(p: list[list[Fraction]], u: set[int], v: set[int]) -> bool:
+    """Every state outside U and V moves into U with the probability it moves into V."""
+    return all(
+        sum((row[i] for i in u), Fraction(0)) == sum((row[j] for j in v), Fraction(0))
+        for w, row in enumerate(p)
+        if w not in u and w not in v
+    )
+
+
+def hitting_times(p: list[list[Fraction]], target: int, self_time: str) -> list[Fraction] | None:
+    """Expected steps to ``target`` from (Id - P') h = 1, or None when singular.
+
+    The target's own entry is 0 under self_time "zero" and its expected
+    first-return time 1 + sum_u P[target][u] h[u] otherwise.
+    """
+    others = [i for i in range(len(p)) if i != target]
+    system = [[Fraction(int(i == j)) - p[i][j] for j in others] for i in others]
+    sol = solve(system, [Fraction(1)] * len(others))
+    if sol is None:
+        return None
+    h = dict(zip(others, sol))
+    if self_time == "zero":
+        h[target] = Fraction(0)
+    else:
+        h[target] = 1 + sum((p[target][i] * h[i] for i in others), Fraction(0))
+    return [h[i] for i in range(len(p))]
+
+
 def equal_edge_partitions(h, max_support: int) -> list[tuple[frozenset, frozenset]]:
     """Equal partitions (U, V) from every {-1, 0, 1} combination of the
     Fraction nullspace basis of I^T, verified by counting per hyperedge.

@@ -139,6 +139,16 @@ def test_check_skips_partition_checks_over_the_enumeration_budget(capsys, tmp_pa
     assert report["results"] == {"failed": 0, "nullity_A_GH": 21}
 
 
+def test_check_on_the_empty_hypergraph_passes(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [], "hyperedges": {}}', encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    assert {c["status"] for c in report["theorem_checks"]} <= {"pass", "not-applicable"}
+    assert report["results"] == {"failed": 0, "nullity_A_GH": 0}
+
+
 def test_exit_one_on_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "units", str(tmp_path / "missing.json"))
     assert code == 1

@@ -4,17 +4,29 @@ Each public exact routine is compared, entry by entry, with the reference
 loop in ``fraction_oracles`` on generated matrices: empty shapes,
 rank-deficient matrices, zero columns ahead of a pivot, negative entries
 and non-unit denominators. The integer partition search is compared with
-the Fraction enumeration on generated hypergraphs and twin families.
+the Fraction enumeration on generated hypergraphs and twin families, and
+the integer walk functions with Fraction stepping, absorption, row sums
+and solves on generated kernels under uniform and unequal custom policies.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraction_oracles as oracle
-from hyperlin import Hypergraph, WalkPolicy, rw_betweenness, transition_matrix
-from hyperlin.errors import SingularError
+from hyperlin import (
+    Hypergraph,
+    WalkPolicy,
+    first_hit_probabilities,
+    hitting_times,
+    rw_betweenness,
+    step_distribution,
+    transition_matrix,
+    verify_partition_transition,
+)
+from hyperlin.errors import NotUniformPolicyError, SingularError, UnreachableError
 from hyperlin.linalg import RationalMatrix, determinant, nullspace, rref, solve
 from hyperlin.structures import find_equal_edge_partitions
 
@@ -102,11 +114,36 @@ def test_determinant_matches_fraction_bareiss(m):
     assert determinant(m) == oracle.determinant([list(r) for r in m.entries])
 
 
+def _custom_policy(h: Hypergraph, weights: list[int]) -> WalkPolicy:
+    """Unequal rules: each choice normalizes positive integer weights taken
+    in turn from ``weights``, so rows get differing denominators."""
+    cycle = itertools.cycle(weights)
+    edge_w = {(u, e): next(cycle) for u in h.vertices for e in sorted(h.star(u))}
+    vertex_w = {
+        (u, e, v): next(cycle)
+        for u in h.vertices for e in sorted(h.star(u)) for v in sorted(h.members(e))
+    }
+
+    def edge_rule(u, e):
+        return Fraction(edge_w[u, e], sum(edge_w[u, x] for x in h.star(u)))
+
+    def vertex_rule(u, e, v):
+        return Fraction(vertex_w[u, e, v], sum(vertex_w[u, e, x] for x in h.members(e)))
+
+    return WalkPolicy.custom(edge_rule, vertex_rule)
+
+
+# edge choices 1/3 with 2/3 (from b) and 2/7 with 5/7 (from c); member choices unequal too
+UNEQUAL = Hypergraph.from_members([("e0", ["a", "b", "c"]), ("e1", ["b", "c"])])
+UNEQUAL_TM = transition_matrix(UNEQUAL, _custom_policy(UNEQUAL, [1, 1, 2, 2, 5, 3, 1, 2, 5]))
+
+
 @st.composite
 def kernels(draw):
-    """A uniform walk kernel on a hypergraph whose every vertex has a hyperedge.
+    """A walk kernel on a hypergraph whose every vertex has a hyperedge.
 
-    The non-lazy walk (zero diagonal) is drawn when no hyperedge is a singleton.
+    The policy is uniform lazy, uniform non-lazy (drawn when no hyperedge is
+    a singleton), or custom with unequal drawn weights.
     """
     n = draw(st.integers(1, 6))
     verts = [str(i) for i in range(1, n + 1)]
@@ -124,9 +161,99 @@ def kernels(draw):
     h = Hypergraph.from_members(
         [(f"e{j}", sorted(ms)) for j, ms in enumerate(member_sets)], vertices=verts
     )
-    if all(len(ms) >= 2 for ms in member_sets) and draw(st.booleans()):
+    kind = draw(st.sampled_from(["lazy", "nonlazy", "custom"]))
+    if kind == "custom":
+        weights = draw(st.lists(st.integers(1, 7), min_size=1, max_size=8))
+        return transition_matrix(h, _custom_policy(h, weights))
+    if kind == "nonlazy" and all(len(ms) >= 2 for ms in member_sets):
         return transition_matrix(h, WalkPolicy.uniform_nonlazy())
     return transition_matrix(h, WalkPolicy.uniform_lazy())
+
+
+@st.composite
+def walks(draw):
+    """A kernel and a start: one state, or a distribution with mixed denominators."""
+    tm = draw(kernels())
+    if draw(st.booleans()):
+        return tm, draw(st.sampled_from(tm.states))
+    raw = [draw(st.fractions(0, 3, max_denominator=7)) for _ in tm.states]
+    if not any(raw):
+        raw[0] = Fraction(1)
+    total = sum(raw)
+    return tm, {v: x / total for v, x in zip(tm.states, raw)}
+
+
+def _kernel_rows(tm) -> list[list[Fraction]]:
+    return [list(r) for r in tm.matrix.entries]
+
+
+def _start_vector(tm, init) -> list[Fraction]:
+    if isinstance(init, str):
+        return [Fraction(int(v == init)) for v in tm.states]
+    return [init[v] for v in tm.states]
+
+
+MIXED = {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(1, 6)}
+
+
+@KERNEL
+@given(walks(), st.integers(0, 6))
+@example((UNEQUAL_TM, "a"), 0)
+@example((UNEQUAL_TM, MIXED), 0)
+@example((UNEQUAL_TM, MIXED), 3)
+def test_step_distribution_matches_fraction_stepping(walk, t):
+    tm, init = walk
+    expected = oracle.step_distribution(_kernel_rows(tm), _start_vector(tm, init), t)
+    assert list(step_distribution(tm, init, t).items()) == list(zip(tm.states, expected))
+
+
+@KERNEL
+@given(walks(), st.integers(1, 6), st.integers(0, 5))
+@example((UNEQUAL_TM, "a"), 4, 0)
+@example((UNEQUAL_TM, MIXED), 4, 1)
+def test_first_hit_matches_fraction_absorption(walk, horizon, target):
+    tm, init = walk
+    target %= len(tm.states)
+    expected = oracle.first_hit_probabilities(
+        _kernel_rows(tm), target, horizon, _start_vector(tm, init)
+    )
+    assert first_hit_probabilities(tm, tm.states[target], horizon, init) == expected
+
+
+@KERNEL
+@given(kernels(), st.integers(0, 5), st.sampled_from(["return", "zero"]))
+@example(UNEQUAL_TM, 0, "return")
+@example(UNEQUAL_TM, 2, "zero")
+def test_hitting_times_match_fraction_solve(tm, target, self_time):
+    target %= len(tm.states)
+    expected = oracle.hitting_times(_kernel_rows(tm), target, self_time)
+    if expected is None:
+        with pytest.raises(UnreachableError):
+            hitting_times(tm, tm.states[target], self_time=self_time)
+    else:
+        times = hitting_times(tm, tm.states[target], self_time=self_time)
+        assert list(times.items()) == list(zip(tm.states, expected))
+
+
+@KERNEL
+@given(kernels(), st.lists(st.sampled_from([-1, 0, 1]), min_size=6, max_size=6))
+def test_partition_balance_matches_fraction_sums(tm, signs):
+    if not tm.policy.is_uniform:
+        with pytest.raises(NotUniformPolicyError):
+            verify_partition_transition(tm, [], [])
+        return
+    signs = signs[: len(tm.states)]
+    u = {i for i, s in enumerate(signs) if s == 1}
+    v = {i for i, s in enumerate(signs) if s == -1}
+    pairs = [(u, v)] + [
+        ({tm.states.index(x) for x in a}, {tm.states.index(x) for x in b})
+        for a, b in find_equal_edge_partitions(tm.source, max_support=len(tm.states))
+    ]
+    for a, b in pairs:
+        labels_a = [tm.states[i] for i in a]
+        labels_b = [tm.states[i] for i in b]
+        expected = oracle.partition_balanced(_kernel_rows(tm), a, b)
+        assert verify_partition_transition(tm, labels_a, labels_b) == expected
 
 
 @KERNEL
