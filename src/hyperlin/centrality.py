@@ -36,6 +36,9 @@ __all__ = [
     "perron_centrality",
 ]
 
+#: Power iterations ``perron_centrality`` runs before giving up.
+PERRON_MAX_ITERATIONS = 100_000
+
 
 @dataclass(frozen=True)
 class GraphProjection:
@@ -259,7 +262,6 @@ def perron_centrality(
     h: Hypergraph,
     edge_weights: Mapping[str, Fraction] | None = None,
     tol: float = 1e-12,
-    max_iterations: int = 100_000,
 ) -> CentralityReport:
     """Positive eigenvector of the weighted vertex coincidence matrix.
 
@@ -268,8 +270,9 @@ def perron_centrality(
     it irreducible, and the positive diagonal makes power iteration (from
     the all-ones vector, max-norm scaled) converge to the Perron vector.
     Iteration stops when successive normalized iterates differ by less than
-    ``tol`` in max norm; the Rayleigh quotient estimates the spectral
-    radius, and the final residual must stay below 100 * tol.
+    ``tol`` in max norm (``PERRON_MAX_ITERATIONS`` at most); the Rayleigh
+    quotient estimates the spectral radius, and the final residual must
+    stay below 100 * tol.
     """
     if not h.is_connected():
         raise DisconnectedError("the coincidence matrix needs a connected hypergraph")
@@ -288,7 +291,7 @@ def perron_centrality(
     mat = np.array(_coincidence(h, weights), dtype=float)
     x = np.ones(n, dtype=float)
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, PERRON_MAX_ITERATIONS + 1):
         y = mat @ x
         norm = float(np.max(np.abs(y)))
         if norm == 0.0:

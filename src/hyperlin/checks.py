@@ -24,16 +24,8 @@ from .randwalk import (
     transition_matrix,
     verify_partition_transition,
 )
-from .spectra import build_A_GH, verify_Q_annihilation, weight_scheme
-from .structures import (
-    VERTEX_AXIS,
-    Certificate,
-    CertificateKind,
-    find_equal_edge_partitions,
-    units,
-    verify_equal_edge_partition,
-    verify_unit_maximality,
-)
+from .spectra import build_A_GH, build_Q, weight_scheme
+from .structures import find_equal_edge_partitions, units, verify_equal_edge_partition
 
 __all__ = ["ENUMERATION_BUDGET", "run_checks"]
 
@@ -88,16 +80,16 @@ def _square_determinant(h, inc, n_big: int) -> dict:
 
 
 def _unit_soundness(h, dec) -> dict:
-    sound = True
-    for u in dec.units:
-        stars = {frozenset(h.star(v)) for v in u.members}
-        if len(stars) != 1:
-            sound = False
-        if len(u.members) >= 2 and not verify_unit_maximality(h, u.members):
-            sound = False
+    """Cover V once, each star equal to its unit's generator, generators distinct.
+
+    Together these make every unit a maximal star class.
+    """
     covered = sorted(v for u in dec.units for v in u.members)
-    if covered != sorted(h.vertices):
-        sound = False
+    sound = (
+        covered == sorted(h.vertices)
+        and all(h.star(v) == u.generator for u in dec.units for v in u.members)
+        and len({u.generator for u in dec.units}) == len(dec.units)
+    )
     return _check(
         "unit_soundness",
         _verdict(sound),
@@ -115,16 +107,10 @@ def _q_annihilation(h, vertex_basis) -> dict:
         presets.append("edgenorm")
         if all(h.degree(v) >= 1 for v in h.vertices):
             presets.append("fullnorm")
-    schemes = [weight_scheme(h, preset) for preset in presets]
-    ok = True
-    for vec in vertex_basis.vectors:
-        support = frozenset(lab for lab, val in vec.items() if val != 0)
-        cert = Certificate(
-            CertificateKind.DEPENDENT_VERTICES, support, dict(vec), VERTEX_AXIS
-        )
-        for w in schemes:
-            if not verify_Q_annihilation(h, w, cert):
-                ok = False
+    qs = [build_Q(h, weight_scheme(h, preset)) for preset in presets]
+    ok = not any(
+        x for q in qs for vec in vertex_basis.vectors for x in q.apply(vec).values()
+    )
     return _check(
         "q_annihilation",
         _verdict(ok),
@@ -168,16 +154,12 @@ def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
         found = set(pairs)
         labels = list(h.vertices)
         for assignment in itertools.product((-1, 0, 1), repeat=len(labels)):
+            # Each unordered pair once, oriented as the search orients it: the
+            # first signed vertex goes into U (the all-zero assignment is skipped).
+            if next((s for s in assignment if s), -1) < 0:
+                continue
             u_set = frozenset(l for l, s in zip(labels, assignment) if s == 1)
             v_set = frozenset(l for l, s in zip(labels, assignment) if s == -1)
-            if not u_set and not v_set:
-                continue
-            for lab in labels:
-                if lab in u_set:
-                    break
-                if lab in v_set:
-                    u_set, v_set = v_set, u_set
-                    break
             counted, _ = verify_equal_edge_partition(h, u_set, v_set)
             if counted != _signed_indicator_in_nullspace(rows, inc.cols, u_set, v_set):
                 ok = False

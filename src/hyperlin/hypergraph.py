@@ -1,9 +1,10 @@
 """Core hypergraph model, parsing, and incidence constructions.
 
 A hypergraph is a finite labeled vertex sequence plus a labeled sequence of
-hyperedges, where each hyperedge is a non-empty subset of the vertices and
-no two hyperedges share the same member set. Vertex and hyperedge order is
-preserved everywhere so derived matrices and reports are deterministic.
+hyperedges, where each hyperedge is a non-empty subset of the vertices,
+no two hyperedges share the same member set, and no label names both a
+vertex and a hyperedge. Vertex and hyperedge order is preserved everywhere
+so derived matrices and reports are deterministic.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ class Hypergraph:
                 )
             seen_sets[members] = label
             members_of[label] = members
+        shared = vert_set & members_of.keys()
+        if shared:
+            raise HypergraphSyntaxError(
+                f"labels name both a vertex and a hyperedge: {sorted(shared)}"
+            )
         edges = tuple(members_of.items())
         stars = {v: frozenset(label for label, ms in edges if v in ms) for v in verts}
         object.__setattr__(self, "vertices", verts)
@@ -100,9 +106,6 @@ class Hypergraph:
             return self._members[edge_label]
         except KeyError:
             raise UnknownLabelError(f"no hyperedge labeled {edge_label!r}") from None
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._stars
 
     def star(self, v: str) -> frozenset[str]:
         """Labels of the hyperedges containing ``v``."""
@@ -331,7 +334,7 @@ def incidence_graph_adjacency(h: Hypergraph) -> RationalMatrix:
 
     Block form: the top-right block is the incidence matrix, the bottom-left
     its transpose, the diagonal blocks are zero. Rows and columns are labeled
-    by vertices followed by hyperedge labels, which therefore must not collide.
+    by vertices followed by hyperedge labels, which never collide.
     """
     inc = incidence_matrix(h)
     labels = h.vertices + h.edge_labels

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence, Union
 from .errors import NotSquareError, SingularError
 
 __all__ = [
-    "Rational",
     "rat",
     "RationalMatrix",
     "RrefResult",
@@ -32,9 +31,6 @@ __all__ = [
     "solve",
     "vector_support",
 ]
-
-#: Exact scalar type used throughout the library.
-Rational = Fraction
 
 RationalLike = Union[int, str, Fraction]
 
@@ -162,28 +158,6 @@ class RationalMatrix:
             tuple(zip(*self.entries)) if self.entries else tuple(() for _ in self.col_labels),
         )
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix(
-            self.row_labels,
-            self.col_labels,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix(
-            self.row_labels,
-            self.col_labels,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
@@ -223,10 +197,6 @@ class RationalMatrix:
             [[self.entries[i][j] for j in ci] for i in ri],
         )
 
-    def _check_same_shape(self, other: "RationalMatrix") -> None:
-        if self.row_labels != other.row_labels or self.col_labels != other.col_labels:
-            raise ValueError("matrices are not aligned by labels")
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -260,10 +230,6 @@ class RrefResult:
     matrix: RationalMatrix
     rank: int
     pivot_cols: tuple[int, ...]
-
-    @property
-    def pivot_labels(self) -> tuple[str, ...]:
-        return tuple(self.matrix.col_labels[j] for j in self.pivot_cols)
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,6 @@ class TransitionMatrix:
     def states(self) -> tuple[str, ...]:
         return self.matrix.row_labels
 
-    def probability(self, u: str, v: str) -> Fraction:
-        return self.matrix.entry(u, v)
-
 
 def _policy_rules(h: Hypergraph, policy: WalkPolicy):
     """Resolve a policy to concrete (edge_rule, vertex_rule) callables."""

@@ -227,10 +227,9 @@ class Spectrum:
             out.extend([value] * mult)
         return out
 
-    def multiplicity_of(self, x: float, tol: float | None = None) -> int:
-        """Total multiplicity within ``tol`` of ``x`` (default: grouping tolerance)."""
-        t = self.tolerance if tol is None else tol
-        return sum(m for v, m in self.eigenvalues if abs(v - x) <= t)
+    def multiplicity_of(self, x: float) -> int:
+        """Total multiplicity within the grouping tolerance of ``x``."""
+        return sum(m for v, m in self.eigenvalues if abs(v - x) <= self.tolerance)
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,7 +256,6 @@ def _group_eigenvalues(values: Sequence[float], group_tol: float) -> tuple[tuple
 def eigenvalues_sym(
     m: RationalMatrix,
     tol: float = 1e-12,
-    group_tol: float | None = None,
     similarity: Mapping[str, Fraction] | None = None,
     matrix_kind: str = "symmetric",
 ) -> Spectrum:
@@ -272,9 +270,8 @@ def eigenvalues_sym(
     Parameters
     ----------
     tol : float
-        Sets the default ``group_tol``.
-    group_tol : float, optional
-        Clustering width for multiplicities; defaults to 10 * tol.
+        Eigenvalues whose successive gaps stay within 10 * tol are grouped
+        into one value with a multiplicity.
 
     Raises
     ------
@@ -282,8 +279,7 @@ def eigenvalues_sym(
     """
     if not m.is_square:
         raise NotSquareError("eigenvalues need a square matrix")
-    if group_tol is None:
-        group_tol = 10.0 * tol
+    group_tol = 10.0 * tol
     n = m.rows
     if m.is_symmetric():
         arr = np.array([[float(x) for x in row] for row in m.entries], dtype=float)
@@ -334,7 +330,6 @@ def hypergraph_spectrum(
     matrix: str,
     w: WeightScheme | None = None,
     tol: float = 1e-12,
-    group_tol: float | None = None,
 ) -> Spectrum:
     """Spectrum of one of the named hypergraph matrices.
 
@@ -343,9 +338,7 @@ def hypergraph_spectrum(
     similarity, so the spectrum is still real.
     """
     if matrix == "A_GH":
-        return eigenvalues_sym(
-            build_A_GH(h), tol=tol, group_tol=group_tol, matrix_kind="A_GH"
-        )
+        return eigenvalues_sym(build_A_GH(h), tol=tol, matrix_kind="A_GH")
     if matrix not in _MATRIX_BUILDERS:
         raise ValueError(f"unknown matrix kind {matrix!r}")
     scheme = w if w is not None else unit_weights(h)
@@ -353,7 +346,6 @@ def hypergraph_spectrum(
     return eigenvalues_sym(
         built,
         tol=tol,
-        group_tol=group_tol,
         similarity=scheme.vertex_weights,
         matrix_kind=matrix,
     )

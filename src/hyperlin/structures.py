@@ -317,6 +317,8 @@ def unit_contraction(h: Hypergraph) -> ContractionMap:
     the units it meets, so the unit set pins the member set down), hence the
     edge map is a bijection and keeps the original labels. A hypergraph all
     of whose units are singletons contracts to an isomorphic copy of itself.
+    A hyperedge labeled like a unit (``"{a,b}"``) would name both a vertex
+    and a hyperedge of the contraction, so it raises HypergraphSyntaxError.
     """
     decomp = units(h)
     vmap = {v: u.label for u in decomp.units for v in u.members}
@@ -427,8 +429,10 @@ def find_equal_edge_partitions(
     vector is +-1 on its own free column and 0 on the others, so no other
     coefficients can give a {-1, 0, 1} vector. The basis is scaled to ints
     by the lcm D of its denominators and the combinations are summed
-    depth-first as running integer vectors; those with every entry in
-    {-D, 0, D} are candidates. Pairs are deduplicated by orienting the
+    depth-first as running integer vectors. A sum with every entry in
+    {-D, 0, D} is D (chi_U - chi_V) with I^T (chi_U - chi_V) = 0, which
+    is |U meet e| == |V meet e| for every hyperedge e, so it is an equal
+    partition without counting. Pairs are deduplicated by orienting the
     first supported vertex into U, so U is never empty; V may be empty
     (isolated vertices make this legitimate).
     """
@@ -459,9 +463,7 @@ def find_equal_edge_partitions(
             return
         u_set = frozenset(h.vertices[i] for i in support if sums[i] > 0)
         v_set = frozenset(h.vertices[i] for i in support if sums[i] < 0)
-        ok, _ = verify_equal_edge_partition(h, u_set, v_set)
-        if ok:
-            results.append((u_set, v_set))
+        results.append((u_set, v_set))
 
     extend(0, [0] * h.n_vertices)
     results.sort(

@@ -176,6 +176,22 @@ def test_exit_one_on_repeated_hyperedge_key(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["nullspace", "--axis", "incidence"], ["spectra", "--matrix", "A_GH"]],
+)
+def test_exit_one_on_label_naming_a_vertex_and_a_hyperedge(capsys, tmp_path, argv):
+    path = tmp_path / "shared.json"
+    path.write_text(
+        '{"vertices": ["a", "b", "c"], "hyperedges": {"a": ["a", "b"], "x": ["b", "c"]}}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert "HypergraphSyntaxError" in err and "['a']" in err
+    assert out == ""
+
+
 def test_exit_two_on_unknown_target(pack, capsys):
     code, _, err = run(
         capsys, "hitting", str(pack / "h_a.json"), "--target", "zzz"

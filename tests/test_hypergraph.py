@@ -56,6 +56,14 @@ def test_rejects_duplicate_edge_labels():
         Hypergraph.from_members([("e", ["a"]), ("e", ["a", "b"])])
 
 
+def test_rejects_label_naming_a_vertex_and_a_hyperedge():
+    text = '{"vertices": ["a", "b", "c"], "hyperedges": {"a": ["a", "b"], "x": ["b", "c"]}}'
+    with pytest.raises(HypergraphSyntaxError, match=r"\['a'\]"):
+        Hypergraph.from_json(text)
+    with pytest.raises(HypergraphSyntaxError):
+        Hypergraph.from_members([("b", ["a", "b"])])
+
+
 def test_from_json_rejects_repeated_hyperedge_key():
     text = '{"vertices": ["1", "2", "3"], "hyperedges": {"e1": ["1", "2"], "e1": ["2", "3"]}}'
     with pytest.raises(HypergraphSyntaxError, match="'e1'"):

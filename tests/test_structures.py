@@ -20,6 +20,7 @@ from hyperlin import (
     verify_unit_maximality,
 )
 from hyperlin.errors import (
+    HypergraphSyntaxError,
     NotCardinalityPreservingError,
     NotDisjointError,
     NotInNullspaceError,
@@ -146,6 +147,12 @@ def test_contraction_shape_and_bijection():
     for u in con.decomposition.units:
         for v in u.members:
             assert con.vertex_map[v] == u.label
+
+
+def test_contraction_rejects_a_hyperedge_labeled_like_a_unit():
+    h = Hypergraph.from_members([("{a,b}", ["a", "b"]), ("x", ["a", "b", "c"])])
+    with pytest.raises(HypergraphSyntaxError, match=r"\['\{a,b\}'\]"):
+        unit_contraction(h)
 
 
 def test_contracting_twice_changes_nothing():
