@@ -42,12 +42,15 @@ COMMANDS = {
     "walk": ["walk"],
     "walk-lazy": ["walk", "--policy", "lazy"],
     "walk-start": ["walk", "--start", FIRST, "--steps", "50", "--trajectories", "200", "--seed", "7"],
+    "walk-blocks": ["walk", "--start", FIRST, "--steps", "30", "--trajectories", "5000", "--seed", "11"],
     "first-hit": ["hitting", "--target", FIRST, "--start", LAST, "--horizon", "20"],
 }
 
 #: (fixture, command) -> (exit code, sha256 of stdout), recorded before the
 #: exact kernel became fraction-free; the walk and first-hit reports were
-#: recorded before the walk functions read integer transition rows.
+#: recorded before the walk functions read integer transition rows, and the
+#: walk-blocks reports (5000 trajectories, more than one simulation block)
+#: before the simulator stepped its trajectories together.
 GOLDEN = {
     ("h_a", "check"): (0, "72cb3ef687576754b12dc5a4e11364232300058741156a01a8d927e4264196e0"),
     ("h_a", "det-I"): (0, "95ac89691c0d5ffbff00fb36c83e210600118bba8c45328d4b9921cfc7ac4ab4"),
@@ -140,6 +143,13 @@ GOLDEN = {
     ("h_cov_base", "walk"): (0, "be78860792e80371d7a8425829fdfa04effeaf1ea407d5d5f49337803bc7d01f"),
     ("h_cov_base", "walk-lazy"): (0, "823a5102418220e7010d309bf49327603f571c423ed433b2db0ccc6156299db5"),
     ("h_cov_base", "walk-start"): (0, "f540cd76e7dca065780f1715527c6635ef073496c7e8c24d17935170d72c2a75"),
+    ("h_a", "walk-blocks"): (0, "3e7fd1e1ad54d23992c00e1dd011b43f62a881abddaf720793cdd36f4d5839b5"),
+    ("h_tri_4", "walk-blocks"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_circ_4", "walk-blocks"): (0, "b35530bd8c9d690d3ff6d450222fdb5df21f14957d21a29527862739db95e318"),
+    ("h_units", "walk-blocks"): (0, "422cea88e96aeef44dfb622bb4d707cdb5c2e5a4d9ddb632142d7d32600f7075"),
+    ("h_eq", "walk-blocks"): (0, "6a781c4f50323916fa02a8bbf6a848290f00bc6e5993a0339308ce0a1acc12a7"),
+    ("h_cov_source", "walk-blocks"): (0, "040a3f20c011b0cf5955b3d25675da966c64e3961cdbe27fd5dc51144f64743e"),
+    ("h_cov_base", "walk-blocks"): (0, "d3cecffde61640907f12c3b915ab3ef7dd13d29dba77b2adea0dad2984ea607b"),
 }
 
 
