@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Mapping
 
@@ -193,7 +194,9 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
     since no intermediate step exists.
 
     With the kernel's P = M / D, both masses of a ratio carry the factor
-    D^horizon, so ratios are taken between ints.
+    D^horizon, so ratios are taken between ints, and every vertex's ratios
+    are summed as ints over one common denominator: the lcm of the nonzero
+    total masses.
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise BadHorizonError("horizon must be a positive integer")
@@ -201,17 +204,17 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
     n = len(states)
     m, scale = tm._numerators, tm._denominator
     full = _integer_power_sums(m, scale, horizon)
+    common = lcm(*(x for row in full for x in row if x))
+    shares = [[common // x if x else 0 for x in row] for row in full]
     values: dict[str, object] = {}
     for wi, w in enumerate(states):
         keep = [i for i in range(n) if i != wi]
         avoided = _integer_power_sums([[m[i][j] for j in keep] for i in keep], scale, horizon)
-        score = Fraction(0)
-        for a, i in enumerate(keep):
-            for b, j in enumerate(keep):
-                denom = full[i][j]
-                if denom:
-                    score += Fraction(denom - avoided[a][b], denom)
-        values[w] = score
+        total = 0
+        for i, row in zip(keep, avoided):
+            f, c = full[i], shares[i]
+            total += sum((f[j] - x) * c[j] for j, x in zip(keep, row))
+        values[w] = Fraction(total, common)
     return CentralityReport(
         kind="rw_betweenness",
         values=values,

@@ -5,16 +5,18 @@ r(u, e)), then a vertex v in e (weight s(u, e, v)), so the transition
 kernel is P[u][v] = sum over shared hyperedges of r * s. All kernels are
 exact rationals, kept alongside as integer rows M over one denominator D
 (P = M / D) for the exact walk algebra; Monte-Carlo simulation draws 64-bit
-integers from a fully specified generator so runs are bit-reproducible.
+integers from a fully specified generator so runs are bit-reproducible, and
+steps blocks of trajectories together as numpy uint64 arrays.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Mapping, Union
+
+import numpy as np
 
 from .errors import (
     BadDistributionError,
@@ -90,21 +92,26 @@ class TransitionMatrix:
     """An exact row-stochastic kernel bound to its hypergraph and policy.
 
     Construction also writes the kernel as integer rows over one common
-    denominator, P = M / D, which the exact walk functions read.
+    denominator, P = M / D, with the columns of M and a state-to-index
+    map, which the exact walk functions read.
     """
 
     source: Hypergraph
     policy: WalkPolicy
     matrix: RationalMatrix
     _numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _denominator: int = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.matrix.cols
         flat, scale = _integer_row([x for row in self.matrix.entries for x in row])
         rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(self.matrix.rows))
         object.__setattr__(self, "_numerators", rows)
+        object.__setattr__(self, "_columns", tuple(zip(*rows)))
         object.__setattr__(self, "_denominator", scale)
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.states)})
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -197,11 +204,11 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
 
 def _as_distribution(tm: TransitionMatrix, init: Union[str, Mapping[str, Fraction]]) -> dict[str, Fraction]:
     if isinstance(init, str):
-        if init not in tm.states:
+        if init not in tm._index:
             raise UnknownLabelError(f"unknown state {init!r}")
         return {v: Fraction(int(v == init)) for v in tm.states}
     dist = {str(k): rat(v) for k, v in init.items()}
-    unknown = set(dist) - set(tm.states)
+    unknown = set(dist).difference(tm._index)
     if unknown:
         raise UnknownLabelError(f"unknown states: {sorted(unknown)}")
     if any(v < 0 for v in dist.values()):
@@ -226,7 +233,7 @@ def _integer_walk(
     which is then removed from the walk.
     """
     masses, denom = _integer_row(list(_as_distribution(tm, init).values()))
-    cols = list(zip(*tm._numerators))
+    cols = tm._columns
     absorbed: list[Fraction] = []
     for _ in range(steps):
         masses = [sum(map(mul, masses, col)) for col in cols]
@@ -264,12 +271,12 @@ def hitting_times(
         If some state cannot reach the target at all (the system would not
         determine finite values).
     """
-    if target not in tm.states:
+    if target not in tm._index:
         raise UnknownLabelError(f"unknown state {target!r}")
     if self_time not in ("return", "zero"):
         raise ValueError("self_time must be 'return' or 'zero'")
     m, d = tm._numerators, tm._denominator
-    t = tm.states.index(target)
+    t = tm._index[target]
     reached, frontier = {t}, [t]
     while frontier:
         frontier = [
@@ -309,9 +316,9 @@ def first_hit_probabilities(
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise BadHorizonError("horizon must be a positive integer")
-    if target not in tm.states:
+    if target not in tm._index:
         raise UnknownLabelError(f"unknown state {target!r}")
-    return _integer_walk(tm, init, horizon, absorb=tm.states.index(target))[2]
+    return _integer_walk(tm, init, horizon, absorb=tm._index[target])[2]
 
 
 def verify_partition_transition(
@@ -322,37 +329,38 @@ def verify_partition_transition(
     For every state w outside U and V, the one-step probability of entering
     U equals that of entering V, exactly: row w of M sums to the same
     integer over U as over V, since every row shares the denominator D.
+    The columns of M are summed over U and over V once, then compared.
     """
     if not tm.policy.is_uniform:
         raise NotUniformPolicyError("the symmetry check applies to uniform policies")
     u_set = frozenset(str(x) for x in u_part)
     v_set = frozenset(str(x) for x in v_part)
-    unknown = (u_set | v_set) - set(tm.states)
+    index = tm._index
+    unknown = [x for x in u_set | v_set if x not in index]
     if unknown:
         raise UnknownLabelError(f"unknown states: {sorted(unknown)}")
     if u_set & v_set:
         raise NotDisjointError(f"sets overlap on {sorted(u_set & v_set)}")
-    u_idx = [tm.states.index(x) for x in u_set]
-    v_idx = [tm.states.index(x) for x in v_set]
-    for w, row in zip(tm.states, tm._numerators):
-        if w in u_set or w in v_set:
-            continue
-        if sum(row[i] for i in u_idx) != sum(row[j] for j in v_idx):
-            return False
-    return True
+    zero = (0,) * len(index)
+    into_u = list(map(sum, zip(zero, *(tm._columns[index[x]] for x in u_set))))
+    into_v = list(map(sum, zip(zero, *(tm._columns[index[x]] for x in v_set))))
+    for x in u_set | v_set:
+        into_u[index[x]] = into_v[index[x]] = 0
+    return into_u == into_v
 
 
 # -- reproducible simulation -----------------------------------------------
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_TWO64 = 1 << 64
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -459,6 +467,55 @@ class SimulationResult:
         return out
 
 
+#: Trajectories stepped together; bounds the simulator's working arrays.
+_BLOCK = 4096
+
+_U64_GAMMA, _U64_MIX_A, _U64_MIX_B = (np.uint64(c) for c in (_GAMMA, _MIX_A, _MIX_B))
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` of every entry; uint64 array arithmetic wraps mod 2^64."""
+    z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
+    z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
+    return z ^ (z >> np.uint64(31))
+
+
+def _trajectory_generators(seed: int, start: int, count: int) -> np.ndarray:
+    """Generator states ``trajectory_seed(seed, i)`` for i in start .. start+count-1."""
+    offsets = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _U64_GAMMA
+    return _mix64_array(offsets + np.uint64(seed & _MASK64))
+
+
+def _next_draws(generators: np.ndarray) -> np.ndarray:
+    """Advance every generator in place and return its ``next_u64`` output."""
+    generators += _U64_GAMMA
+    return _mix64_array(generators)
+
+
+def _threshold_table(
+    tables: list[tuple[list[int], list[int]]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pad cumulative tables into uint64 thresholds and the states they lead to.
+
+    Each threshold is bound - 1, so a bound of exactly 2^64 fits, and
+    u > bound - 1 is u >= bound; padding is 2^64 - 1, which no draw exceeds.
+    """
+    width = max(len(bounds) for bounds, _ in tables)
+    thresholds = np.full((len(tables), width), _MASK64, dtype=np.uint64)
+    targets = np.zeros((len(tables), width), dtype=np.intp)
+    for r, (bounds, states) in enumerate(tables):
+        thresholds[r, : len(bounds)] = [b - 1 for b in bounds]
+        targets[r, : len(states)] = states
+    return thresholds, targets
+
+
+def _choose(
+    draws: np.ndarray, rows: np.ndarray, thresholds: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """The state each draw selects from its table row: bisect_right on the bounds."""
+    return targets[rows, (draws[:, None] > thresholds[rows]).sum(axis=1)]
+
+
 def simulate(
     tm: TransitionMatrix,
     init: Union[str, Mapping[str, Fraction]],
@@ -473,6 +530,10 @@ def simulate(
     batch can be reproduced or parallelized freely. Visits count states
     X_0 .. X_steps; the first-hit table records the first step t >= 1 with
     X_t = v (a first return when v is the start).
+
+    Trajectories are stepped together in blocks, each generator a uint64
+    array entry; the draws and the tables (first-hit keys in order of first
+    occurrence by trajectory) equal those of one trajectory at a time.
     """
     if steps < 0:
         raise BadHorizonError("steps must be nonnegative")
@@ -480,31 +541,37 @@ def simulate(
         raise BadHorizonError("need at least one trajectory")
     dist = _as_distribution(tm, init)
     states = tm.states
-    init_bounds, init_states = _cumulative_table(states, dist)
-    row_tables = []
-    for u in states:
-        row_tables.append(_cumulative_table(states, tm.matrix.row(u)))
-    visits = [0] * len(states)
+    n = len(states)
+    init_table = _threshold_table([_cumulative_table(states, dist)])
+    row_table = _threshold_table([_cumulative_table(states, tm.matrix.row(u)) for u in states])
+    visits = np.zeros(n, dtype=np.int64)
     first_hits: list[dict[int, int]] = [dict() for _ in states]
-    for i in range(trajectories):
-        rng = SplitMix64(trajectory_seed(seed, i))
-        u = rng.next_u64()
-        cur = init_states[bisect.bisect_right(init_bounds, u)]
-        visits[cur] += 1
-        seen = [False] * len(states)
+    for start in range(0, trajectories, _BLOCK):
+        size = min(_BLOCK, trajectories - start)
+        generators = _trajectory_generators(seed, start, size)
+        cur = _choose(_next_draws(generators), np.zeros(size, dtype=np.intp), *init_table)
+        visits += np.bincount(cur, minlength=n)
+        # first[i, v]: the step trajectory i first reached v; 0 while it has not
+        first = np.zeros((size, n), dtype=np.int64)
+        cells = first.reshape(-1)
+        base = np.arange(size) * n
         for t in range(1, steps + 1):
-            bounds, nexts = row_tables[cur]
-            u = rng.next_u64()
-            cur = nexts[bisect.bisect_right(bounds, u)]
-            visits[cur] += 1
-            if not seen[cur]:
-                seen[cur] = True
-                table = first_hits[cur]
-                table[t] = table.get(t, 0) + 1
+            cur = _choose(_next_draws(generators), cur, *row_table)
+            visits += np.bincount(cur, minlength=n)
+            idx = base + cur
+            cells[idx[cells[idx] == 0]] = t
+        # keys enter each table in order of first occurrence by trajectory
+        for v in range(n):
+            col = first[:, v]
+            times, where, counts = np.unique(col[col > 0], return_index=True, return_counts=True)
+            table = first_hits[v]
+            for j in np.argsort(where, kind="stable"):
+                t = int(times[j])
+                table[t] = table.get(t, 0) + int(counts[j])
     return SimulationResult(
         trajectories=trajectories,
         steps=steps,
         seed=seed,
-        visit_counts={lab: visits[i] for i, lab in enumerate(states)},
-        first_hits={lab: first_hits[i] for i, lab in enumerate(states)},
+        visit_counts=dict(zip(states, visits.tolist())),
+        first_hits=dict(zip(states, first_hits)),
     )

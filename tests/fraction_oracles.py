@@ -1,14 +1,24 @@
 """Reference implementations in plain Fraction arithmetic.
 
-These are the straightforward loops the library's integer kernel replaced.
+These are the straightforward loops the library's integer kernel replaced,
+plus the one-trajectory-at-a-time simulator the block simulator replaced.
 They are slow and obviously correct, and the kernel tests require the
 library to agree with them exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
+
+from hyperlin.randwalk import (
+    SimulationResult,
+    SplitMix64,
+    _as_distribution,
+    _cumulative_table,
+    trajectory_seed,
+)
 
 
 def gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -205,3 +215,34 @@ def equal_edge_partitions(h, max_support: int) -> list[tuple[frozenset, frozense
         )
     )
     return results
+
+
+def simulate(tm, init, steps: int, trajectories: int, seed: int) -> SimulationResult:
+    """Seeded trajectories one at a time: one SplitMix64 draw and one
+    bisection of the cumulative table per step."""
+    dist = _as_distribution(tm, init)
+    states = tm.states
+    init_bounds, init_states = _cumulative_table(states, dist)
+    row_tables = [_cumulative_table(states, tm.matrix.row(u)) for u in states]
+    visits = [0] * len(states)
+    first_hits: list[dict[int, int]] = [dict() for _ in states]
+    for i in range(trajectories):
+        rng = SplitMix64(trajectory_seed(seed, i))
+        cur = init_states[bisect.bisect_right(init_bounds, rng.next_u64())]
+        visits[cur] += 1
+        seen = [False] * len(states)
+        for t in range(1, steps + 1):
+            bounds, nexts = row_tables[cur]
+            cur = nexts[bisect.bisect_right(bounds, rng.next_u64())]
+            visits[cur] += 1
+            if not seen[cur]:
+                seen[cur] = True
+                table = first_hits[cur]
+                table[t] = table.get(t, 0) + 1
+    return SimulationResult(
+        trajectories=trajectories,
+        steps=steps,
+        seed=seed,
+        visit_counts={lab: visits[i] for i, lab in enumerate(states)},
+        first_hits={lab: first_hits[i] for i, lab in enumerate(states)},
+    )

@@ -7,6 +7,9 @@ and non-unit denominators. The integer partition search is compared with
 the Fraction enumeration on generated hypergraphs and twin families, and
 the integer walk functions with Fraction stepping, absorption, row sums
 and solves on generated kernels under uniform and unequal custom policies.
+The block simulator is compared with the one-trajectory-at-a-time
+simulator on the same kernels: visit counts and first-hit tables, key
+order included.
 """
 
 import itertools
@@ -21,13 +24,16 @@ from hyperlin import (
     WalkPolicy,
     first_hit_probabilities,
     hitting_times,
+    randwalk,
     rw_betweenness,
+    simulate,
     step_distribution,
     transition_matrix,
     verify_partition_transition,
 )
 from hyperlin.errors import NotUniformPolicyError, SingularError, UnreachableError
 from hyperlin.linalg import RationalMatrix, determinant, nullspace, rref, solve
+from hyperlin.randwalk import SplitMix64, trajectory_seed
 from hyperlin.structures import find_equal_edge_partitions
 
 KERNEL = settings(max_examples=150, derandomize=True, deadline=None)
@@ -262,6 +268,78 @@ def test_rw_betweenness_matches_fraction_power_sums(tm, horizon):
     expected = oracle.rw_betweenness([list(r) for r in tm.matrix.entries], horizon)
     rep = rw_betweenness(tm, horizon)
     assert [rep.values[v] for v in tm.states] == expected
+
+
+def _assert_same_simulation(tm, init, steps, trajectories, seed):
+    got = simulate(tm, init, steps, trajectories, seed)
+    want = oracle.simulate(tm, init, steps, trajectories, seed)
+    assert list(got.visit_counts.items()) == list(want.visit_counts.items())
+    assert list(got.first_hits) == list(want.first_hits)
+    for v in tm.states:
+        assert list(got.first_hits[v].items()) == list(want.first_hits[v].items())
+    assert (got.trajectories, got.steps, got.seed) == (trajectories, steps, seed)
+
+
+EDGE_SEEDS = [0, -1, 2**64 - 1, 2**70 + 5]
+
+
+@KERNEL
+@given(
+    walks(),
+    st.integers(0, 8),
+    st.integers(1, 40),
+    st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(-(2**70), 2**70)),
+)
+@example((UNEQUAL_TM, MIXED), 6, 25, 2**70 + 5)
+def test_simulate_matches_one_trajectory_at_a_time(walk, steps, trajectories, seed):
+    tm, init = walk
+    _assert_same_simulation(tm, init, steps, trajectories, seed)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("steps, trajectories", [(0, 1), (0, 30), (1, 1), (9, 1), (9, 23), (5, 28)])
+def test_simulate_blocks_match_one_trajectory_at_a_time(monkeypatch, seed, steps, trajectories):
+    monkeypatch.setattr(randwalk, "_BLOCK", 7)
+    _assert_same_simulation(UNEQUAL_TM, MIXED, steps, trajectories, seed)
+    _assert_same_simulation(UNEQUAL_TM, "b", steps, trajectories, seed)
+
+
+def test_simulate_crosses_the_default_block():
+    tm = transition_matrix(UNEQUAL, WalkPolicy.uniform_lazy())
+    _assert_same_simulation(tm, MIXED, 3, randwalk._BLOCK + 5, 11)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + [12345])
+def test_block_draws_equal_the_reference_generator(seed):
+    generators = randwalk._trajectory_generators(seed, 3, 5)
+    rngs = [SplitMix64(trajectory_seed(seed, i)) for i in range(3, 8)]
+    for _ in range(4):
+        assert randwalk._next_draws(generators).tolist() == [r.next_u64() for r in rngs]
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_a_draw_on_a_bound_takes_the_next_state(past):
+    """State k is drawn for u < bound_k: a draw one below the bound of "a"
+    picks "a", a draw equal to it picks "b", at the start and in a step."""
+    seed = 99
+    rng = SplitMix64(trajectory_seed(seed, 0))
+    first, second = rng.next_u64(), rng.next_u64()
+    init_a = Fraction(first + 1 - past, 2**64)
+    step_a = Fraction(second + 1 - past, 2**64)
+    h = Hypergraph.from_members([("e", ["a", "b"])])
+    tm = transition_matrix(
+        h,
+        WalkPolicy.custom(
+            lambda u, e: Fraction(1),
+            lambda u, e, v: step_a if v == "a" else 1 - step_a,
+        ),
+    )
+    picked, other = ("a", "b") if past == 0 else ("b", "a")
+    for init in ({"a": init_a, "b": 1 - init_a}, picked):
+        sim = simulate(tm, init, 1, 1, seed)
+        assert sim.visit_counts == {picked: 2, other: 0}
+        assert sim.first_hits == {picked: {1: 1}, other: {}}
+        _assert_same_simulation(tm, init, 1, 1, seed)
 
 
 @st.composite
