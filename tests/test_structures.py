@@ -24,12 +24,15 @@ from hyperlin.errors import (
     NotCardinalityPreservingError,
     NotDisjointError,
     NotInNullspaceError,
+    UnknownLabelError,
 )
 from hyperlin.hypergraph import incidence_graph_adjacency, incidence_matrix
 from hyperlin.linalg import nullspace
+from hyperlin.randwalk import WalkPolicy, transition_matrix, verify_partition_transition
 from hyperlin.structures import (
     Certificate,
     CertificateKind,
+    EDGE_AXIS,
     ProjectionClass,
     VERTEX_AXIS,
     partition_certificate,
@@ -66,6 +69,27 @@ def test_independent_hypergraph_has_no_certificates():
     h = fx.nested_chain(4)
     assert dependent_vertices(h) is None
     assert dependent_hyperedges(h) is None
+
+
+@pytest.mark.parametrize(
+    "h",
+    [builder() for builder in fx._FIXTURE_BUILDERS.values()]
+    + [Hypergraph(("a", "b"), ()), Hypergraph((), ())],
+    ids=list(fx._FIXTURE_BUILDERS) + ["no_hyperedges", "no_vertices"],
+)
+def test_dependent_axes_certify_the_first_basis_vector(h):
+    inc = incidence_matrix(h)
+    for find, m, kind, annihilator in (
+        (dependent_vertices, inc.transpose(), CertificateKind.DEPENDENT_VERTICES, VERTEX_AXIS),
+        (dependent_hyperedges, inc, CertificateKind.DEPENDENT_HYPEREDGES, EDGE_AXIS),
+    ):
+        basis = nullspace(m)
+        cert = find(h)
+        if not basis.vectors:
+            assert cert is None
+            continue
+        assert (cert.kind, cert.annihilated_by) == (kind, annihilator)
+        assert list(cert.coefficients.items()) == list(basis.vectors[0].items())
 
 
 def test_is_dependent_set_detects_only_real_supports():
@@ -206,6 +230,31 @@ def test_verify_equal_edge_partition_counts():
 def test_verify_equal_edge_partition_requires_disjoint_sets():
     with pytest.raises(NotDisjointError):
         verify_equal_edge_partition(fx.balanced_overlap(), ["1", "2"], ["2", "3"])
+
+
+def _transition_pair(h, u_part, v_part):
+    return verify_partition_transition(
+        transition_matrix(h, WalkPolicy.uniform_nonlazy()), u_part, v_part
+    )
+
+
+@pytest.mark.parametrize(
+    "verify, u_part, v_part, error, message",
+    [
+        (verify_equal_edge_partition, ["1", "x"], ["e1", "2"], UnknownLabelError, "unknown vertices: ['e1', 'x']"),
+        (verify_equal_edge_partition, ["x", "1"], ["1"], UnknownLabelError, "unknown vertices: ['x']"),
+        (verify_equal_edge_partition, ["1", "2", "3"], ["3", "2"], NotDisjointError, "sets overlap on ['2', '3']"),
+        (verify_equal_star_partition, ["e1", "1"], ["e9"], UnknownLabelError, "unknown hyperedges: ['1', 'e9']"),
+        (verify_equal_star_partition, ["e1", "e2"], ["e2"], NotDisjointError, "sets overlap on ['e2']"),
+        (_transition_pair, ["1", "e1"], ["zz"], UnknownLabelError, "unknown states: ['e1', 'zz']"),
+        (_transition_pair, ["1", "5"], ["5", "2"], NotDisjointError, "sets overlap on ['5']"),
+    ],
+)
+def test_pair_verifiers_name_unknown_labels_and_overlaps(verify, u_part, v_part, error, message):
+    with pytest.raises(error) as info:
+        verify(fx.hub_cycle(), u_part, v_part)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_find_equal_edge_partitions_frozen_examples():
