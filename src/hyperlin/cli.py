@@ -400,24 +400,33 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         h = _load(args)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, HyperlinError) as exc:
+    except (OSError, UnicodeDecodeError, HyperlinError) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    # Exact results may have more digits than Python's int-to-str limit
+    # (3.10.7+) allows; the input above was still parsed under that limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        parameters, results = _HANDLERS[args.command](args, h)
-    except (HyperlinError, ValueError) as exc:
-        print(f"precondition failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "dot":
+        try:
+            parameters, results = _HANDLERS[args.command](args, h)
+        except (HyperlinError, ValueError) as exc:
+            print(f"precondition failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        if args.command == "dot":
+            return 0
+        report = _report(args, h, parameters, results)
+        if args.command == "check":
+            report["theorem_checks"] = report["results"].pop("theorem_checks")
+        _emit(report, args.format)
+        if args.command == "check" and results["failed"]:
+            print(f"{results['failed']} theorem check(s) failed", file=sys.stderr)
+            return 3
         return 0
-    report = _report(args, h, parameters, results)
-    if args.command == "check":
-        report["theorem_checks"] = report["results"].pop("theorem_checks")
-    _emit(report, args.format)
-    if args.command == "check" and results["failed"]:
-        print(f"{results['failed']} theorem check(s) failed", file=sys.stderr)
-        return 3
-    return 0
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

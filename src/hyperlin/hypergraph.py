@@ -188,7 +188,7 @@ class Hypergraph:
         """Parse the canonical JSON form; a repeated key anywhere is an error."""
         try:
             data = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a number over the digit limit
             raise HypergraphSyntaxError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise HypergraphSyntaxError("top level must be an object")

@@ -161,7 +161,7 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        bt = list(zip(*other.entries)) if other.entries else []
+        bt = list(zip(*other.entries)) if other.entries else [()] * other.cols
         out = tuple(
             tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in bt)
             for row in self.entries
@@ -290,6 +290,18 @@ def _fraction_free_reduce(a: list[list[int]], ncols: int) -> tuple[list[int], in
     return pivots, prev, sign
 
 
+def _integer_solve(a: list[list[int]], n: int) -> tuple[list[int], int]:
+    """Solve an n x n integer system given as augmented rows ``a`` (reduced in place).
+
+    Returns the solution's numerators and their common denominator.
+    Raises SingularError below full rank.
+    """
+    pivots, d, _ = _fraction_free_reduce(a, n)
+    if len(pivots) < n:
+        raise SingularError("matrix is singular")
+    return [row[n] for row in a], d
+
+
 def rref(m: RationalMatrix) -> RrefResult:
     """Reduced row echelon form by exact Gauss-Jordan elimination.
 
@@ -386,10 +398,8 @@ def solve(m: RationalMatrix, b: Mapping[str, RationalLike] | Sequence[RationalLi
         if len(rhs) != n:
             raise ValueError("right hand side length does not match")
     a = [_integer_row(row + (rhs[i],))[0] for i, row in enumerate(m.entries)]
-    pivots, d, _ = _fraction_free_reduce(a, n)
-    if len(pivots) < n:
-        raise SingularError("matrix is singular")
-    return {lab: Fraction(a[i][n], d) for i, lab in enumerate(m.col_labels)}
+    nums, d = _integer_solve(a, n)
+    return {lab: Fraction(x, d) for lab, x in zip(m.col_labels, nums)}
 
 
 def vector_support(x: Mapping[str, Fraction]) -> frozenset:

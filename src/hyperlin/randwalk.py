@@ -22,15 +22,14 @@ from .errors import (
     BadDistributionError,
     BadHorizonError,
     IsolatedVertexError,
-    NotDisjointError,
     NotUniformPolicyError,
     SingletonEdgeNonLazyError,
-    SingularError,
     UnknownLabelError,
     UnreachableError,
 )
 from .hypergraph import Hypergraph
-from .linalg import RationalMatrix, _fraction_free_reduce, _integer_row, rat
+from .linalg import RationalMatrix, _integer_row, _integer_solve, rat
+from .structures import _check_disjoint
 
 __all__ = [
     "WalkPolicy",
@@ -288,16 +287,13 @@ def hitting_times(
     missing = sorted(tm.states[i] for i in others if i not in reached)
     if missing:
         raise UnreachableError(f"states cannot reach {target!r}: {missing}")
-    k = len(others)
     a = [[d * (i == j) - m[i][j] for j in others] + [d] for i in others]
-    pivots, last, _ = _fraction_free_reduce(a, k)
-    if len(pivots) < k:
-        raise SingularError("matrix is singular")
-    out = {tm.states[i]: Fraction(a[r][k], last) for r, i in enumerate(others)}
+    nums, last = _integer_solve(a, len(others))
+    out = {tm.states[i]: Fraction(x, last) for i, x in zip(others, nums)}
     if self_time == "zero":
         out[target] = Fraction(0)
     else:
-        back = sum(m[t][i] * a[r][k] for r, i in enumerate(others))
+        back = sum(m[t][i] * x for i, x in zip(others, nums))
         out[target] = 1 + Fraction(back, d * last)
     return {v: out[v] for v in tm.states}
 
@@ -333,14 +329,8 @@ def verify_partition_transition(
     """
     if not tm.policy.is_uniform:
         raise NotUniformPolicyError("the symmetry check applies to uniform policies")
-    u_set = frozenset(str(x) for x in u_part)
-    v_set = frozenset(str(x) for x in v_part)
     index = tm._index
-    unknown = [x for x in u_set | v_set if x not in index]
-    if unknown:
-        raise UnknownLabelError(f"unknown states: {sorted(unknown)}")
-    if u_set & v_set:
-        raise NotDisjointError(f"sets overlap on {sorted(u_set & v_set)}")
+    u_set, v_set = _check_disjoint(index, u_part, v_part, "states")
     zero = (0,) * len(index)
     into_u = list(map(sum, zip(zero, *(tm._columns[index[x]] for x in u_set))))
     into_v = list(map(sum, zip(zero, *(tm._columns[index[x]] for x in v_set))))

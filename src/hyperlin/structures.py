@@ -9,7 +9,6 @@ hypergraphs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -30,7 +29,7 @@ from .hypergraph import (
     incidence_graph_adjacency,
     incidence_matrix,
 )
-from .linalg import nullspace, rat, vector_support
+from .linalg import _integer_row, nullspace, rat, vector_support
 
 __all__ = [
     "CertificateKind",
@@ -127,22 +126,12 @@ def dependent_vertices(h: Hypergraph) -> Certificate | None:
     comes first in vertex order). Returns None when the vertex rows are
     independent.
     """
-    basis = nullspace(incidence_matrix(h).transpose())
-    if not basis.vectors:
-        return None
-    return _certificate_from_vector(
-        CertificateKind.DEPENDENT_VERTICES, basis.vectors[0], VERTEX_AXIS
-    )
+    return is_dependent_set(h, h.vertices, "vertices")
 
 
 def dependent_hyperedges(h: Hypergraph) -> Certificate | None:
     """Canonical certificate that E(H) is linearly dependent, if it is."""
-    basis = nullspace(incidence_matrix(h))
-    if not basis.vectors:
-        return None
-    return _certificate_from_vector(
-        CertificateKind.DEPENDENT_HYPEREDGES, basis.vectors[0], EDGE_AXIS
-    )
+    return is_dependent_set(h, h.edge_labels, "hyperedges")
 
 
 def is_dependent_set(h: Hypergraph, labels: Iterable[str], axis: str = "vertices") -> Certificate | None:
@@ -389,15 +378,21 @@ def contraction_nullspace_lift(
 # -- partitions ---------------------------------------------------------------
 
 
-def _check_vertex_sets(h: Hypergraph, u_part: Iterable[str], v_part: Iterable[str]):
-    u_set = frozenset(str(x) for x in u_part)
-    v_set = frozenset(str(x) for x in v_part)
-    unknown = (u_set | v_set) - set(h.vertices)
+def _check_disjoint(
+    universe: Mapping[str, object], a: Iterable, b: Iterable, what: str
+) -> tuple[frozenset[str], frozenset[str]]:
+    """``a`` and ``b`` as disjoint label sets, every label a key of ``universe``.
+
+    Raises UnknownLabelError naming the unknown ``what``, else NotDisjointError.
+    """
+    a_set = frozenset(str(x) for x in a)
+    b_set = frozenset(str(x) for x in b)
+    unknown = [x for x in a_set | b_set if x not in universe]
     if unknown:
-        raise UnknownLabelError(f"unknown vertices: {sorted(unknown)}")
-    if u_set & v_set:
-        raise NotDisjointError(f"sets overlap on {sorted(u_set & v_set)}")
-    return u_set, v_set
+        raise UnknownLabelError(f"unknown {what}: {sorted(unknown)}")
+    if a_set & b_set:
+        raise NotDisjointError(f"sets overlap on {sorted(a_set & b_set)}")
+    return a_set, b_set
 
 
 def verify_equal_edge_partition(
@@ -408,7 +403,7 @@ def verify_equal_edge_partition(
     Returns the verdict plus the per-edge count table that witnesses it.
     U and V must be disjoint vertex sets.
     """
-    u_set, v_set = _check_vertex_sets(h, u_part, v_part)
+    u_set, v_set = _check_disjoint(h._stars, u_part, v_part, "vertices")
     table = {
         label: (len(u_set & members), len(v_set & members))
         for label, members in h.hyperedges
@@ -441,11 +436,9 @@ def find_equal_edge_partitions(
     basis = nullspace(incidence_matrix(h).transpose())
     if basis.dimension == 0:
         return []
-    scale = math.lcm(*(x.denominator for vec in basis.vectors for x in vec.values()))
-    scaled = [
-        [vec[v].numerator * (scale // vec[v].denominator) for v in h.vertices]
-        for vec in basis.vectors
-    ]
+    n = h.n_vertices
+    flat, scale = _integer_row([x for vec in basis.vectors for x in vec.values()])
+    scaled = [flat[k * n : (k + 1) * n] for k in range(basis.dimension)]
     allowed = (-scale, 0, scale)
     vertex_pos = {v: i for i, v in enumerate(h.vertices)}
     results: list[tuple[frozenset[str], frozenset[str]]] = []
@@ -511,13 +504,7 @@ def verify_equal_star_partition(
     verify_equal_edge_partition, so equivalently the signed indicator
     chi_E - chi_F is annihilated by the incidence matrix.
     """
-    e_set = frozenset(str(x) for x in e_part)
-    f_set = frozenset(str(x) for x in f_part)
-    unknown = (e_set | f_set) - set(h.edge_labels)
-    if unknown:
-        raise UnknownLabelError(f"unknown hyperedges: {sorted(unknown)}")
-    if e_set & f_set:
-        raise NotDisjointError(f"sets overlap on {sorted(e_set & f_set)}")
+    e_set, f_set = _check_disjoint(h._members, e_part, f_part, "hyperedges")
     table = {}
     for v in h.vertices:
         star = h.star(v)

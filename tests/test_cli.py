@@ -1,10 +1,12 @@
 """Command line behavior: reports, formats, resolution, exit codes."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
-from hyperlin import Hypergraph, checks, cli
+from hyperlin import Hypergraph, WalkPolicy, checks, cli, rw_betweenness, transition_matrix
 from hyperlin import fixtures as fx
 from hyperlin.fixtures import write_fixture_pack
 
@@ -190,6 +192,40 @@ def test_exit_one_on_label_naming_a_vertex_and_a_hyperedge(capsys, tmp_path, arg
     assert code == 1
     assert "HypergraphSyntaxError" in err and "['a']" in err
     assert out == ""
+
+
+no_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+
+
+@no_digit_limit
+def test_exit_one_on_a_number_over_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"vertices": [], "hyperedges": {}, "x": ' + "1" * 5001 + "}", encoding="utf-8")
+    code, out, err = run(capsys, "units", str(path))
+    assert code == 1
+    assert "input error: HypergraphSyntaxError" in err
+    assert out == ""
+
+
+@no_digit_limit
+def test_exact_values_print_past_the_digit_limit(pack, capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(
+        capsys, "centrality", str(pack / "h_a.json"), "--kind", "rw_betweenness", "--horizon", "1000"
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    tm = transition_matrix(fx.hub_cycle(), WalkPolicy.uniform_nonlazy())
+    expected = rw_betweenness(tm, 1000).values
+    sys.set_int_max_str_digits(0)
+    try:
+        values = {k: Fraction(v) for k, v in json.loads(out)["results"]["values"].items()}
+        assert max(len(str(x.denominator)) for x in values.values()) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert values == expected
 
 
 def test_exit_two_on_unknown_target(pack, capsys):

@@ -1,6 +1,7 @@
 """Hypergraph model: parsing, validation, incidence structures, duality."""
 
 import json
+import sys
 
 import pytest
 
@@ -62,6 +63,13 @@ def test_rejects_label_naming_a_vertex_and_a_hyperedge():
         Hypergraph.from_json(text)
     with pytest.raises(HypergraphSyntaxError):
         Hypergraph.from_members([("b", ["a", "b"])])
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_from_json_names_a_number_over_the_digit_limit():
+    text = '{"vertices": [], "hyperedges": {}, "x": ' + "1" * 5001 + "}"
+    with pytest.raises(HypergraphSyntaxError, match="invalid JSON"):
+        Hypergraph.from_json(text)
 
 
 def test_from_json_rejects_repeated_hyperedge_key():

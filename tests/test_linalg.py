@@ -63,6 +63,14 @@ def test_matmul_known_product():
     assert prod.entry("r1", "y") == 3
 
 
+def test_matmul_over_an_empty_inner_dimension_is_zero():
+    a = RationalMatrix.from_rows(["r0", "r1"], [], [[], []])
+    b = RationalMatrix.from_rows([], ["x", "y", "z"], [])
+    prod = a @ b
+    assert (prod.row_labels, prod.col_labels) == (("r0", "r1"), ("x", "y", "z"))
+    assert prod.entries == ((Fraction(0),) * 3,) * 2
+
+
 def test_apply_treats_missing_keys_as_zero():
     m = _m([[1, 1], [0, 2]])
     out = m.apply({"c1": Fraction(3)})
