@@ -37,6 +37,8 @@ COMMANDS = {
     "partitions": ["partitions"],
     "hitting": ["hitting", "--target", FIRST],
     "rw_closeness": ["centrality", "--kind", "rw_closeness"],
+    "rw_closeness-lazy": ["centrality", "--kind", "rw_closeness", "--policy", "lazy"],
+    "rw_closeness-zero": ["centrality", "--kind", "rw_closeness", "--self-time", "zero"],
     "rw_betweenness": ["centrality", "--kind", "rw_betweenness", "--horizon", "10"],
     "det-I": ["spectra", "--matrix", "I", "--det"],
     "walk": ["walk"],
@@ -50,7 +52,9 @@ COMMANDS = {
 #: exact kernel became fraction-free; the walk and first-hit reports were
 #: recorded before the walk functions read integer transition rows, and the
 #: walk-blocks reports (5000 trajectories, more than one simulation block)
-#: before the simulator stepped its trajectories together.
+#: before the simulator stepped its trajectories together; the lazy and
+#: zero-self-time closeness reports before closeness came from one
+#: factorization instead of one solve per target.
 GOLDEN = {
     ("h_a", "check"): (0, "72cb3ef687576754b12dc5a4e11364232300058741156a01a8d927e4264196e0"),
     ("h_a", "det-I"): (0, "95ac89691c0d5ffbff00fb36c83e210600118bba8c45328d4b9921cfc7ac4ab4"),
@@ -150,6 +154,20 @@ GOLDEN = {
     ("h_eq", "walk-blocks"): (0, "6a781c4f50323916fa02a8bbf6a848290f00bc6e5993a0339308ce0a1acc12a7"),
     ("h_cov_source", "walk-blocks"): (0, "040a3f20c011b0cf5955b3d25675da966c64e3961cdbe27fd5dc51144f64743e"),
     ("h_cov_base", "walk-blocks"): (0, "d3cecffde61640907f12c3b915ab3ef7dd13d29dba77b2adea0dad2984ea607b"),
+    ("h_a", "rw_closeness-lazy"): (0, "fd68f8e3f6e8ee94e297e971a3e25a5a2211f5c2dded42682284a249240ee167"),
+    ("h_tri_4", "rw_closeness-lazy"): (0, "f0809bdd072f3831b09a7e180f10dfce6c298ce0bcb0ed7a8644a5a2d6243394"),
+    ("h_circ_4", "rw_closeness-lazy"): (0, "e080b7372a7c91257019752cd0efd415df91535345087037f0c6ad357df0fe40"),
+    ("h_units", "rw_closeness-lazy"): (0, "1ed1d311129b5e21b605470916a9959f53d976e404a5d3a9fd7cd8dafb44fd29"),
+    ("h_eq", "rw_closeness-lazy"): (0, "2758f07d1ec85a5f738c33bccacc8ae5ba667764d659771328091f50e83768ae"),
+    ("h_cov_source", "rw_closeness-lazy"): (0, "fdd8740300cf81adb4f5037d43ba538b0b8a17bc4524e284f1a27128af2d78bd"),
+    ("h_cov_base", "rw_closeness-lazy"): (0, "615b54dde4f6032472275b71b91a09c5c1c307f77407bb74b9520058d607c9cc"),
+    ("h_a", "rw_closeness-zero"): (0, "0ae5592ec2ec14199c1c2eacf8066cbe45a6e5fa54e2a09e490f3bac92b94b0c"),
+    ("h_tri_4", "rw_closeness-zero"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_circ_4", "rw_closeness-zero"): (0, "6d984c5488f22616c026a8a844b319d73355f9c8877e51efea6ecaed2eef537c"),
+    ("h_units", "rw_closeness-zero"): (0, "404f49e9896fc521f508860085af1a48244de7e4dc4e810297be52074ceec2a7"),
+    ("h_eq", "rw_closeness-zero"): (0, "48304d1ade23c04bfda82810e8a47b1b3017d8d8e21d47cc3be54cc6e46a0b22"),
+    ("h_cov_source", "rw_closeness-zero"): (0, "b201f5fc900abe7b941bf85c7982aa6c93d3713955510761e0539ec638eec983"),
+    ("h_cov_base", "rw_closeness-zero"): (0, "52ebc6aaca6607db5629d7e1036c9d2fad62ef8a2fd0126b7e8bb70ddc8a44de"),
 }
 
 
