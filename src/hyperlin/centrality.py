@@ -8,19 +8,19 @@ from math import lcm
 from operator import mul
 from typing import Mapping
 
-import numpy as np
-
 from .errors import (
     BadHorizonError,
     DisconnectedError,
     IsolatedVertexError,
     NoConvergenceError,
+    SingularError,
     TooFewEdgesError,
+    TooSmallError,
     UnknownLabelError,
     WeightDomainMismatchError,
 )
 from .hypergraph import Hypergraph, _dot_quote
-from .linalg import rat
+from .linalg import _integer_solve, rat
 from .randwalk import TransitionMatrix, hitting_times
 from .spectra import _coincidence
 from .structures import UnitDecomposition, units
@@ -152,19 +152,85 @@ def rw_closeness(tm: TransitionMatrix, self_time: str = "return") -> CentralityR
     over all starting vertices u (the target contributes its first-return
     time by default, or zero under self_time="zero"), and the centrality is
     |V| divided by that sum. Values are exact positive rationals.
+
+    Every target's sum comes from one integer Gauss-Jordan. With P = M / D,
+    deleting a reference state r leaves Id - P', and its inverse padded
+    with a zero row and column at r is a generalized inverse G of Id - P.
+    The mean first-passage identity for such a G (Kemeny and Snell, *Finite
+    Markov Chains*, 1960; Hunter, *Linear Algebra Appl.* 45, 1982) reads
+
+        E_u^v = g_u - g_v + (G[v][v] - G[u][v] + [u = v]) / pi_v,
+
+    where g = G 1 and pi is the stationary distribution, so the sum over u
+    needs only the row sums, column sums and diagonal of G. A chain that is
+    not irreducible falls back to one solve per target, which raises
+    UnreachableError.
+
+    Raises
+    ------
+    TooSmallError
+        Under self_time="zero" on a single state, whose sum is zero.
     """
+    if self_time not in ("return", "zero"):
+        raise ValueError("self_time must be 'return' or 'zero'")
     h = tm.source
     n = h.n_vertices
-    values: dict[str, object] = {}
-    for v in h.vertices:
-        times = hitting_times(tm, v, self_time=self_time)
-        total = sum(times.values(), Fraction(0))
-        values[v] = Fraction(n) / total
+    if n == 1 and self_time == "zero":
+        raise TooSmallError("a single state's summed hitting time is zero under self_time='zero'")
+    values = _closeness_from_one_inverse(tm, self_time) if n else None
+    if values is None:
+        values = {}
+        for v in h.vertices:
+            times = hitting_times(tm, v, self_time=self_time)
+            values[v] = Fraction(n) / sum(times.values(), Fraction(0))
     return CentralityReport(
         kind="rw_closeness",
         values=values,
         parameters={"policy": tm.policy.kind, "self_time": self_time},
     )
+
+
+def _closeness_from_one_inverse(tm: TransitionMatrix, self_time: str) -> dict[str, object] | None:
+    """``rw_closeness`` values from one inverse, or None for a chain that is not irreducible.
+
+    The reference state r is state 0. Gauss-Jordan on [D Id - M' | Id]
+    gives X over the last pivot d, so (Id - P')^-1 = D X / d, and the
+    stationary weights w are d at r and M[r] X elsewhere (pi = w / W with
+    W their sum). The chain is irreducible exactly when the solve is
+    regular and every weight has the sign of d. With X padded by zeros at
+    r, row sums R, column sums C and total T, the closeness of v is
+
+        n d w_v / (D (T - n R_v) w_v + (D (n X[v][v] - C_v) + b d) W),
+
+    where b is 1 when the target counts its return time and 0 otherwise.
+    """
+    m, scale = tm._numerators, tm._denominator
+    n = len(m)
+    a = [
+        [scale * (i == j) - m[i][j] for j in range(1, n)] + [int(i == j) for j in range(1, n)]
+        for i in range(1, n)
+    ]
+    try:
+        x, d = _integer_solve(a, n - 1)
+    except SingularError:
+        return None
+    columns = list(zip(*x))
+    weights = [d] + [sum(map(mul, m[0][1:], col)) for col in columns]
+    if any(w * d <= 0 for w in weights):
+        return None
+    total_weight = sum(weights)
+    row_sums = [0] + [sum(row) for row in x]
+    col_sums = [0] + [sum(col) for col in columns]
+    diagonal = [0] + [x[i][i] for i in range(n - 1)]
+    total = sum(row_sums)
+    back = d if self_time == "return" else 0
+    return {
+        v: Fraction(
+            n * d * w,
+            scale * (total - n * r) * w + (scale * (n * g - c) + back) * total_weight,
+        )
+        for v, w, r, c, g in zip(tm.states, weights, row_sums, col_sums, diagonal)
+    }
 
 
 def _integer_power_sums(m: list[list[int]], scale: int, horizon: int) -> list[list[int]]:
@@ -290,6 +356,8 @@ def perron_centrality(
             raise WeightDomainMismatchError("edge weights must cover exactly the hyperedges")
         if any(x <= 0 for x in weights.values()):
             raise WeightDomainMismatchError("edge weights must be positive")
+    import numpy as np  # on first use, so importing hyperlin does not load it
+
     n = h.n_vertices
     mat = np.array(_coincidence(h, weights), dtype=float)
     x = np.ones(n, dtype=float)

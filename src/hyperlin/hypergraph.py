@@ -188,7 +188,8 @@ class Hypergraph:
         """Parse the canonical JSON form; a repeated key anywhere is an error."""
         try:
             data = json.loads(text, object_pairs_hook=_unique_keys)
-        except ValueError as exc:  # JSONDecodeError, or a number over the digit limit
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, a number over the digit limit, or nesting too deep to decode
             raise HypergraphSyntaxError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise HypergraphSyntaxError("top level must be an object")

@@ -290,16 +290,18 @@ def _fraction_free_reduce(a: list[list[int]], ncols: int) -> tuple[list[int], in
     return pivots, prev, sign
 
 
-def _integer_solve(a: list[list[int]], n: int) -> tuple[list[int], int]:
+def _integer_solve(a: list[list[int]], n: int) -> tuple[list[list[int]], int]:
     """Solve an n x n integer system given as augmented rows ``a`` (reduced in place).
 
-    Returns the solution's numerators and their common denominator.
-    Raises SingularError below full rank.
+    Every column after the first n is a right-hand side. Returns the
+    solution's numerators, one row per unknown with one entry per
+    right-hand side, and their common denominator. Raises SingularError
+    below full rank.
     """
     pivots, d, _ = _fraction_free_reduce(a, n)
     if len(pivots) < n:
         raise SingularError("matrix is singular")
-    return [row[n] for row in a], d
+    return [row[n:] for row in a], d
 
 
 def rref(m: RationalMatrix) -> RrefResult:
@@ -399,7 +401,7 @@ def solve(m: RationalMatrix, b: Mapping[str, RationalLike] | Sequence[RationalLi
             raise ValueError("right hand side length does not match")
     a = [_integer_row(row + (rhs[i],))[0] for i, row in enumerate(m.entries)]
     nums, d = _integer_solve(a, n)
-    return {lab: Fraction(x, d) for lab, x in zip(m.col_labels, nums)}
+    return {lab: Fraction(x, d) for lab, (x,) in zip(m.col_labels, nums)}
 
 
 def vector_support(x: Mapping[str, Fraction]) -> frozenset:

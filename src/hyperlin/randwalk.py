@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Union
 
 from .errors import (
     BadDistributionError,
@@ -30,6 +28,9 @@ from .errors import (
 from .hypergraph import Hypergraph
 from .linalg import RationalMatrix, _integer_row, _integer_solve, rat
 from .structures import _check_disjoint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WalkPolicy",
@@ -288,7 +289,8 @@ def hitting_times(
     if missing:
         raise UnreachableError(f"states cannot reach {target!r}: {missing}")
     a = [[d * (i == j) - m[i][j] for j in others] + [d] for i in others]
-    nums, last = _integer_solve(a, len(others))
+    sol, last = _integer_solve(a, len(others))
+    nums = [row[0] for row in sol]
     out = {tm.states[i]: Fraction(x, last) for i, x in zip(others, nums)}
     if self_time == "zero":
         out[target] = Fraction(0)
@@ -460,25 +462,31 @@ class SimulationResult:
 #: Trajectories stepped together; bounds the simulator's working arrays.
 _BLOCK = 4096
 
-_U64_GAMMA, _U64_MIX_A, _U64_MIX_B = (np.uint64(c) for c in (_GAMMA, _MIX_A, _MIX_B))
+# numpy is imported on first use, so importing hyperlin does not load it.
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """``_mix64`` of every entry; uint64 array arithmetic wraps mod 2^64."""
-    z = (z ^ (z >> np.uint64(30))) * _U64_MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _U64_MIX_B
+    import numpy as np
+
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
     return z ^ (z >> np.uint64(31))
 
 
 def _trajectory_generators(seed: int, start: int, count: int) -> np.ndarray:
     """Generator states ``trajectory_seed(seed, i)`` for i in start .. start+count-1."""
-    offsets = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _U64_GAMMA
+    import numpy as np
+
+    offsets = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     return _mix64_array(offsets + np.uint64(seed & _MASK64))
 
 
 def _next_draws(generators: np.ndarray) -> np.ndarray:
     """Advance every generator in place and return its ``next_u64`` output."""
-    generators += _U64_GAMMA
+    import numpy as np
+
+    generators += np.uint64(_GAMMA)
     return _mix64_array(generators)
 
 
@@ -490,6 +498,8 @@ def _threshold_table(
     Each threshold is bound - 1, so a bound of exactly 2^64 fits, and
     u > bound - 1 is u >= bound; padding is 2^64 - 1, which no draw exceeds.
     """
+    import numpy as np
+
     width = max(len(bounds) for bounds, _ in tables)
     thresholds = np.full((len(tables), width), _MASK64, dtype=np.uint64)
     targets = np.zeros((len(tables), width), dtype=np.intp)
@@ -525,6 +535,8 @@ def simulate(
     array entry; the draws and the tables (first-hit keys in order of first
     occurrence by trajectory) equal those of one trajectory at a time.
     """
+    import numpy as np
+
     if steps < 0:
         raise BadHorizonError("steps must be nonnegative")
     if trajectories < 1:

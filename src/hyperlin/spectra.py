@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     InvalidCertificateError,
     IsolatedVertexError,
@@ -277,6 +275,8 @@ def eigenvalues_sym(
     ------
     NotSquareError, NotSymmetrizableError
     """
+    import numpy as np  # on first use, so importing hyperlin does not load it
+
     if not m.is_square:
         raise NotSquareError("eigenvalues need a square matrix")
     group_tol = 10.0 * tol

@@ -1,7 +1,8 @@
 """Reference implementations in plain Fraction arithmetic.
 
 These are the straightforward loops the library's integer kernel replaced,
-plus the one-trajectory-at-a-time simulator the block simulator replaced.
+plus the one-trajectory-at-a-time simulator the block simulator replaced
+and the one-solve-per-target closeness that one inverse replaced.
 They are slow and obviously correct, and the kernel tests require the
 library to agree with them exactly.
 """
@@ -180,6 +181,19 @@ def hitting_times(p: list[list[Fraction]], target: int, self_time: str) -> list[
     else:
         h[target] = 1 + sum((p[target][i] * h[i] for i in others), Fraction(0))
     return [h[i] for i in range(len(p))]
+
+
+def rw_closeness(p: list[list[Fraction]], self_time: str) -> list[Fraction] | None:
+    """State count over each target's summed hitting times, one solve per
+    target, or None when some target is unreachable from some state."""
+    n = len(p)
+    out = []
+    for target in range(n):
+        times = hitting_times(p, target, self_time)
+        if times is None:
+            return None
+        out.append(Fraction(n) / sum(times, Fraction(0)))
+    return out
 
 
 def equal_edge_partitions(h, max_support: int) -> list[tuple[frozenset, frozenset]]:

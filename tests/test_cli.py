@@ -1,8 +1,11 @@
 """Command line behavior: reports, formats, resolution, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +212,29 @@ def test_exit_one_on_a_number_over_the_digit_limit(capsys, tmp_path):
     assert out == ""
 
 
+def python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's hyperlin."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
+
+
+def test_exit_one_without_traceback_on_nesting_too_deep_to_decode(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"vertices": [], "hyperedges": {}, "x": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    proc = python("-m", "hyperlin.cli", "units", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error: HypergraphSyntaxError: invalid JSON")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_importing_the_package_and_cli_leaves_numpy_unloaded():
+    code = "import sys, hyperlin, hyperlin.cli; print('numpy' in sys.modules)"
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @no_digit_limit
 def test_exact_values_print_past_the_digit_limit(pack, capsys):
     limit = sys.get_int_max_str_digits()
@@ -302,6 +328,20 @@ def test_centrality_kinds_all_run(pack, capsys, kind):
     assert code == 0
     results = json.loads(out)["results"]
     assert set(results["values"]) == {str(i) for i in range(1, 12)}
+
+
+def test_exit_two_on_rw_closeness_of_one_vertex_under_zero_self_time(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text('{"vertices": ["a"], "hyperedges": {"e": ["a"]}}', encoding="utf-8")
+    code, out, err = run(capsys, "centrality", str(path), "--kind", "rw_closeness", "--policy", "lazy")
+    assert code == 0
+    assert json.loads(out)["results"]["values"] == {"a": "1"}
+    code, out, err = run(
+        capsys, "centrality", str(path), "--kind", "rw_closeness", "--policy", "lazy", "--self-time", "zero"
+    )
+    assert code == 2
+    assert err.startswith("precondition failed: TooSmallError:")
+    assert out == ""
 
 
 def test_dot_export_is_plain_graphviz(pack, capsys):

@@ -1,0 +1,156 @@
+"""Random-walk closeness from one inverse equals one solve per target.
+
+``rw_closeness`` sums every target's hitting times from a single integer
+Gauss-Jordan. These tests compare it, values and key order, with the
+Fraction oracle built from per-target hitting times on generated lazy,
+non-lazy and custom kernels, and check that chains which are not
+irreducible (the solve is singular, or a stationary weight is not
+positive) fall back to the per-target solves and raise their
+``UnreachableError`` unchanged. None of the checks is an ``assert`` inside
+the library, so they also hold under ``python -O``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+import fraction_oracles as oracle
+from conftest import random_hypergraph
+from hyperlin import Hypergraph, WalkPolicy, centrality, hitting_times, rw_closeness, transition_matrix
+from hyperlin.errors import TooSmallError, UnreachableError
+from hyperlin import fixtures as fx
+from test_kernel import KERNEL, UNEQUAL_TM, kernels
+
+SELF_TIMES = ["return", "zero"]
+
+
+def _per_target_error(tm, self_time) -> str:
+    """The message of the first UnreachableError of the per-target solves."""
+    for v in tm.states:
+        try:
+            hitting_times(tm, v, self_time=self_time)
+        except UnreachableError as exc:
+            return str(exc)
+    raise AssertionError("every target is reachable")
+
+
+def _assert_matches_oracle(tm, self_time):
+    expected = oracle.rw_closeness([list(r) for r in tm.matrix.entries], self_time)
+    if expected is None:
+        with pytest.raises(UnreachableError) as info:
+            rw_closeness(tm, self_time)
+        assert str(info.value) == _per_target_error(tm, self_time)
+    else:
+        rep = rw_closeness(tm, self_time)
+        assert list(rep.values.items()) == list(zip(tm.states, expected))
+        assert rep.parameters == {"policy": tm.policy.kind, "self_time": self_time}
+
+
+def _weighted(h: Hypergraph, edge_w: dict, vertex_w: dict) -> WalkPolicy:
+    """A custom policy from nonnegative integer weights; missing ones are zero."""
+
+    def edge_rule(u, e):
+        return Fraction(edge_w.get((u, e), 1), sum(edge_w.get((u, x), 1) for x in h.star(u)))
+
+    def vertex_rule(u, e, v):
+        total = sum(vertex_w.get((u, e, x), 0) for x in h.members(e))
+        return Fraction(vertex_w.get((u, e, v), 0), total)
+
+    return WalkPolicy.custom(edge_rule, vertex_rule)
+
+
+PATH = Hypergraph.from_members([("e0", ["a", "b"]), ("e1", ["b", "c"])])
+#: c keeps the walk once it arrives; with a as the reference state the
+#: inverse over {b, c} is singular.
+ABSORBED_AT_C = transition_matrix(
+    PATH,
+    _weighted(
+        PATH,
+        {},
+        {("a", "e0", "b"): 1, ("b", "e0", "a"): 1, ("b", "e1", "c"): 1, ("c", "e1", "c"): 1},
+    ),
+)
+#: a keeps the walk once it arrives; with a as the reference state the
+#: solve is regular, but no weight reaches b or c from a.
+ABSORBED_AT_A = transition_matrix(
+    PATH,
+    _weighted(
+        PATH,
+        {},
+        {("a", "e0", "a"): 1, ("b", "e0", "a"): 1, ("b", "e1", "c"): 1, ("c", "e1", "b"): 1},
+    ),
+)
+ONE_VERTEX = transition_matrix(
+    Hypergraph.from_members([("e", ["a"])]), WalkPolicy.uniform_lazy()
+)
+TWO_COMPONENTS = transition_matrix(
+    Hypergraph.from_members([("e0", ["a", "b"]), ("e1", ["c", "d"])]), WalkPolicy.uniform_lazy()
+)
+
+
+@KERNEL
+@given(kernels(), st.sampled_from(SELF_TIMES))
+@example(UNEQUAL_TM, "return")
+@example(UNEQUAL_TM, "zero")
+@example(ONE_VERTEX, "return")
+def test_rw_closeness_matches_per_target_fraction_solves(tm, self_time):
+    if len(tm.states) == 1 and self_time == "zero":
+        with pytest.raises(TooSmallError):
+            rw_closeness(tm, self_time)
+    else:
+        _assert_matches_oracle(tm, self_time)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("self_time", SELF_TIMES)
+def test_rw_closeness_matches_per_target_solves_on_larger_hypergraphs(seed, self_time):
+    h = random_hypergraph(random.Random(seed), max_vertices=14, max_edges=14)
+    covered = [v for v in h.vertices if h.degree(v)]
+    h = Hypergraph.from_members(list(h.hyperedges), vertices=covered)
+    tm = transition_matrix(h, WalkPolicy.uniform_lazy())
+    _assert_matches_oracle(tm, self_time)
+
+
+def test_a_single_lazy_vertex_returns_in_one_step():
+    assert rw_closeness(ONE_VERTEX).values == {"a": Fraction(1)}
+    with pytest.raises(TooSmallError):
+        rw_closeness(ONE_VERTEX, "zero")
+
+
+@pytest.mark.parametrize("tm", [TWO_COMPONENTS, ABSORBED_AT_C, ABSORBED_AT_A])
+@pytest.mark.parametrize("self_time", SELF_TIMES)
+def test_chains_that_are_not_irreducible_raise_the_per_target_error(tm, self_time):
+    with pytest.raises(UnreachableError) as info:
+        rw_closeness(tm, self_time)
+    assert str(info.value) == _per_target_error(tm, self_time)
+
+
+def test_both_fallback_guards_are_reached():
+    # singular solve, and a regular solve with a zero stationary weight
+    assert centrality._closeness_from_one_inverse(ABSORBED_AT_C, "return") is None
+    assert centrality._closeness_from_one_inverse(ABSORBED_AT_A, "return") is None
+
+
+@pytest.mark.parametrize("policy", [WalkPolicy.uniform_nonlazy(), WalkPolicy.uniform_lazy()])
+def test_irreducible_chains_take_no_per_target_solve(monkeypatch, policy):
+    h = fx.unit_blocks()
+    tm = transition_matrix(h, policy)
+    want = [rw_closeness(tm, s).values for s in SELF_TIMES]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-target solve on an irreducible chain")
+
+    monkeypatch.setattr(centrality, "hitting_times", refuse)
+    assert [rw_closeness(tm, s).values for s in SELF_TIMES] == want
+    monkeypatch.undo()
+    n = h.n_vertices
+    for s, values in zip(SELF_TIMES, want):
+        sums = {v: sum(hitting_times(tm, v, self_time=s).values(), Fraction(0)) for v in h.vertices}
+        assert values == {v: Fraction(n) / sums[v] for v in h.vertices}
+
+
+def test_unknown_self_time_is_rejected():
+    with pytest.raises(ValueError, match="self_time"):
+        rw_closeness(UNEQUAL_TM, "never")

@@ -72,6 +72,13 @@ def test_from_json_names_a_number_over_the_digit_limit():
         Hypergraph.from_json(text)
 
 
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"x": ', "}")])
+def test_from_json_names_nesting_too_deep_to_decode(opener, closer):
+    text = '{"vertices": [], "hyperedges": {}, "x": ' + opener * 100_000 + "1" + closer * 100_000 + "}"
+    with pytest.raises(HypergraphSyntaxError, match="invalid JSON"):
+        Hypergraph.from_json(text)
+
+
 def test_from_json_rejects_repeated_hyperedge_key():
     text = '{"vertices": ["1", "2", "3"], "hyperedges": {"e1": ["1", "2"], "e1": ["2", "3"]}}'
     with pytest.raises(HypergraphSyntaxError, match="'e1'"):
