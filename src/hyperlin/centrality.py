@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from operator import mul
 from typing import Mapping
 
@@ -48,28 +48,31 @@ class GraphProjection:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     decomposition: UnitDecomposition
+    _adjacency: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        adjacency: dict[str, list[str]] = {node: [] for node in self.nodes}
+        for a, b in self.edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        object.__setattr__(self, "_adjacency", adjacency)
 
     def neighbors(self, node: str) -> tuple[str, ...]:
-        if node not in self.nodes:
+        """Adjacent nodes, in the order of ``edges``."""
+        if node not in self._adjacency:
             raise UnknownLabelError(f"no projection node {node!r}")
-        out = []
-        for a, b in self.edges:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return tuple(out)
+        return tuple(self._adjacency[node])
 
     def distances_from(self, node: str) -> dict[str, int]:
         """Breadth-first hop counts; unreachable nodes are absent."""
         dist = {node: 0}
-        if node not in self.nodes:
+        if node not in self._adjacency:
             raise UnknownLabelError(f"no projection node {node!r}")
         frontier = [node]
         while frontier:
             nxt = []
             for x in frontier:
-                for y in self.neighbors(x):
+                for y in self._adjacency[x]:
                     if y not in dist:
                         dist[y] = dist[x] + 1
                         nxt.append(y)
@@ -288,6 +291,17 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
     )
 
 
+def _unit_distances(h: Hypergraph) -> tuple[UnitDecomposition, dict[str, dict[str, int]]]:
+    """The units of ``h`` and the hop distances from each, keyed by unit label.
+
+    Raises DisconnectedError unless the graph projection is connected.
+    """
+    proj = graph_projection(h)
+    if not proj.is_connected():
+        raise DisconnectedError("the graph projection is not connected")
+    return proj.decomposition, {lab: proj.distances_from(lab) for lab in proj.nodes}
+
+
 def unit_closeness(h: Hypergraph) -> CentralityReport:
     """Closeness under the unit pseudometric: inverse summed distance.
 
@@ -297,32 +311,22 @@ def unit_closeness(h: Hypergraph) -> CentralityReport:
     """
     if h.n_hyperedges < 2:
         raise TooFewEdgesError("unit closeness needs at least two hyperedges")
-    proj = graph_projection(h)
-    if not proj.is_connected():
-        raise DisconnectedError("the graph projection is not connected")
-    sizes = {u.label: u.size for u in proj.decomposition.units}
+    decomp, dist = _unit_distances(h)
+    sizes = {u.label: u.size for u in decomp.units}
     values: dict[str, object] = {}
-    for unit in proj.decomposition.units:
-        dist = proj.distances_from(unit.label)
-        total = sum(sizes[lab] * d for lab, d in dist.items())
-        score = Fraction(1, total)
-        for v in unit.members:
-            values[v] = score
+    for unit in decomp.units:
+        total = sum(sizes[lab] * d for lab, d in dist[unit.label].items())
+        values.update(dict.fromkeys(unit.members, Fraction(1, total)))
     values = {v: values[v] for v in h.vertices}
     return CentralityReport(kind="unit_closeness", values=values, parameters={})
 
 
 def unit_eccentricity(h: Hypergraph) -> CentralityReport:
     """Largest unit distance from each vertex; zero when only one unit exists."""
-    proj = graph_projection(h)
-    if not proj.is_connected():
-        raise DisconnectedError("the graph projection is not connected")
+    decomp, dist = _unit_distances(h)
     values: dict[str, object] = {}
-    for unit in proj.decomposition.units:
-        dist = proj.distances_from(unit.label)
-        ecc = max(dist.values())
-        for v in unit.members:
-            values[v] = ecc
+    for unit in decomp.units:
+        values.update(dict.fromkeys(unit.members, max(dist[unit.label].values())))
     values = {v: values[v] for v in h.vertices}
     return CentralityReport(kind="unit_eccentricity", values=values, parameters={})
 
@@ -341,8 +345,10 @@ def perron_centrality(
     Iteration stops when successive normalized iterates differ by less than
     ``tol`` in max norm (``PERRON_MAX_ITERATIONS`` at most); the Rayleigh
     quotient estimates the spectral radius, and the final residual must
-    stay below 100 * tol.
+    stay below 100 * tol; ``tol`` must be finite and positive.
     """
+    if not 0 < tol < inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if not h.is_connected():
         raise DisconnectedError("the coincidence matrix needs a connected hypergraph")
     for v in h.vertices:

@@ -235,6 +235,8 @@ def cmd_walk(args, h: Hypergraph) -> tuple[dict, dict]:
 
 
 def cmd_hitting(args, h: Hypergraph) -> tuple[dict, dict]:
+    if (args.start is None) != (args.horizon is None):
+        raise ValueError("a first-hit law needs both --start and --horizon")
     tm = transition_matrix(h, _policy(args.policy))
     params = {
         "policy": args.policy,
@@ -243,7 +245,7 @@ def cmd_hitting(args, h: Hypergraph) -> tuple[dict, dict]:
     }
     times = hitting_times(tm, args.target, self_time=args.self_time)
     results = {"target": args.target, "times": times}
-    if args.start is not None and args.horizon is not None:
+    if args.start is not None:
         params.update({"start": args.start, "horizon": args.horizon})
         dist = first_hit_probabilities(tm, args.target, args.horizon, args.start)
         results["first_hit_distribution"] = dist

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
 from .errors import (
     BadDistributionError,
@@ -349,8 +350,9 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
+def _mix64(z: int | np.ndarray) -> int | np.ndarray:
+    """SplitMix64's output mix of an int below 2^64, or of each entry of a numpy
+    uint64 array (whose arithmetic wraps mod 2^64, so the masks change nothing)."""
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)
@@ -361,50 +363,29 @@ class SplitMix64:
 
     This is the standard generator (Steele, Lea, Flood 2014). With the same
     seed any implementation produces the same uint64 stream, which is what
-    makes simulations comparable across runtimes.
+    makes simulations comparable across runtimes. Seeded with a numpy
+    uint64 array, it steps one generator per entry.
     """
 
     __slots__ = ("_state",)
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int | np.ndarray) -> None:
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
+    def next_u64(self) -> int | np.ndarray:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix64(self._state)
 
 
-def trajectory_seed(seed: int, index: int) -> int:
+def trajectory_seed(seed: int, index: int | np.ndarray) -> int | np.ndarray:
     """Seed for trajectory ``index``: output index+1 of SplitMix64(seed).
 
-    Equivalent closed form: mix64(seed + (index + 1) * gamma). Seeding each
-    trajectory with a mixed output (rather than a raw offset) keeps the
-    per-trajectory streams from overlapping.
+    Equivalent closed form: mix64(seed + (index + 1) * gamma), for an int
+    index or each entry of a uint64 index array. Seeding each trajectory
+    with a mixed output (rather than a raw offset) keeps the per-trajectory
+    streams from overlapping.
     """
-    return _mix64((seed + (index + 1) * _GAMMA) & _MASK64)
-
-
-def _cumulative_table(
-    labels: tuple[str, ...], probs: Mapping[str, Fraction]
-) -> tuple[list[int], list[int]]:
-    """Integer thresholds for exact sampling with 64-bit draws.
-
-    State k is chosen when the draw u satisfies u < ceil(c_k * 2^64), where
-    c_k is the cumulative probability through k. Comparing against the
-    ceiling is exact for integer draws; zero-probability states are skipped.
-    """
-    bounds: list[int] = []
-    states: list[int] = []
-    cum = Fraction(0)
-    for i, lab in enumerate(labels):
-        p = probs.get(lab, Fraction(0))
-        if p == 0:
-            continue
-        cum += p
-        boundary = -((-cum.numerator << 64) // cum.denominator)
-        bounds.append(boundary)
-        states.append(i)
-    return bounds, states
+    return _mix64(((seed & _MASK64) + (index + 1) * _GAMMA) & _MASK64)
 
 
 @dataclass
@@ -465,46 +446,26 @@ _BLOCK = 4096
 # numpy is imported on first use, so importing hyperlin does not load it.
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """``_mix64`` of every entry; uint64 array arithmetic wraps mod 2^64."""
-    import numpy as np
-
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
-
-
-def _trajectory_generators(seed: int, start: int, count: int) -> np.ndarray:
-    """Generator states ``trajectory_seed(seed, i)`` for i in start .. start+count-1."""
-    import numpy as np
-
-    offsets = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    return _mix64_array(offsets + np.uint64(seed & _MASK64))
-
-
-def _next_draws(generators: np.ndarray) -> np.ndarray:
-    """Advance every generator in place and return its ``next_u64`` output."""
-    import numpy as np
-
-    generators += np.uint64(_GAMMA)
-    return _mix64_array(generators)
-
-
 def _threshold_table(
-    tables: list[tuple[list[int], list[int]]]
+    rows: Sequence[Sequence[int]], denominator: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pad cumulative tables into uint64 thresholds and the states they lead to.
+    """Integer thresholds for exact sampling with 64-bit draws, one row per mass row.
 
-    Each threshold is bound - 1, so a bound of exactly 2^64 fits, and
-    u > bound - 1 is u >= bound; padding is 2^64 - 1, which no draw exceeds.
+    Over its nonzero masses, row r leads to state k when the draw u satisfies
+    u < ceil(c_k * 2^64 / denominator), c_k the masses summed through k; that
+    is exact for integer draws. Each threshold is that bound - 1, so a bound
+    of exactly 2^64 fits and u > bound - 1 is u >= bound; padding is
+    2^64 - 1, which no draw exceeds.
     """
     import numpy as np
 
-    width = max(len(bounds) for bounds, _ in tables)
-    thresholds = np.full((len(tables), width), _MASK64, dtype=np.uint64)
-    targets = np.zeros((len(tables), width), dtype=np.intp)
-    for r, (bounds, states) in enumerate(tables):
-        thresholds[r, : len(bounds)] = [b - 1 for b in bounds]
+    width = max(sum(map(bool, row)) for row in rows)
+    thresholds = np.full((len(rows), width), _MASK64, dtype=np.uint64)
+    targets = np.zeros((len(rows), width), dtype=np.intp)
+    for r, row in enumerate(rows):
+        states = [i for i, x in enumerate(row) if x]
+        cums = accumulate(row[i] for i in states)
+        thresholds[r, : len(states)] = [-((-c << 64) // denominator) - 1 for c in cums]
         targets[r, : len(states)] = states
     return thresholds, targets
 
@@ -541,24 +502,24 @@ def simulate(
         raise BadHorizonError("steps must be nonnegative")
     if trajectories < 1:
         raise BadHorizonError("need at least one trajectory")
-    dist = _as_distribution(tm, init)
+    masses, denom = _integer_row(list(_as_distribution(tm, init).values()))
     states = tm.states
     n = len(states)
-    init_table = _threshold_table([_cumulative_table(states, dist)])
-    row_table = _threshold_table([_cumulative_table(states, tm.matrix.row(u)) for u in states])
+    init_table = _threshold_table([masses], denom)
+    row_table = _threshold_table(tm._numerators, tm._denominator)
     visits = np.zeros(n, dtype=np.int64)
     first_hits: list[dict[int, int]] = [dict() for _ in states]
     for start in range(0, trajectories, _BLOCK):
         size = min(_BLOCK, trajectories - start)
-        generators = _trajectory_generators(seed, start, size)
-        cur = _choose(_next_draws(generators), np.zeros(size, dtype=np.intp), *init_table)
+        rng = SplitMix64(trajectory_seed(seed, np.arange(start, start + size, dtype=np.uint64)))
+        cur = _choose(rng.next_u64(), np.zeros(size, dtype=np.intp), *init_table)
         visits += np.bincount(cur, minlength=n)
         # first[i, v]: the step trajectory i first reached v; 0 while it has not
         first = np.zeros((size, n), dtype=np.int64)
         cells = first.reshape(-1)
         base = np.arange(size) * n
         for t in range(1, steps + 1):
-            cur = _choose(_next_draws(generators), cur, *row_table)
+            cur = _choose(rng.next_u64(), cur, *row_table)
             visits += np.bincount(cur, minlength=n)
             idx = base + cur
             cells[idx[cells[idx] == 0]] = t

@@ -269,12 +269,14 @@ def eigenvalues_sym(
     ----------
     tol : float
         Eigenvalues whose successive gaps stay within 10 * tol are grouped
-        into one value with a multiplicity.
+        into one value with a multiplicity; it must be finite and positive.
 
     Raises
     ------
-    NotSquareError, NotSymmetrizableError
+    ValueError, NotSquareError, NotSymmetrizableError
     """
+    if not 0 < tol < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     import numpy as np  # on first use, so importing hyperlin does not load it
 
     if not m.is_square:

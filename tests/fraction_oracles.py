@@ -12,12 +12,12 @@ from __future__ import annotations
 import bisect
 import itertools
 from fractions import Fraction
+from typing import Mapping
 
 from hyperlin.randwalk import (
     SimulationResult,
     SplitMix64,
     _as_distribution,
-    _cumulative_table,
     trajectory_seed,
 )
 
@@ -229,6 +229,29 @@ def equal_edge_partitions(h, max_support: int) -> list[tuple[frozenset, frozense
         )
     )
     return results
+
+
+def _cumulative_table(
+    labels: tuple[str, ...], probs: Mapping[str, Fraction]
+) -> tuple[list[int], list[int]]:
+    """Integer thresholds for exact sampling with 64-bit draws.
+
+    State k is chosen when the draw u satisfies u < ceil(c_k * 2^64), where
+    c_k is the cumulative probability through k. Comparing against the
+    ceiling is exact for integer draws; zero-probability states are skipped.
+    """
+    bounds: list[int] = []
+    states: list[int] = []
+    cum = Fraction(0)
+    for i, lab in enumerate(labels):
+        p = probs.get(lab, Fraction(0))
+        if p == 0:
+            continue
+        cum += p
+        boundary = -((-cum.numerator << 64) // cum.denominator)
+        bounds.append(boundary)
+        states.append(i)
+    return bounds, states
 
 
 def simulate(tm, init, steps: int, trajectories: int, seed: int) -> SimulationResult:

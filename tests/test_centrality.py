@@ -1,5 +1,6 @@
 """Centralities: walk-based, projection-based, and spectral."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from hyperlin.errors import (
 )
 from hyperlin.spectra import build_Q, unit_weights
 from hyperlin import fixtures as fx
+from conftest import random_hypergraph
 
 
 def _path():
@@ -55,6 +57,48 @@ def test_projection_adjacency_requires_a_common_hyperedge():
     # {1,2} and {8,9} never sit inside one hyperedge together
     assert ("{1,2}", "{8,9}") not in gp.edges
     assert ("{8,9}", "{1,2}") not in gp.edges
+
+
+def _scan_distances(gp, node):
+    """Hop counts with each node's neighbours found by scanning every edge."""
+    dist, frontier = {node: 0}, [node]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in (b if a == x else a for a, b in gp.edges if x in (a, b)):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize(
+    "h",
+    [fx.unit_blocks(), fx.hub_cycle(), fx.balanced_overlap(), fx.nested_chain(5)]
+    + [random_hypergraph(random.Random(seed), density=0.5) for seed in range(40)],
+)
+def test_projection_neighbors_and_unit_centralities_follow_the_edge_scan(h):
+    gp = graph_projection(h)
+    for node in gp.nodes:
+        scanned = tuple(b if a == node else a for a, b in gp.edges if node in (a, b))
+        assert gp.neighbors(node) == scanned
+        assert list(gp.distances_from(node).items()) == list(_scan_distances(gp, node).items())
+    table = {lab: _scan_distances(gp, lab) for lab in gp.nodes}
+    if any(len(dist) < len(gp.nodes) for dist in table.values()):
+        with pytest.raises(DisconnectedError):
+            unit_eccentricity(h)
+        return
+    sizes = {u.label: u.size for u in gp.decomposition.units}
+    dist_of = {v: table[gp.decomposition.unit_of(v).label] for v in h.vertices}
+    eccentricity = unit_eccentricity(h).values
+    assert list(eccentricity.items()) == [(v, max(dist_of[v].values())) for v in h.vertices]
+    if h.n_hyperedges >= 2:
+        closeness = unit_closeness(h).values
+        assert list(closeness.items()) == [
+            (v, Fraction(1, sum(sizes[lab] * d for lab, d in dist_of[v].items())))
+            for v in h.vertices
+        ]
 
 
 def test_unit_distance():
@@ -144,6 +188,12 @@ def test_perron_constant_on_units():
         vals = [rep.values[v] for v in u.members]
         assert max(vals) - min(vals) < 1e-10
     assert all(v > 0 for v in rep.values.values())
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_perron_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        perron_centrality(_path(), tol=tol)
 
 
 def test_perron_requires_connectivity():

@@ -315,6 +315,31 @@ def test_hitting_report_with_first_hit_distribution(pack, capsys):
     assert len(results["first_hit_distribution"]) == 4
 
 
+@pytest.mark.parametrize("half", [["--start", "1"], ["--horizon", "5"]])
+def test_exit_two_on_a_half_given_first_hit_request(pack, capsys, half):
+    code, out, err = run(capsys, "hitting", str(pack / "h_a.json"), "--target", "5", *half)
+    assert code == 2
+    assert err.startswith("precondition failed: ValueError:")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectra", "h_a.json", "--matrix", "Q"],
+        ["spectra", "h_units.json", "--matrix", "Q"],
+        ["centrality", "h_units.json", "--kind", "perron"],
+    ],
+)
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_exit_two_on_a_tolerance_that_is_not_finite_and_positive(pack, capsys, argv, tol):
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, str(pack / name), *rest, "--tol", tol)
+    assert code == 2
+    assert err.startswith("precondition failed: ValueError: tol must be finite and positive")
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "kind",
     ["rw_closeness", "rw_betweenness", "unit_closeness", "unit_eccentricity", "perron"],

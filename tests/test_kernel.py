@@ -15,6 +15,7 @@ order included.
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -311,10 +312,10 @@ def test_simulate_crosses_the_default_block():
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS + [12345])
 def test_block_draws_equal_the_reference_generator(seed):
-    generators = randwalk._trajectory_generators(seed, 3, 5)
+    block = SplitMix64(trajectory_seed(seed, np.arange(3, 8, dtype=np.uint64)))
     rngs = [SplitMix64(trajectory_seed(seed, i)) for i in range(3, 8)]
     for _ in range(4):
-        assert randwalk._next_draws(generators).tolist() == [r.next_u64() for r in rngs]
+        assert block.next_u64().tolist() == [r.next_u64() for r in rngs]
 
 
 @pytest.mark.parametrize("past", [0, 1])

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperlin import (
@@ -22,8 +23,9 @@ from hyperlin.errors import (
     SingletonEdgeNonLazyError,
     UnreachableError,
 )
-from hyperlin.randwalk import SplitMix64, _cumulative_table, trajectory_seed
+from hyperlin.randwalk import SplitMix64, _threshold_table, trajectory_seed
 from hyperlin import fixtures as fx
+from fraction_oracles import _cumulative_table
 
 
 def _triangle():
@@ -213,18 +215,44 @@ def test_splitmix64_reference_stream():
     ]
 
 
+def test_splitmix64_steps_a_uint64_block_like_the_reference():
+    g = SplitMix64(np.zeros(2, dtype=np.uint64))
+    firsts = g.next_u64()
+    assert firsts.dtype == np.uint64
+    assert firsts.tolist() == [0xE220A8397B1DCDAF] * 2
+    assert g.next_u64().tolist() == [0x6E789E6AA1B965F4] * 2
+    assert g.next_u64().tolist() == [0x06C45D188009454F] * 2
+
+
 def test_trajectory_seeds_are_distinct():
     seeds = {trajectory_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000
 
 
+@pytest.mark.parametrize("seed", [42, -1, 2**64 + 7])
+def test_trajectory_seed_is_the_reference_output(seed):
+    rng = SplitMix64(seed)
+    assert [trajectory_seed(seed, i) for i in range(3)] == [rng.next_u64() for _ in range(3)]
+
+
 def test_cumulative_table_thresholds():
+    """The oracle's Fraction bounds, less one, are the simulator's integer thresholds."""
     labels = ("a", "b", "c")
     probs = {"a": Fraction(0), "b": Fraction(1, 2), "c": Fraction(1, 2)}
-    boundaries, _ = _cumulative_table(labels, probs)
-    assert boundaries[-1] == 2 ** 64
+    boundaries, states = _cumulative_table(labels, probs)
+    assert boundaries == [2**63, 2**64]
     # a zero-probability label never owns a slice of the integer range
-    assert len(boundaries) == 2
+    assert states == [1, 2]
+    thresholds, targets = _threshold_table([[0, 1, 1]], 2)
+    assert thresholds.tolist() == [[2**63 - 1, 2**64 - 1]]
+    assert targets.tolist() == [[1, 2]]
+
+
+def test_threshold_table_rounds_up_and_pads():
+    thresholds, targets = _threshold_table([[1, 2, 0], [0, 0, 3]], 3)
+    # ceil(2^64 / 3) - 1, then 2^64 - 1; the one-state row is padded with 2^64 - 1
+    assert thresholds.tolist() == [[2**64 // 3, 2**64 - 1], [2**64 - 1, 2**64 - 1]]
+    assert targets.tolist() == [[0, 1], [2, 0]]
 
 
 def test_simulation_is_deterministic_and_consistent():

@@ -132,6 +132,12 @@ def test_eigenvalues_sym_rejects_unsymmetrizable_input():
         eigenvalues_sym(m)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_eigenvalues_sym_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        eigenvalues_sym(RationalMatrix.from_rows(["a", "b"], ["a", "b"], [[1, 0], [0, 1]]), tol=tol)
+
+
 def test_spectrum_symmetric_about_zero_for_incidence_graph():
     spec = hypergraph_spectrum(fx.hub_cycle(), "A_GH")
     vals = sorted(spec.values())

@@ -24,6 +24,7 @@ from hyperlin.errors import (
     NotCardinalityPreservingError,
     NotDisjointError,
     NotInNullspaceError,
+    OverlapError,
     UnknownLabelError,
 )
 from hyperlin.hypergraph import incidence_graph_adjacency, incidence_matrix
@@ -36,6 +37,7 @@ from hyperlin.structures import (
     ProjectionClass,
     VERTEX_AXIS,
     partition_certificate,
+    verify_star_partition,
     vertex_pair_certificate,
 )
 from hyperlin import fixtures as fx
@@ -291,6 +293,37 @@ def test_equal_star_partition_on_edge_sets():
     assert table["5"] == (2, 2)
     bad, _ = verify_equal_star_partition(h, ["e1"], ["e2"])
     assert not bad
+
+
+def _star_pair():
+    return Hypergraph.from_members([("a", ["c", "p"]), ("b", ["c", "q"])], vertices=["c", "p", "q"])
+
+
+def test_star_partition_makes_the_center_row_the_sum_of_the_parts():
+    h = _star_pair()
+    assert verify_star_partition(h, "c", ["p", "q"])
+    cert = is_dependent_set(h, ["c", "p", "q"])
+    assert cert.coefficients == {"c": 1, "p": -1, "q": -1}
+
+
+def test_star_partition_fails_on_overlapping_stars_or_an_uncovered_edge():
+    overlap = Hypergraph.from_members([("a", ["c", "p", "q"]), ("b", ["c", "q"])])
+    assert not verify_star_partition(overlap, "c", ["p", "q"])
+    assert not verify_star_partition(_star_pair(), "c", ["p"])
+
+
+@pytest.mark.parametrize(
+    "center, parts, error",
+    [
+        ("c", ["p", "c"], OverlapError),
+        ("c", ["p", "p"], OverlapError),
+        ("c", ["p", "x"], UnknownLabelError),
+        ("x", ["p"], UnknownLabelError),
+    ],
+)
+def test_star_partition_rejects_bad_parts(center, parts, error):
+    with pytest.raises(error):
+        verify_star_partition(_star_pair(), center, parts)
 
 
 def test_covering_projection_classes():
