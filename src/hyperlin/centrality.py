@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 from operator import mul
 from typing import Mapping
 
 from .errors import (
-    BadHorizonError,
     DisconnectedError,
     IsolatedVertexError,
     NoConvergenceError,
@@ -21,8 +20,8 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, _dot_quote
 from .linalg import _integer_solve, rat
-from .randwalk import TransitionMatrix, hitting_times
-from .spectra import _coincidence
+from .randwalk import TransitionMatrix, _check_count, hitting_times
+from .spectra import _check_tol, _coincidence
 from .structures import UnitDecomposition, units
 
 __all__ = [
@@ -267,8 +266,7 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
     are summed as ints over one common denominator: the lcm of the nonzero
     total masses.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise BadHorizonError("horizon must be a positive integer")
+    _check_count(horizon, "horizon", 1)
     states = tm.states
     n = len(states)
     m, scale = tm._numerators, tm._denominator
@@ -347,8 +345,7 @@ def perron_centrality(
     quotient estimates the spectral radius, and the final residual must
     stay below 100 * tol; ``tol`` must be finite and positive.
     """
-    if not 0 < tol < inf:  # NaN fails both comparisons
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     if not h.is_connected():
         raise DisconnectedError("the coincidence matrix needs a connected hypergraph")
     for v in h.vertices:

@@ -40,6 +40,7 @@ from .randwalk import (
 )
 from .spectra import (
     _MATRIX_BUILDERS,
+    _check_tol,
     build_A_GH,
     hypergraph_spectrum,
     weight_scheme,
@@ -197,6 +198,7 @@ def cmd_partitions(args, h: Hypergraph) -> tuple[dict, dict]:
 
 
 def cmd_spectra(args, h: Hypergraph) -> tuple[dict, dict]:
+    _check_tol(args.tol)
     params = {"matrix": args.matrix, "weights": args.weights, "tol": args.tol}
     if args.det:
         params["det"] = True

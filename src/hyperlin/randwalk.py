@@ -220,6 +220,15 @@ def _as_distribution(tm: TransitionMatrix, init: Union[str, Mapping[str, Fractio
     return {v: dist.get(v, Fraction(0)) for v in tm.states}
 
 
+def _check_count(value: object, name: str, least: int) -> None:
+    """The one check of step counts, horizons and trajectory counts: raise
+    BadHorizonError unless ``value`` is an int, not a bool, of at least
+    ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise BadHorizonError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def _integer_walk(
     tm: TransitionMatrix,
     init: Union[str, Mapping[str, Fraction]],
@@ -249,8 +258,7 @@ def step_distribution(
     tm: TransitionMatrix, init: Union[str, Mapping[str, Fraction]], t: int
 ) -> dict[str, Fraction]:
     """Exact distribution after ``t`` steps from ``init`` (a state or a distribution)."""
-    if t < 0:
-        raise BadHorizonError("step count must be nonnegative")
+    _check_count(t, "step count", 0)
     masses, denom, _ = _integer_walk(tm, init, t)
     return {v: Fraction(x, denom) for v, x in zip(tm.states, masses)}
 
@@ -313,8 +321,7 @@ def first_hit_probabilities(
     so entry t is the probability that step t is the first visit (the first
     return, for mass starting on the target). The entries sum to at most 1.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise BadHorizonError("horizon must be a positive integer")
+    _check_count(horizon, "horizon", 1)
     if target not in tm._index:
         raise UnknownLabelError(f"unknown state {target!r}")
     return _integer_walk(tm, init, horizon, absorb=tm._index[target])[2]
@@ -377,13 +384,13 @@ class SplitMix64:
         return _mix64(self._state)
 
 
-def trajectory_seed(seed: int, index: int | np.ndarray) -> int | np.ndarray:
+def trajectory_seed(seed: int | np.ndarray, index: int | np.ndarray) -> int | np.ndarray:
     """Seed for trajectory ``index``: output index+1 of SplitMix64(seed).
 
     Equivalent closed form: mix64(seed + (index + 1) * gamma), for an int
-    index or each entry of a uint64 index array. Seeding each trajectory
-    with a mixed output (rather than a raw offset) keeps the per-trajectory
-    streams from overlapping.
+    seed and index, or broadcast over uint64 arrays of either. Seeding each
+    trajectory with a mixed output (rather than a raw offset) keeps the
+    per-trajectory streams from overlapping.
     """
     return _mix64(((seed & _MASK64) + (index + 1) * _GAMMA) & _MASK64)
 
@@ -442,6 +449,8 @@ class SimulationResult:
 
 #: Trajectories stepped together; bounds the simulator's working arrays.
 _BLOCK = 4096
+#: Steps whose draws are computed together, as one _CHUNK x _BLOCK array.
+_CHUNK = 16
 
 # numpy is imported on first use, so importing hyperlin does not load it.
 
@@ -477,6 +486,43 @@ def _choose(
     return targets[rows, (draws[:, None] > thresholds[rows]).sum(axis=1)]
 
 
+def _bucket_table(
+    thresholds: np.ndarray, targets: np.ndarray
+) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """A guide table that gives _choose's state from a draw's top bits.
+
+    With 2^K buckets (the least power of two >= 4 * width), draw u falls in
+    bucket u >> (64 - K), and bisect_right on a row's thresholds counts
+    those in earlier buckets plus those in u's bucket below u. Thresholds
+    of 2^64 - 1 (the last and the padding) are below no draw and are not
+    counted. Cell row * 2^K + bucket keeps the bucket's one threshold as its
+    split (2^64 - 1 when it holds none) and the states below and above it;
+    a cell whose bucket holds two or more thresholds is marked for _choose.
+
+    Returns (shift, row_bits, splits, picks, marked), indexed by slots: draw
+    u from state s reads slot (s << row_bits) + ((u >> shift) << 1), twice
+    its cell, and goes to picks[slot + (u > splits[slot])] unless
+    marked[slot].
+    """
+    import numpy as np
+
+    rows, width = thresholds.shape
+    bits = (4 * width - 1).bit_length()
+    r, w = np.nonzero(thresholds != _MASK64)
+    bounds = thresholds[r, w]
+    cells = (r << bits) + (bounds >> (64 - bits)).astype(np.intp)
+    counts = np.bincount(cells, minlength=rows << bits).reshape(rows, -1)
+    below = np.cumsum(counts, axis=1) - counts
+    row = np.arange(rows)[:, None]
+    picks = np.stack(
+        [targets[row, below], targets[row, np.minimum(below + 1, width - 1)]], axis=-1
+    )
+    splits = np.full((rows << bits, 2), _MASK64, dtype=np.uint64)
+    splits[cells] = bounds[:, None]
+    marked = np.repeat(counts.reshape(-1) > 1, 2)
+    return 64 - bits, bits + 1, splits.reshape(-1), picks.reshape(-1), marked
+
+
 def simulate(
     tm: TransitionMatrix,
     init: Union[str, Mapping[str, Fraction]],
@@ -493,36 +539,52 @@ def simulate(
     X_t = v (a first return when v is the start).
 
     Trajectories are stepped together in blocks, each generator a uint64
-    array entry; the draws and the tables (first-hit keys in order of first
-    occurrence by trajectory) equal those of one trajectory at a time.
+    array entry, with a chunk of steps' draws computed at once; each step
+    looks its draws up in a bucket table. The draws and the tables
+    (first-hit keys in order of first occurrence by trajectory) equal those
+    of one trajectory at a time.
     """
     import numpy as np
 
-    if steps < 0:
-        raise BadHorizonError("steps must be nonnegative")
-    if trajectories < 1:
-        raise BadHorizonError("need at least one trajectory")
+    _check_count(steps, "steps", 0)
+    _check_count(trajectories, "trajectories", 1)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {seed!r}")
     masses, denom = _integer_row(list(_as_distribution(tm, init).values()))
     states = tm.states
     n = len(states)
     init_table = _threshold_table([masses], denom)
     row_table = _threshold_table(tm._numerators, tm._denominator)
+    shift, row_bits, splits, picks, marked = _bucket_table(*row_table)
+    fallback = bool(marked.any())
     visits = np.zeros(n, dtype=np.int64)
     first_hits: list[dict[int, int]] = [dict() for _ in states]
     for start in range(0, trajectories, _BLOCK):
         size = min(_BLOCK, trajectories - start)
-        rng = SplitMix64(trajectory_seed(seed, np.arange(start, start + size, dtype=np.uint64)))
-        cur = _choose(rng.next_u64(), np.zeros(size, dtype=np.intp), *init_table)
+        seeds = trajectory_seed(seed, np.arange(start, start + size, dtype=np.uint64))
+        # draw t + 1 of trajectory i, SplitMix64(seeds[i])'s output t + 1, is
+        # trajectory_seed(seeds[i], t): X_0 takes draw 1 and step t draw t + 1
+        cur = _choose(trajectory_seed(seeds, 0), np.zeros(size, dtype=np.intp), *init_table)
         visits += np.bincount(cur, minlength=n)
         # first[i, v]: the step trajectory i first reached v; 0 while it has not
         first = np.zeros((size, n), dtype=np.int64)
         cells = first.reshape(-1)
         base = np.arange(size) * n
-        for t in range(1, steps + 1):
-            cur = _choose(rng.next_u64(), cur, *row_table)
-            visits += np.bincount(cur, minlength=n)
-            idx = base + cur
-            cells[idx[cells[idx] == 0]] = t
+        path = np.empty((_CHUNK, size), dtype=np.intp)
+        for t0 in range(1, steps + 1, _CHUNK):
+            ts = np.arange(t0, min(t0 + _CHUNK, steps + 1), dtype=np.uint64)
+            draws = trajectory_seed(seeds, ts[:, None])
+            buckets = ((draws >> shift) << 1).astype(np.intp)
+            for k in range(len(ts)):
+                slot = (cur << row_bits) + buckets[k]
+                nxt = picks[slot + (draws[k] > splits[slot])]
+                if fallback:
+                    many = marked[slot]
+                    nxt[many] = _choose(draws[k, many], cur[many], *row_table)
+                path[k] = cur = nxt
+                idx = base + cur
+                cells[idx[cells[idx] == 0]] = t0 + k
+            visits += np.bincount(path[: len(ts)].reshape(-1), minlength=n)
         # keys enter each table in order of first occurrence by trajectory
         for v in range(n):
             col = first[:, v]

@@ -251,6 +251,12 @@ def _group_eigenvalues(values: Sequence[float], group_tol: float) -> tuple[tuple
     return tuple(groups)
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless the numeric tolerance ``tol`` is finite and positive."""
+    if not 0 < tol < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def eigenvalues_sym(
     m: RationalMatrix,
     tol: float = 1e-12,
@@ -275,8 +281,7 @@ def eigenvalues_sym(
     ------
     ValueError, NotSquareError, NotSymmetrizableError
     """
-    if not 0 < tol < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     import numpy as np  # on first use, so importing hyperlin does not load it
 
     if not m.is_square:

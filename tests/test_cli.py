@@ -329,6 +329,8 @@ def test_exit_two_on_a_half_given_first_hit_request(pack, capsys, half):
         ["spectra", "h_a.json", "--matrix", "Q"],
         ["spectra", "h_units.json", "--matrix", "Q"],
         ["centrality", "h_units.json", "--kind", "perron"],
+        ["spectra", "h_a.json", "--det"],
+        ["spectra", "h_a.json", "--matrix", "I", "--det"],
     ],
 )
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

@@ -7,8 +7,9 @@ and non-unit denominators. The integer partition search is compared with
 the Fraction enumeration on generated hypergraphs and twin families, and
 the integer walk functions with Fraction stepping, absorption, row sums
 and solves on generated kernels under uniform and unequal custom policies.
-The block simulator is compared with the one-trajectory-at-a-time
-simulator on the same kernels: visit counts and first-hit tables, key
+The block simulator and its bucket tables are compared with the
+one-trajectory-at-a-time simulator on the same kernels and on kernels
+that put two bounds in one bucket: visit counts and first-hit tables, key
 order included.
 """
 
@@ -310,12 +311,63 @@ def test_simulate_crosses_the_default_block():
     _assert_same_simulation(tm, MIXED, 3, randwalk._BLOCK + 5, 11)
 
 
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 4, 7])
+def test_simulate_steps_across_draw_chunks(monkeypatch, chunk, steps):
+    monkeypatch.setattr(randwalk, "_CHUNK", chunk)
+    monkeypatch.setattr(randwalk, "_BLOCK", 5)
+    _assert_same_simulation(UNEQUAL_TM, MIXED, steps, 12, 2**64 - 1)
+    _assert_same_simulation(SHARED_BUCKET_TM, "b", steps, 12, 3)
+
+
 @pytest.mark.parametrize("seed", EDGE_SEEDS + [12345])
 def test_block_draws_equal_the_reference_generator(seed):
     block = SplitMix64(trajectory_seed(seed, np.arange(3, 8, dtype=np.uint64)))
     rngs = [SplitMix64(trajectory_seed(seed, i)) for i in range(3, 8)]
     for _ in range(4):
         assert block.next_u64().tolist() == [r.next_u64() for r in rngs]
+    # a chunk of draws at once: row t holds every generator's output t + 1,
+    # here outputs 5 to 9, which follow the four above
+    seeds = trajectory_seed(seed, np.arange(3, 8, dtype=np.uint64))
+    chunk = trajectory_seed(seeds, np.arange(4, 9, dtype=np.uint64)[:, None])
+    assert chunk.tolist() == [[r.next_u64() for r in rngs] for _ in range(5)]
+
+
+def _one_edge_kernel(masses):
+    """From every state of one hyperedge a, b, c, ... step to the i-th with masses[i]."""
+    labels = "abcdefgh"[: len(masses)]
+    h = Hypergraph.from_members([("e", list(labels))])
+    weights = dict(zip(labels, masses))
+    return transition_matrix(
+        h, WalkPolicy.custom(lambda u, e: Fraction(1), lambda u, e, v: weights[v])
+    )
+
+
+TINY = Fraction(1, 2**70)
+# two bounds in one of 16 buckets: a, b and c each take a part of it
+SHARED_BUCKET_TM = _one_edge_kernel([Fraction(33, 64), Fraction(1, 64), Fraction(15, 32)])
+# over the denominator 3 * 2^70, TINY moves no bound by a whole unit: a's and b's are equal
+EQUAL_BOUNDS_TM = _one_edge_kernel([Fraction(1, 3), TINY, Fraction(2, 3) - TINY])
+# bounds 1 and 17, thresholds 0 and 16, share bucket 0
+TINY_MASS_TM = _one_edge_kernel([TINY, Fraction(1, 2**60), 1 - Fraction(1, 2**60) - TINY])
+
+
+@pytest.mark.parametrize("tm", [SHARED_BUCKET_TM, EQUAL_BOUNDS_TM, TINY_MASS_TM])
+@pytest.mark.parametrize("seed", [0, 7, 2**70 + 5])
+def test_buckets_holding_two_bounds_fall_back_to_the_bisect(monkeypatch, tm, seed):
+    table = randwalk._threshold_table(tm._numerators, tm._denominator)
+    assert randwalk._bucket_table(*table)[-1].any()
+    looked_up = []
+    choose = randwalk._choose
+
+    def counting_choose(draws, *table):
+        looked_up.append(len(draws))
+        return choose(draws, *table)
+
+    monkeypatch.setattr(randwalk, "_choose", counting_choose)
+    _assert_same_simulation(tm, "a", 20, 60, seed)
+    # past the one initial draw per block, some steps took the bisect
+    assert sum(looked_up[1:]) > 0
 
 
 @pytest.mark.parametrize("past", [0, 1])
@@ -335,6 +387,13 @@ def test_a_draw_on_a_bound_takes_the_next_state(past):
             lambda u, e, v: step_a if v == "a" else 1 - step_a,
         ),
     )
+    # from "a", the bound of "a" is the one threshold in its bucket: its split
+    thresholds, targets = randwalk._threshold_table(tm._numerators, tm._denominator)
+    assert thresholds[0, 0] == second - past
+    shift, _, splits, picks, marked = randwalk._bucket_table(thresholds, targets)
+    slot = (second >> shift) << 1
+    assert (splits[slot], marked[slot]) == (second - past, False)
+    assert picks[slot : slot + 2].tolist() == [0, 1]
     picked, other = ("a", "b") if past == 0 else ("b", "a")
     for init in ({"a": init_a, "b": 1 - init_a}, picked):
         sim = simulate(tm, init, 1, 1, seed)

@@ -10,6 +10,7 @@ from hyperlin import (
     WalkPolicy,
     first_hit_probabilities,
     hitting_times,
+    rw_betweenness,
     simulate,
     step_distribution,
     transition_matrix,
@@ -179,6 +180,33 @@ def test_first_hit_rejects_bad_horizon():
     tm = transition_matrix(_triangle(), WalkPolicy.uniform_nonlazy())
     with pytest.raises(BadHorizonError):
         first_hit_probabilities(tm, "c", 0, "a")
+
+
+BAD_COUNTS = [True, False, 2.0, 2.5, "3", None, -1]
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS)
+def test_step_counts_are_ints_not_bools(bad):
+    """Steps, trajectories, horizons and t share one check: a bool or a
+    non-int is a BadHorizonError, never a count of 1 or a TypeError."""
+    tm = transition_matrix(_triangle(), WalkPolicy.uniform_nonlazy())
+    calls = [
+        lambda: simulate(tm, "a", bad, 10, 1),
+        lambda: simulate(tm, "a", 2, bad, 1),
+        lambda: step_distribution(tm, "a", bad),
+        lambda: first_hit_probabilities(tm, "c", bad, "a"),
+        lambda: rw_betweenness(tm, bad),
+    ]
+    for call in calls:
+        with pytest.raises(BadHorizonError):
+            call()
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+def test_a_seed_that_is_not_an_int_is_a_type_error(bad):
+    tm = transition_matrix(_triangle(), WalkPolicy.uniform_nonlazy())
+    with pytest.raises(TypeError, match="seed"):
+        simulate(tm, "a", 2, 10, bad)
 
 
 def test_partition_transition_balance():
