@@ -104,6 +104,64 @@ def test_custom_policy_validation():
         transition_matrix(h, bad)
 
 
+def _raised(h, policy):
+    with pytest.raises(Exception) as info:
+        transition_matrix(h, policy)
+    return type(info.value), str(info.value)
+
+
+def test_singleton_edge_message_names_the_first_vertex_s_edge():
+    # s2 lies in the star of a, which precedes c (and s1) in vertex order
+    h = Hypergraph.from_members([("e1", ["a", "b"]), ("s1", ["c"]), ("s2", ["a"])])
+    assert _raised(h, WalkPolicy.uniform_nonlazy()) == (
+        SingletonEdgeNonLazyError,
+        "hyperedge 's2' has one member; a non-lazy step cannot leave it",
+    )
+
+
+def test_isolated_vertex_message_names_the_first_one_before_any_singleton():
+    h = Hypergraph.from_members(
+        [("s", ["a"]), ("e", ["a", "b"])], vertices=["a", "c", "b", "d"]
+    )
+    for policy in (WalkPolicy.uniform_nonlazy(), WalkPolicy.uniform_lazy()):
+        assert _raised(h, policy) == (
+            IsolatedVertexError, "vertex 'c' has no incident hyperedge"
+        )
+
+
+def _rules(edge, vertex):
+    return WalkPolicy.custom(edge_rule=edge, vertex_rule=vertex)
+
+
+HALF = Fraction(1, 2)
+CUSTOM_POLICY_ERRORS = [
+    (
+        _rules(lambda u, e: -1 if (u, e) == ("b", "f") else 1, lambda u, e, v: HALF),
+        "negative edge weight at ('b', 'f')",
+    ),
+    (
+        _rules(lambda u, e: 1, lambda u, e, v: -HALF if v == "c" else HALF),
+        "negative vertex weight at ('a', 'e', 'c')",
+    ),
+    (
+        _rules(lambda u, e: 1, lambda u, e, v: Fraction(1, 3)),
+        "vertex choice within 'e' from 'a' sums to 2/3, not 1",
+    ),
+    (
+        _rules(lambda u, e: Fraction(1, 3), lambda u, e, v: HALF),
+        "edge choice from 'a' sums to 1/3, not 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("policy, message", CUSTOM_POLICY_ERRORS)
+def test_custom_policy_error_messages(policy, message):
+    h = Hypergraph.from_members(
+        [("e", ["a", "c"]), ("f", ["b", "c"])], vertices=["a", "b", "c"]
+    )
+    assert _raised(h, policy) == (BadDistributionError, message)
+
+
 def test_step_distribution_conserves_mass():
     tm = transition_matrix(fx.hub_cycle(), WalkPolicy.uniform_nonlazy())
     for t in range(5):
