@@ -2,15 +2,19 @@
 
 A walk step from vertex u first picks a hyperedge e containing u (weight
 r(u, e)), then a vertex v in e (weight s(u, e, v)), so the transition
-kernel is P[u][v] = sum over shared hyperedges of r * s. All kernels are
-exact rationals, kept alongside as integer rows M over one denominator D
-(P = M / D) for the exact walk algebra; Monte-Carlo simulation draws 64-bit
+kernel is P[u][v] = sum over shared hyperedges of r * s. Every kernel is
+held as integer rows M over one denominator D (P = M / D), which the exact
+walk algebra reads; its ``matrix`` is the Fraction view M / D. The uniform
+kernels are built in ints straight from the hypergraph's star index;
+custom policies and hand-built kernels go through Fractions and are
+validated as stochastic on the ints. Monte-Carlo simulation draws 64-bit
 integers from a fully specified generator so runs are bit-reproducible, and
 steps blocks of trajectories together as numpy uint64 arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -92,9 +96,15 @@ class WalkPolicy:
 class TransitionMatrix:
     """An exact row-stochastic kernel bound to its hypergraph and policy.
 
-    Construction also writes the kernel as integer rows over one common
-    denominator, P = M / D, with the columns of M and a state-to-index
-    map, which the exact walk functions read.
+    The kernel is kept as integer rows M over one common denominator D,
+    P = M / D, in canonical form (D is the lcm of the entries' reduced
+    denominators), with the columns of M and a state-to-index map, which
+    the exact walk functions read; ``matrix`` is the Fraction view M / D.
+
+    Built by hand from a Fraction ``matrix``, the kernel is validated: its
+    row and column labels must both be the source's vertices in order,
+    every entry must be nonnegative and every row must sum to exactly 1. ``transition_matrix`` builds the uniform kernels from
+    their ints directly.
     """
 
     source: Hypergraph
@@ -106,12 +116,52 @@ class TransitionMatrix:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.matrix.cols
-        flat, scale = _integer_row([x for row in self.matrix.entries for x in row])
-        rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(self.matrix.rows))
-        object.__setattr__(self, "_numerators", rows)
-        object.__setattr__(self, "_columns", tuple(zip(*rows)))
-        object.__setattr__(self, "_denominator", scale)
+        m, verts = self.matrix, self.source.vertices
+        if m.row_labels != verts or m.col_labels != verts:
+            raise UnknownLabelError(
+                f"transition matrix rows {list(m.row_labels)} and columns "
+                f"{list(m.col_labels)} are not the vertices {list(verts)} in order"
+            )
+        n = m.cols
+        flat, scale = _integer_row([x for row in m.entries for x in row])
+        self._store([flat[i * n : (i + 1) * n] for i in range(n)], scale)
+
+    @classmethod
+    def _from_integers(
+        cls, source: Hypergraph, policy: WalkPolicy, rows: list[list[int]], denominator: int
+    ) -> "TransitionMatrix":
+        """The kernel M / D on ``source``'s vertices from canonical integer rows.
+
+        ``matrix`` is written as the view Fraction(x, D), one Fraction per
+        distinct numerator; the rows are validated but not derived again
+        from it.
+        """
+        labels = source.vertices
+        view_of = {x: Fraction(x, denominator) for x in set().union(*rows)}
+        view = RationalMatrix(
+            labels, labels, tuple(tuple(map(view_of.__getitem__, row)) for row in rows)
+        )
+        tm = object.__new__(cls)
+        for name, value in (("source", source), ("policy", policy), ("matrix", view)):
+            object.__setattr__(tm, name, value)
+        tm._store(rows, denominator)
+        return tm
+
+    def _store(self, rows: list[list[int]], denominator: int) -> None:
+        """Check that M / D is stochastic, then keep M, its columns and D."""
+        for lab, row in zip(self.states, rows):
+            for v, x in zip(self.states, row):
+                if x < 0:
+                    raise BadDistributionError(
+                        f"row {lab!r} has entry {Fraction(x, denominator)} at {v!r}, below 0"
+                    )
+            if sum(row) != denominator:
+                total = Fraction(sum(row), denominator)
+                raise BadDistributionError(f"row {lab!r} sums to {total}, not 1")
+        numerators = tuple(map(tuple, rows))
+        object.__setattr__(self, "_numerators", numerators)
+        object.__setattr__(self, "_columns", tuple(zip(*numerators)))
+        object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.states)})
 
     @property
@@ -119,49 +169,60 @@ class TransitionMatrix:
         return self.matrix.row_labels
 
 
-def _policy_rules(h: Hypergraph, policy: WalkPolicy):
-    """Resolve a policy to concrete (edge_rule, vertex_rule) callables."""
-    if policy.kind == UNIFORM_NONLAZY:
-        def edge_rule(u: str, e: str) -> Fraction:
-            return Fraction(1, h.degree(u))
+def _uniform_rows(h: Hypergraph, lazy: bool) -> tuple[list[list[int]], int]:
+    """Integer rows M and denominator D of a uniform kernel, from the star index.
 
-        def vertex_rule(u: str, e: str, v: str) -> Fraction:
-            size = len(h.members(e))
-            if size < 2:
+    With k_e = |e| (lazy) or |e| - 1 (non-lazy) and L_u the lcm of k_e over
+    star(u), row u gives L_u / k_e to each member of each e in star(u) (but
+    nothing to u itself when non-lazy), so it sums to deg(u) * L_u: that is
+    P[u][v] = sum over shared e of 1/deg(u) * 1/k_e. Each row is reduced by
+    its gcd with that sum, D is the lcm of the reduced row denominators, and
+    every row is scaled to D: the canonical form of ``_integer_row``.
+    """
+    index = {v: i for i, v in enumerate(h.vertices)}
+    members = {e: [index[v] for v in ms] for e, ms in h.hyperedges}
+    rows, dens = [], []
+    for u in h.vertices:
+        sizes = {e: len(members[e]) - (not lazy) for e in h.star(u)}
+        for e, k in sizes.items():
+            if not k:
                 raise SingletonEdgeNonLazyError(
                     f"hyperedge {e!r} has one member; a non-lazy step cannot leave it"
                 )
-            if v == u:
-                return Fraction(0)
-            return Fraction(1, size - 1)
-
-        return edge_rule, vertex_rule
-    if policy.kind == UNIFORM_LAZY:
-        def edge_rule(u: str, e: str) -> Fraction:
-            return Fraction(1, h.degree(u))
-
-        def vertex_rule(u: str, e: str, v: str) -> Fraction:
-            return Fraction(1, len(h.members(e)))
-
-        return edge_rule, vertex_rule
-    if policy.kind == CUSTOM:
-        if policy.edge_rule is None or policy.vertex_rule is None:
-            raise ValueError("custom policies need both rules")
-        return policy.edge_rule, policy.vertex_rule
-    raise ValueError(f"unknown policy kind {policy.kind!r}")
+        lcm = math.lcm(*sizes.values())
+        row = [0] * len(index)
+        for e, k in sizes.items():
+            weight = lcm // k
+            for i in members[e]:
+                row[i] += weight
+        if not lazy:
+            row[index[u]] = 0
+        den = len(sizes) * lcm
+        g = math.gcd(den, *row)
+        rows.append([x // g for x in row])
+        dens.append(den // g)
+    scale = math.lcm(*dens)
+    return [[x * (scale // d) for x in row] for row, d in zip(rows, dens)], scale
 
 
 def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
     """Build the exact transition kernel of a walk policy on ``h``.
 
-    Every vertex must lie in some hyperedge, and the per-vertex edge choice
+    Every vertex must lie in some hyperedge. Uniform kernels are built in
+    ints from the star index. For a custom policy the per-vertex edge choice
     and per-edge vertex choice must each be probability distributions; this
     is validated exactly and implies the rows sum to one.
     """
     for v in h.vertices:
         if h.degree(v) == 0:
             raise IsolatedVertexError(f"vertex {v!r} has no incident hyperedge")
-    edge_rule, vertex_rule = _policy_rules(h, policy)
+    if policy.is_uniform:
+        rows, denominator = _uniform_rows(h, policy.kind == UNIFORM_LAZY)
+        return TransitionMatrix._from_integers(h, policy, rows, denominator)
+    if policy.kind != CUSTOM:
+        raise ValueError(f"unknown policy kind {policy.kind!r}")
+    if policy.edge_rule is None or policy.vertex_rule is None:
+        raise ValueError("custom policies need both rules")
     vstates = h.vertices
     index = {v: i for i, v in enumerate(vstates)}
     rows = [[Fraction(0)] * len(vstates) for _ in vstates]
@@ -170,7 +231,7 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
         star = [e for e in h.edge_labels if e in star_u]
         edge_mass = Fraction(0)
         for e in star:
-            r = rat(edge_rule(u, e))
+            r = rat(policy.edge_rule(u, e))
             if r < 0:
                 raise BadDistributionError(f"negative edge weight at ({u!r}, {e!r})")
             edge_mass += r
@@ -179,7 +240,7 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
             for v in h.vertices:
                 if v not in members:
                     continue
-                s = rat(vertex_rule(u, e, v))
+                s = rat(policy.vertex_rule(u, e, v))
                 if s < 0:
                     raise BadDistributionError(
                         f"negative vertex weight at ({u!r}, {e!r}, {v!r})"
@@ -195,12 +256,7 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
                 f"edge choice from {u!r} sums to {edge_mass}, not 1"
             )
     matrix = RationalMatrix.from_rows(vstates, vstates, rows)
-    tm = TransitionMatrix(source=h, policy=policy, matrix=matrix)
-    for lab, row in zip(vstates, tm._numerators):
-        if sum(row) != tm._denominator:
-            total = Fraction(sum(row), tm._denominator)
-            raise BadDistributionError(f"row {lab!r} sums to {total}, not 1")
-    return tm
+    return TransitionMatrix(source=h, policy=policy, matrix=matrix)
 
 
 def _as_distribution(tm: TransitionMatrix, init: Union[str, Mapping[str, Fraction]]) -> dict[str, Fraction]:

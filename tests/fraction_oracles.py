@@ -1,8 +1,10 @@
 """Reference implementations in plain Fraction arithmetic.
 
 These are the straightforward loops the library's integer kernel replaced,
-plus the one-trajectory-at-a-time simulator the block simulator replaced
-and the one-solve-per-target closeness that one inverse replaced.
+plus the one-trajectory-at-a-time simulator the block simulator replaced,
+the one-solve-per-target closeness that one inverse replaced and the
+rule-by-rule uniform walk kernel that the star-indexed integer build
+replaced.
 They are slow and obviously correct, and the kernel tests require the
 library to agree with them exactly.
 """
@@ -95,6 +97,27 @@ def determinant(rows: list[list[Fraction]]) -> Fraction:
             a[i][k] = Fraction(0)
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def transition_kernel(h, lazy: bool) -> list[list[Fraction]]:
+    """The uniform walk kernel by its rules, rows and columns in vertex order.
+
+    From u, each hyperedge of star(u) is picked with r = 1/deg(u), then a
+    member v with s = 1/|e| (lazy) or a member other than u with
+    s = 1/(|e| - 1) (non-lazy); P[u][v] sums r * s over the shared edges.
+    """
+    index = {v: i for i, v in enumerate(h.vertices)}
+    rows = [[Fraction(0)] * len(index) for _ in index]
+    for u in h.vertices:
+        r = Fraction(1, h.degree(u))
+        for e in h.star(u):
+            members = h.members(e)
+            for v in members:
+                if lazy:
+                    rows[index[u]][index[v]] += r * Fraction(1, len(members))
+                elif v != u:
+                    rows[index[u]][index[v]] += r * Fraction(1, len(members) - 1)
+    return rows
 
 
 def mat_mult(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:

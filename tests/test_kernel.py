@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 import fraction_oracles as oracle
 from hyperlin import (
     Hypergraph,
+    TransitionMatrix,
     WalkPolicy,
     first_hit_probabilities,
     hitting_times,
@@ -33,8 +34,14 @@ from hyperlin import (
     transition_matrix,
     verify_partition_transition,
 )
-from hyperlin.errors import NotUniformPolicyError, SingularError, UnreachableError
-from hyperlin.linalg import RationalMatrix, determinant, nullspace, rref, solve
+from hyperlin import fixtures as fx
+from hyperlin.errors import (
+    NotUniformPolicyError,
+    SingletonEdgeNonLazyError,
+    SingularError,
+    UnreachableError,
+)
+from hyperlin.linalg import RationalMatrix, _integer_row, determinant, nullspace, rref, solve
 from hyperlin.randwalk import SplitMix64, trajectory_seed
 from hyperlin.structures import find_equal_edge_partitions
 
@@ -147,12 +154,9 @@ UNEQUAL_TM = transition_matrix(UNEQUAL, _custom_policy(UNEQUAL, [1, 1, 2, 2, 5, 
 
 
 @st.composite
-def kernels(draw):
-    """A walk kernel on a hypergraph whose every vertex has a hyperedge.
-
-    The policy is uniform lazy, uniform non-lazy (drawn when no hyperedge is
-    a singleton), or custom with unequal drawn weights.
-    """
+def walk_hypergraphs(draw):
+    """A hypergraph whose every vertex has a hyperedge, of mixed edge sizes
+    from singletons up to all vertices."""
     n = draw(st.integers(1, 6))
     verts = [str(i) for i in range(1, n + 1)]
     member_sets = draw(
@@ -166,9 +170,20 @@ def kernels(draw):
     covered = frozenset().union(*member_sets)
     if covered != frozenset(verts):
         member_sets.append(frozenset(verts) - covered)
-    h = Hypergraph.from_members(
+    return Hypergraph.from_members(
         [(f"e{j}", sorted(ms)) for j, ms in enumerate(member_sets)], vertices=verts
     )
+
+
+@st.composite
+def kernels(draw):
+    """A walk kernel on a drawn walk hypergraph.
+
+    The policy is uniform lazy, uniform non-lazy (drawn when no hyperedge is
+    a singleton), or custom with unequal drawn weights.
+    """
+    h = draw(walk_hypergraphs())
+    member_sets = [ms for _, ms in h.hyperedges]
     kind = draw(st.sampled_from(["lazy", "nonlazy", "custom"]))
     if kind == "custom":
         weights = draw(st.lists(st.integers(1, 7), min_size=1, max_size=8))
@@ -189,6 +204,32 @@ def walks(draw):
         raw[0] = Fraction(1)
     total = sum(raw)
     return tm, {v: x / total for v, x in zip(tm.states, raw)}
+
+
+@KERNEL
+@given(walk_hypergraphs())
+@example(fx.hub_cycle())
+@example(fx.nested_chain(3))
+@example(UNEQUAL)
+def test_uniform_kernels_match_the_fraction_rules(h):
+    """The star-indexed integer build equals the rule-by-rule Fraction kernel,
+    and its ints are the canonical M / D of that kernel's entries."""
+    for lazy, policy in ((True, WalkPolicy.uniform_lazy()), (False, WalkPolicy.uniform_nonlazy())):
+        if not lazy and any(len(ms) == 1 for _, ms in h.hyperedges):
+            with pytest.raises(SingletonEdgeNonLazyError):
+                transition_matrix(h, policy)
+            continue
+        expected = oracle.transition_kernel(h, lazy)
+        tm = transition_matrix(h, policy)
+        assert tm.matrix.row_labels == tm.matrix.col_labels == h.vertices
+        assert _kernel_rows(tm) == expected
+        flat, scale = _integer_row([x for row in expected for x in row])
+        n = len(expected)
+        assert tm._numerators == tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+        assert tm._denominator == scale
+        # the public constructor derives the same ints from the Fraction view
+        again = TransitionMatrix(source=h, policy=policy, matrix=tm.matrix)
+        assert (again._numerators, again._denominator) == (tm._numerators, scale)
 
 
 def _kernel_rows(tm) -> list[list[Fraction]]:

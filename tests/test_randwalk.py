@@ -7,6 +7,8 @@ import pytest
 
 from hyperlin import (
     Hypergraph,
+    RationalMatrix,
+    TransitionMatrix,
     WalkPolicy,
     first_hit_probabilities,
     hitting_times,
@@ -22,6 +24,7 @@ from hyperlin.errors import (
     IsolatedVertexError,
     NotUniformPolicyError,
     SingletonEdgeNonLazyError,
+    UnknownLabelError,
     UnreachableError,
 )
 from hyperlin.randwalk import SplitMix64, _threshold_table, trajectory_seed
@@ -160,6 +163,63 @@ def test_custom_policy_error_messages(policy, message):
         [("e", ["a", "c"]), ("f", ["b", "c"])], vertices=["a", "b", "c"]
     )
     assert _raised(h, policy) == (BadDistributionError, message)
+
+
+PAIR = Hypergraph.from_members([("e", ["a", "b"])])
+HAND_BUILT_ERRORS = [
+    (
+        ("a", "b"), ("a", "b"), [[Fraction(3, 2), -HALF], [HALF, HALF]],
+        BadDistributionError, "row 'a' has entry -1/2 at 'b', below 0",
+    ),
+    (
+        ("a", "b"), ("a", "b"), [[HALF, HALF], [Fraction(1, 3), Fraction(1, 3)]],
+        BadDistributionError, "row 'b' sums to 2/3, not 1",
+    ),
+    (
+        ("a", "x"), ("a", "x"), [[HALF, HALF], [HALF, HALF]],
+        UnknownLabelError,
+        "transition matrix rows ['a', 'x'] and columns ['a', 'x'] "
+        "are not the vertices ['a', 'b'] in order",
+    ),
+    (
+        ("b", "a"), ("b", "a"), [[HALF, HALF], [HALF, HALF]],
+        UnknownLabelError,
+        "transition matrix rows ['b', 'a'] and columns ['b', 'a'] "
+        "are not the vertices ['a', 'b'] in order",
+    ),
+    (
+        ("a", "b"), ("b", "a"), [[HALF, HALF], [HALF, HALF]],
+        UnknownLabelError,
+        "transition matrix rows ['a', 'b'] and columns ['b', 'a'] "
+        "are not the vertices ['a', 'b'] in order",
+    ),
+    (
+        ("a", "b"), ("a",), [[1], [1]],
+        UnknownLabelError,
+        "transition matrix rows ['a', 'b'] and columns ['a'] "
+        "are not the vertices ['a', 'b'] in order",
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, cols, entries, error, message", HAND_BUILT_ERRORS)
+def test_hand_built_kernels_are_validated(rows, cols, entries, error, message):
+    """A kernel that is not stochastic on the source's vertices never reaches
+    the walk functions (a negative entry used to give negative first-hit
+    probabilities and a substochastic row crashed the simulator)."""
+    matrix = RationalMatrix.from_rows(rows, cols, entries)
+    with pytest.raises(Exception) as info:
+        TransitionMatrix(source=PAIR, policy=WalkPolicy.uniform_lazy(), matrix=matrix)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_a_hand_built_kernel_equals_the_built_one():
+    built = transition_matrix(PAIR, WalkPolicy.uniform_lazy())
+    matrix = RationalMatrix.from_rows(("a", "b"), ("a", "b"), [[HALF, HALF], [HALF, HALF]])
+    tm = TransitionMatrix(source=PAIR, policy=WalkPolicy.uniform_lazy(), matrix=matrix)
+    assert tm == built
+    assert tm._numerators == tm._columns == ((1, 1), (1, 1))
+    assert tm._denominator == 2
 
 
 def test_step_distribution_conserves_mass():
