@@ -7,6 +7,9 @@ and non-unit denominators. The integer partition search is compared with
 the Fraction enumeration on generated hypergraphs and twin families, and
 the integer walk functions with Fraction stepping, absorption, row sums
 and solves on generated kernels under uniform and unequal custom policies.
+The star-indexed integer build of the uniform kernels is compared with the
+rule-by-rule Fraction kernel, and its ints with that kernel's canonical
+integer rows.
 The block simulator and its bucket tables are compared with the
 one-trajectory-at-a-time simulator on the same kernels and on kernels
 that put two bounds in one bucket: visit counts and first-hit tables, key

@@ -213,15 +213,6 @@ def test_hand_built_kernels_are_validated(rows, cols, entries, error, message):
     assert (type(info.value), str(info.value)) == (error, message)
 
 
-def test_a_hand_built_kernel_equals_the_built_one():
-    built = transition_matrix(PAIR, WalkPolicy.uniform_lazy())
-    matrix = RationalMatrix.from_rows(("a", "b"), ("a", "b"), [[HALF, HALF], [HALF, HALF]])
-    tm = TransitionMatrix(source=PAIR, policy=WalkPolicy.uniform_lazy(), matrix=matrix)
-    assert tm == built
-    assert tm._numerators == tm._columns == ((1, 1), (1, 1))
-    assert tm._denominator == 2
-
-
 def test_step_distribution_conserves_mass():
     tm = transition_matrix(fx.hub_cycle(), WalkPolicy.uniform_nonlazy())
     for t in range(5):
