@@ -40,6 +40,10 @@ COMMANDS = {
     "rw_closeness-lazy": ["centrality", "--kind", "rw_closeness", "--policy", "lazy"],
     "rw_closeness-zero": ["centrality", "--kind", "rw_closeness", "--self-time", "zero"],
     "rw_betweenness": ["centrality", "--kind", "rw_betweenness", "--horizon", "10"],
+    "rw_betweenness-lazy": [
+        "centrality", "--kind", "rw_betweenness", "--policy", "lazy", "--horizon", "10"
+    ],
+    "rw_betweenness-default": ["centrality", "--kind", "rw_betweenness"],
     "det-I": ["spectra", "--matrix", "I", "--det"],
     "walk": ["walk"],
     "walk-lazy": ["walk", "--policy", "lazy"],
@@ -54,7 +58,9 @@ COMMANDS = {
 #: walk-blocks reports (5000 trajectories, more than one simulation block)
 #: before the simulator stepped its trajectories together; the lazy and
 #: zero-self-time closeness reports before closeness came from one
-#: factorization instead of one solve per target.
+#: factorization instead of one solve per target; the lazy and
+#: default-horizon betweenness reports before betweenness came from first
+#: passages instead of one deleted-kernel power sum per vertex.
 GOLDEN = {
     ("h_a", "check"): (0, "72cb3ef687576754b12dc5a4e11364232300058741156a01a8d927e4264196e0"),
     ("h_a", "det-I"): (0, "95ac89691c0d5ffbff00fb36c83e210600118bba8c45328d4b9921cfc7ac4ab4"),
@@ -168,6 +174,20 @@ GOLDEN = {
     ("h_eq", "rw_closeness-zero"): (0, "48304d1ade23c04bfda82810e8a47b1b3017d8d8e21d47cc3be54cc6e46a0b22"),
     ("h_cov_source", "rw_closeness-zero"): (0, "b201f5fc900abe7b941bf85c7982aa6c93d3713955510761e0539ec638eec983"),
     ("h_cov_base", "rw_closeness-zero"): (0, "52ebc6aaca6607db5629d7e1036c9d2fad62ef8a2fd0126b7e8bb70ddc8a44de"),
+    ("h_a", "rw_betweenness-lazy"): (0, "01b67ff4503230dc28e5a884137d791932dac4629bc0bb6d8687a42966e8281d"),
+    ("h_tri_4", "rw_betweenness-lazy"): (0, "00ecf8cc21d209d0c284390baa13882d7bb77fc9a0491d69603d5c882696abf9"),
+    ("h_circ_4", "rw_betweenness-lazy"): (0, "91eae1a279c5c549e36f04f98546ab1a8efa19d970de7924d96b07a4fc9a947f"),
+    ("h_units", "rw_betweenness-lazy"): (0, "c85d1df9a756c9884c714ee93f47fcc6ff2a1954ba7ef52223ab5170d1ace0c2"),
+    ("h_eq", "rw_betweenness-lazy"): (0, "86f2f9839b82c62ebcbaace2640ad2e55d5b4d84dc796dcd67ce0f3d56695f40"),
+    ("h_cov_source", "rw_betweenness-lazy"): (0, "d6e38a5193084fcaf8ab461c2866752f78571cc56c683f060ff6a6785fd532ce"),
+    ("h_cov_base", "rw_betweenness-lazy"): (0, "4e7ccba28f07ff960b9cbde3d7608b4288ac3d6e634bfb5ac43d2f617e51c319"),
+    ("h_a", "rw_betweenness-default"): (0, "025d233d04604b1bad0a152c00728f9d3d507c0d7803d98c25989ead721f03e2"),
+    ("h_tri_4", "rw_betweenness-default"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("h_circ_4", "rw_betweenness-default"): (0, "b5f523c8f2e47d54ea4bd65561e60d3e591c29e65c9b065fd74029015d90e0d8"),
+    ("h_units", "rw_betweenness-default"): (0, "9f06c2e8ed3c55f3be8d6b66a36e1790ee81f9c7fd824ee25d8a885eed2c212a"),
+    ("h_eq", "rw_betweenness-default"): (0, "b151957fde01d4f1bf72d2ff66d4027b2aff61b0314a3b583c1ffa66a79df99d"),
+    ("h_cov_source", "rw_betweenness-default"): (0, "4a88d57ba9990baee105385d484889891054019afa75b00b97611e3d5159c83e"),
+    ("h_cov_base", "rw_betweenness-default"): (0, "9ff9a5725221b514d8513ee317c54dc4bb0e43d86551d9332936f69428e5cbde"),
 }
 
 
