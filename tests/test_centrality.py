@@ -25,7 +25,7 @@ from hyperlin.errors import (
     WeightDomainMismatchError,
 )
 from hyperlin.spectra import build_Q, unit_weights
-from hyperlin import fixtures as fx
+from hyperlin import centrality, fixtures as fx
 from conftest import random_hypergraph
 
 
@@ -128,10 +128,22 @@ def test_rw_betweenness_symmetry_and_center():
     assert rep.values["b"] > rep.values["a"]
 
 
-def test_walk_centralities_constant_on_units():
+@pytest.mark.parametrize(
+    "policy", [WalkPolicy.uniform_nonlazy(), WalkPolicy.uniform_lazy()], ids=["nonlazy", "lazy"]
+)
+@pytest.mark.parametrize("long_horizon", [False, True], ids=["short", "long"])
+def test_walk_centralities_constant_on_units(policy, long_horizon):
+    """Vertices of one unit get equal walk centralities, with betweenness
+    taken at a short horizon (first passage) and at the first horizon past
+    the cut-over to the deleted-row power sums."""
     h = fx.unit_blocks()
-    tm = transition_matrix(h, WalkPolicy.uniform_nonlazy())
-    for rep in (rw_closeness(tm), rw_betweenness(tm, horizon=12)):
+    tm = transition_matrix(h, policy)
+    horizon = 12
+    if long_horizon:
+        bits_per_step = tm._denominator.bit_length()
+        horizon = centrality._FIRST_PASSAGE_BITS_PER_STATE * len(tm.states) // bits_per_step + 1
+    assert centrality._first_passage_pays(tm, horizon) is not long_horizon
+    for rep in (rw_closeness(tm), rw_betweenness(tm, horizon=horizon)):
         for u in units(h).units:
             assert len({rep.values[v] for v in u.members}) == 1
 

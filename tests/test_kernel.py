@@ -10,6 +10,8 @@ and solves on generated kernels under uniform and unequal custom policies.
 The star-indexed integer build of the uniform kernels is compared with the
 rule-by-rule Fraction kernel, and its ints with that kernel's canonical
 integer rows.
+Random-walk betweenness by first passage equals the deleted-row power
+sums on generated kernels at short and long horizons.
 The block simulator and its bucket tables are compared with the
 one-trajectory-at-a-time simulator on the same kernels and on kernels
 that put two bounds in one bucket: visit counts and first-hit tables, key
@@ -37,7 +39,7 @@ from hyperlin import (
     transition_matrix,
     verify_partition_transition,
 )
-from hyperlin import fixtures as fx
+from hyperlin import centrality, fixtures as fx
 from hyperlin.errors import (
     NotUniformPolicyError,
     SingletonEdgeNonLazyError,
@@ -314,6 +316,61 @@ def test_rw_betweenness_matches_fraction_power_sums(tm, horizon):
     expected = oracle.rw_betweenness([list(r) for r in tm.matrix.entries], horizon)
     rep = rw_betweenness(tm, horizon)
     assert [rep.values[v] for v in tm.states] == expected
+
+
+ONE_STATE_TM = transition_matrix(Hypergraph.from_members([("e0", ["a"])]), WalkPolicy.uniform_lazy())
+# two components, so the power sums are zero between them
+SPLIT_TM = transition_matrix(
+    Hypergraph.from_members([("e0", ["a", "b"]), ("e1", ["c", "d", "e"])]),
+    WalkPolicy.uniform_nonlazy(),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kernels(), st.one_of(st.integers(1, 6), st.integers(150, 400)))
+@example(ONE_STATE_TM, 1)
+@example(ONE_STATE_TM, 200)
+@example(UNEQUAL_TM, 1)
+@example(SPLIT_TM, 1)
+@example(SPLIT_TM, 5)
+@example(SPLIT_TM, 300)
+def test_rw_betweenness_paths_agree(tm, horizon):
+    """First passage and the deleted-row power sums give the same values in
+    the same key order, on both sides of the horizon at which
+    ``rw_betweenness`` switches between them."""
+    first = centrality._betweenness_by_first_passage(tm, horizon)
+    deleted = centrality._betweenness_by_deleted_rows(tm, horizon)
+    assert list(first.items()) == list(deleted.items())
+    assert list(first) == list(tm.states)
+
+
+def test_rw_betweenness_on_split_kernels_matches_fraction_power_sums():
+    """Pairs in different components have no mass and add nothing."""
+    expected = oracle.rw_betweenness([list(r) for r in SPLIT_TM.matrix.entries], 5)
+    assert list(rw_betweenness(SPLIT_TM, 5).values.values()) == expected
+    assert rw_betweenness(ONE_STATE_TM, 1).values == {"a": 0}
+
+
+@pytest.mark.parametrize(
+    "tm, horizon, path",
+    [
+        (transition_matrix(fx.leave_one_out(12), WalkPolicy.uniform_nonlazy()), 10, "first_passage"),
+        (transition_matrix(fx.hub_cycle(), WalkPolicy.uniform_nonlazy()), 1000, "deleted_rows"),
+    ],
+)
+def test_rw_betweenness_picks_its_path_by_horizon_and_kernel_size(monkeypatch, tm, horizon, path):
+    """12 states at horizon 10 (the benchmark's size) take first passage;
+    the 5-state hub cycle at horizon 1000 takes the deleted-row sums."""
+    taken = []
+    for name in ("first_passage", "deleted_rows"):
+        helper = getattr(centrality, f"_betweenness_by_{name}")
+        monkeypatch.setattr(
+            centrality,
+            f"_betweenness_by_{name}",
+            lambda tm, horizon, name=name, helper=helper: taken.append(name) or helper(tm, horizon),
+        )
+    rw_betweenness(tm, horizon)
+    assert taken == [path]
 
 
 def _assert_same_simulation(tm, init, steps, trajectories, seed):
