@@ -310,20 +310,22 @@ def test_partition_balance_matches_fraction_sums(tm, signs):
         assert verify_partition_transition(tm, labels_a, labels_b) == expected
 
 
-@KERNEL
-@given(kernels(), st.integers(1, 6))
-def test_rw_betweenness_matches_fraction_power_sums(tm, horizon):
-    expected = oracle.rw_betweenness([list(r) for r in tm.matrix.entries], horizon)
-    rep = rw_betweenness(tm, horizon)
-    assert [rep.values[v] for v in tm.states] == expected
-
-
 ONE_STATE_TM = transition_matrix(Hypergraph.from_members([("e0", ["a"])]), WalkPolicy.uniform_lazy())
 # two components, so the power sums are zero between them
 SPLIT_TM = transition_matrix(
     Hypergraph.from_members([("e0", ["a", "b"]), ("e1", ["c", "d", "e"])]),
     WalkPolicy.uniform_nonlazy(),
 )
+
+
+@KERNEL
+@given(kernels(), st.integers(1, 6))
+@example(ONE_STATE_TM, 1)
+@example(SPLIT_TM, 5)
+def test_rw_betweenness_matches_fraction_power_sums(tm, horizon):
+    expected = oracle.rw_betweenness([list(r) for r in tm.matrix.entries], horizon)
+    rep = rw_betweenness(tm, horizon)
+    assert [rep.values[v] for v in tm.states] == expected
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -342,13 +344,6 @@ def test_rw_betweenness_paths_agree(tm, horizon):
     deleted = centrality._betweenness_by_deleted_rows(tm, horizon)
     assert list(first.items()) == list(deleted.items())
     assert list(first) == list(tm.states)
-
-
-def test_rw_betweenness_on_split_kernels_matches_fraction_power_sums():
-    """Pairs in different components have no mass and add nothing."""
-    expected = oracle.rw_betweenness([list(r) for r in SPLIT_TM.matrix.entries], 5)
-    assert list(rw_betweenness(SPLIT_TM, 5).values.values()) == expected
-    assert rw_betweenness(ONE_STATE_TM, 1).values == {"a": 0}
 
 
 @pytest.mark.parametrize(
