@@ -2,9 +2,10 @@
 
 These are the straightforward loops the library's integer kernel replaced,
 plus the one-trajectory-at-a-time simulator the block simulator replaced,
-the one-solve-per-target closeness that one inverse replaced and the
+the one-solve-per-target closeness that one inverse replaced, the
 rule-by-rule uniform walk kernel that the star-indexed integer build
-replaced.
+replaced, and the Fraction rows of the weighted matrices Q, A and L with
+the float array their spectra hand to numpy.
 They are slow and obviously correct, and the kernel tests require the
 library to agree with them exactly.
 """
@@ -13,8 +14,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from fractions import Fraction
 from typing import Mapping
+
+import numpy as np
 
 from hyperlin.randwalk import (
     SimulationResult,
@@ -306,3 +310,48 @@ def simulate(tm, init, steps: int, trajectories: int, seed: int) -> SimulationRe
         visit_counts={lab: visits[i] for i, lab in enumerate(states)},
         first_hits={lab: first_hits[i] for i, lab in enumerate(states)},
     )
+
+
+# -- weighted hypergraph matrices --------------------------------------------
+
+
+def coincidence(h, edge_weights: Mapping[str, Fraction]) -> list[list[Fraction]]:
+    """Entry (u, v) is the total weight over star(u) meet star(v), in vertex order."""
+    stars = [h.star(v) for v in h.vertices]
+    return [[sum((edge_weights[e] for e in su & sv), Fraction(0)) for sv in stars] for su in stars]
+
+
+def q_rows(h, w) -> list[list[Fraction]]:
+    """Rows of Q = D_V I D_E I^T in vertex order."""
+    return [
+        [w.vertex_weights[u] * x for x in row]
+        for u, row in zip(h.vertices, coincidence(h, w.edge_weights))
+    ]
+
+
+def adjacency_rows(q: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Q with the diagonal zeroed."""
+    return [[Fraction(0) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(q)]
+
+
+def laplacian_rows(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """K - A for adjacency rows A, K carrying the row sums of A."""
+    return [
+        [sum(row, Fraction(0)) if i == j else -x for j, x in enumerate(row)]
+        for i, row in enumerate(a)
+    ]
+
+
+def float_bridge(rows: list[list[Fraction]]) -> np.ndarray:
+    """The float array handed to ``eigvalsh``: the entries of a symmetric
+    matrix, else sign(m[i][j]) sqrt(m[i][j] m[j][i]) off the diagonal."""
+    n = len(rows)
+    if all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n)):
+        return np.array([[float(x) for x in row] for row in rows], dtype=float).reshape(n, n)
+    arr = np.zeros((n, n), dtype=float)
+    for i in range(n):
+        arr[i, i] = float(rows[i][i])
+        for j in range(i + 1, n):
+            val = math.sqrt(float(rows[i][j] * rows[j][i]))
+            arr[i, j] = arr[j, i] = -val if rows[i][j] < 0 else val
+    return arr

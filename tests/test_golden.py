@@ -5,7 +5,8 @@ Each case runs one command in-process on a fixture written by
 (with the fixture's path replaced by its bare name) against the value
 recorded before the exact kernel was rewritten. A refactor of the exact
 arithmetic that changes any byte of these reports fails here. Float reports
-(eigenvalues, Perron) are left out on purpose.
+(eigenvalues, Perron) are left out on purpose; the exact matrices behind
+the spectra are pinned instead, as the sha256 of their JSON.
 """
 
 import hashlib
@@ -13,8 +14,10 @@ import json
 
 import pytest
 
-from hyperlin import cli
-from hyperlin.fixtures import write_fixture_pack
+from hyperlin import build_A, build_A_GH, build_D, build_K, build_L, build_Q, cli
+from hyperlin import incidence_matrix, weight_scheme
+from hyperlin.errors import HyperlinError
+from hyperlin.fixtures import _FIXTURE_BUILDERS, write_fixture_pack
 
 FIXTURES = (
     "h_a",
@@ -212,3 +215,72 @@ def report_digest(pack, capsys, fixture: str, command: str) -> tuple[int, str]:
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_exact_report_digest(pack, capsys, fixture, command):
     assert report_digest(pack, capsys, fixture, command) == GOLDEN[fixture, command]
+
+
+PRESETS = ("unit", "edgenorm", "fullnorm")
+
+#: (fixture, weight preset) -> sha256 of the JSON of Q, A, D, K and L, or the
+#: name of the error the preset raises; fixture -> sha256 of the JSON of I and
+#: A_GH. Recorded while RationalMatrix still stored Fraction entries.
+WEIGHTED_GOLDEN = {
+    ("h_a", "unit"): "47110b0505727cf0f08244393482d927a4a41dbc973ce25d45d75cf9fb6ec7d8",
+    ("h_a", "edgenorm"): "bc2c8aac4f7f7a170761a54c5d43fadda37f0aba36c11ab2bcc8ef9bce5a8e6b",
+    ("h_a", "fullnorm"): "23196772f58ef681b78aa0cbdc12bc9dfdc28ecb41a6b7b489b35937eb5161c9",
+    ("h_tri_4", "unit"): "a7b7a44611a0da8ee4b23c466a4b4f858aa16bc2ec4ee94047e5efddba3f9e0c",
+    ("h_tri_4", "edgenorm"): "SingletonEdgeError",
+    ("h_tri_4", "fullnorm"): "SingletonEdgeError",
+    ("h_circ_4", "unit"): "dbb6096ab46bf00262f92caa8098897976723551d251aa3624b69fd866ed18cb",
+    ("h_circ_4", "edgenorm"): "e5ce03485ab15f77bbb67df596a29c9c70bebc04eed29a0d13f7bc2d564e7791",
+    ("h_circ_4", "fullnorm"): "6e184c1ab9155ba27e3dbf991a779734d73d215fa25dbc4a97749b86a84a2347",
+    ("h_units", "unit"): "8b8b7ebc3dd0ffd2f17db19e9662ef3fe0ebb8607e97319bffc4d85f9177a610",
+    ("h_units", "edgenorm"): "bab510bd6fa7f834ab8ce2076623cc08613bd3a92821df7f55d0be24543d32d1",
+    ("h_units", "fullnorm"): "f69bc26837777451af33ed2dd1155a2a3630e8f222a532a30e5682b7b97ed790",
+    ("h_eq", "unit"): "94898fec2774fea328ffe7efd0812cf10fbf4fc08f35d070473f67fba29063f5",
+    ("h_eq", "edgenorm"): "594b2ffeec115949d018d20e5b607a9297951e846fb9529cd81f65b99701d5b6",
+    ("h_eq", "fullnorm"): "899473a69451723e3744d830344eb635650339c7d794c691c91bab840bd655e4",
+    ("h_cov_source", "unit"): "f985c0b7cfedb88f26b5220b832f1ab1790af9f9f043310299f1c589af64eb73",
+    ("h_cov_source", "edgenorm"): "532d290489f58caa6a0c5457953653bc24c4b4b1785334b25bb94c110a604922",
+    ("h_cov_source", "fullnorm"): "5fd001271e18622efebdce5943617da4aa64125fb7c8ed4203ef13dd88e5ce31",
+    ("h_cov_base", "unit"): "5cccb0fb9bc86b6e2107578cab5abc8b1601319d863b7a855893f9a28c131794",
+    ("h_cov_base", "edgenorm"): "846a464714d6c71e7461794ebb3267469696bef4fbea8e668ca9b13aaaf48ac0",
+    ("h_cov_base", "fullnorm"): "eb8de6b36dadf66dc2427aa049def7c324ea735ad71b0857b6b83b60c1a4fe64",
+}
+INCIDENCE_GOLDEN = {
+    "h_a": "7d82fd22a20ac440f16c7d996383b09ac33d2876e73cd9bfc68e7659886a8ec6",
+    "h_tri_4": "4ffecae8f577f64089e00266141031e1c64009fb61b96ad0960bb93e618923da",
+    "h_circ_4": "7322df0e77e6a228e21b7fe6b6b3c1cedabf15a2d479ccf6bfa0cac720828044",
+    "h_units": "9741ce333b864af913834bb4d7775b273e7ef461fe3926bc9b94e6ef9829e897",
+    "h_eq": "fb0c20136b505c2bb1f0dc2b1016450691834abe91caca641ac95741fe14137a",
+    "h_cov_source": "f72c183d8ad8f52140189706055000a3a65c0bb28baa8c90eb0adcd25a96d31f",
+    "h_cov_base": "dcfae0a5108ed0e06d3d180e8597c65922273228c8d93314216d2719126891bc",
+}
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def weighted_digest(fixture: str, preset: str) -> str:
+    h = _FIXTURE_BUILDERS[fixture]()
+    builders = {"Q": build_Q, "A": build_A, "D": build_D, "K": build_K, "L": build_L}
+    try:
+        w = weight_scheme(h, preset)
+        return _sha({k: build(h, w).to_json_dict() for k, build in builders.items()})
+    except HyperlinError as exc:
+        return type(exc).__name__
+
+
+def incidence_digest(fixture: str) -> str:
+    h = _FIXTURE_BUILDERS[fixture]()
+    return _sha({"I": incidence_matrix(h).to_json_dict(), "A_GH": build_A_GH(h).to_json_dict()})
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_weighted_matrix_digest(fixture, preset):
+    assert weighted_digest(fixture, preset) == WEIGHTED_GOLDEN[fixture, preset]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_incidence_matrix_digest(fixture):
+    assert incidence_digest(fixture) == INCIDENCE_GOLDEN[fixture]

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fraction_oracles as oracle
+
 from hyperlin import (
     Hypergraph,
     build_A,
@@ -34,6 +36,7 @@ from hyperlin.linalg import RationalMatrix, nullspace
 from hyperlin.spectra import unit_weights
 from hyperlin.structures import Certificate, CertificateKind, VERTEX_AXIS
 from hyperlin import fixtures as fx
+from hyperlin.fixtures import _FIXTURE_BUILDERS
 
 
 def _to_numpy(m: RationalMatrix) -> np.ndarray:
@@ -215,3 +218,36 @@ def test_eigen_checks_reject_wrong_axis():
     cert = dependent_hyperedges(h)
     with pytest.raises(InvalidCertificateError):
         verify_A_eigenvalue(h, unit_weights(h), cert)
+
+
+@pytest.mark.parametrize("fixture", sorted(_FIXTURE_BUILDERS))
+def test_float_bridge_hands_numpy_the_fraction_oracle_array(monkeypatch, fixture):
+    """Every array eigvalsh receives equals the one built from Fraction rows."""
+    captured = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def capture(arr):
+        captured.append(np.array(arr, copy=True))
+        return eigvalsh(arr)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", capture)
+    h = _FIXTURE_BUILDERS[fixture]()
+    inc = [[Fraction(int(v in m)) for _, m in h.hyperedges] for v in h.vertices]
+    n, m = h.n_vertices, h.n_hyperedges
+    a_gh = [[Fraction(0)] * n + row for row in inc] + [
+        [row[j] for row in inc] + [Fraction(0)] * m for j in range(m)
+    ]
+    cases = [("A_GH", None, a_gh)]
+    for preset in ["unit", "edgenorm", "fullnorm"]:
+        try:
+            w = weight_scheme(h, preset)
+        except SingletonEdgeError:
+            continue
+        q = oracle.q_rows(h, w)
+        a = oracle.adjacency_rows(q)
+        cases += [("Q", w, q), ("A", w, a), ("L", w, oracle.laplacian_rows(a))]
+    for kind, w, rows in cases:
+        captured.clear()
+        hypergraph_spectrum(h, kind, w)
+        assert len(captured) == 1
+        assert np.array_equal(captured[0], oracle.float_bridge(rows))
