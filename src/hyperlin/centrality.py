@@ -16,11 +16,12 @@ from .errors import (
     TooFewEdgesError,
     TooSmallError,
     UnknownLabelError,
+    UnreachableError,
     WeightDomainMismatchError,
 )
 from .hypergraph import Hypergraph, _dot_quote
 from .linalg import _integer_solve, rat
-from .randwalk import TransitionMatrix, _check_count, hitting_times
+from .randwalk import TransitionMatrix, _check_count, _require_reachable
 from .spectra import _check_tol, _coincidence
 from .structures import UnitDecomposition, units
 
@@ -165,8 +166,8 @@ def rw_closeness(tm: TransitionMatrix, self_time: str = "return") -> CentralityR
 
     where g = G 1 and pi is the stationary distribution, so the sum over u
     needs only the row sums, column sums and diagonal of G. A chain that is
-    not irreducible falls back to one solve per target, which raises
-    UnreachableError.
+    not irreducible raises UnreachableError for the first target that some
+    state cannot reach.
 
     Raises
     ------
@@ -179,12 +180,11 @@ def rw_closeness(tm: TransitionMatrix, self_time: str = "return") -> CentralityR
     n = h.n_vertices
     if n == 1 and self_time == "zero":
         raise TooSmallError("a single state's summed hitting time is zero under self_time='zero'")
-    values = _closeness_from_one_inverse(tm, self_time) if n else None
+    values = _closeness_from_one_inverse(tm, self_time) if n else {}
     if values is None:
-        values = {}
         for v in h.vertices:
-            times = hitting_times(tm, v, self_time=self_time)
-            values[v] = Fraction(n) / sum(times.values(), Fraction(0))
+            _require_reachable(tm, v)
+        raise UnreachableError("the chain is not irreducible")  # not reached: some v fails
     return CentralityReport(
         kind="rw_closeness",
         values=values,
@@ -206,7 +206,7 @@ def _closeness_from_one_inverse(tm: TransitionMatrix, self_time: str) -> dict[st
 
     where b is 1 when the target counts its return time and 0 otherwise.
     """
-    m, scale = tm._numerators, tm._denominator
+    m, scale = tm.matrix.numerators, tm.matrix.denominator
     n = len(m)
     a = [
         [scale * (i == j) - m[i][j] for j in range(1, n)] + [int(i == j) for j in range(1, n)]
@@ -310,12 +310,13 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
 
 def _first_passage_pays(tm: TransitionMatrix, horizon: int) -> bool:
     """Whether ``rw_betweenness`` takes the first-passage path (see there)."""
-    return horizon * tm._denominator.bit_length() <= _FIRST_PASSAGE_BITS_PER_STATE * len(tm.states)
+    bits = tm.matrix.denominator.bit_length()
+    return horizon * bits <= _FIRST_PASSAGE_BITS_PER_STATE * len(tm.states)
 
 
 def _betweenness_by_first_passage(tm: TransitionMatrix, horizon: int) -> dict[str, object]:
     """``rw_betweenness`` values, each target's walk masses through it by first passage."""
-    m, scale = tm._numerators, tm._denominator
+    m, scale = tm.matrix.numerators, tm.matrix.denominator
     n = len(m)
     columns = list(zip(*m))
 
@@ -344,7 +345,7 @@ def _betweenness_by_first_passage(tm: TransitionMatrix, horizon: int) -> dict[st
 def _betweenness_by_deleted_rows(tm: TransitionMatrix, horizon: int) -> dict[str, object]:
     """``rw_betweenness`` values, each target's walk masses through it as full
     minus avoided power sums."""
-    m, scale = tm._numerators, tm._denominator
+    m, scale = tm.matrix.numerators, tm.matrix.denominator
     full = _integer_power_sums(m, scale, horizon)
 
     def through(w: int, keep: list[int]) -> list[list[int]]:
@@ -453,7 +454,8 @@ def perron_centrality(
     import numpy as np  # on first use, so importing hyperlin does not load it
 
     n = h.n_vertices
-    mat = np.array(_coincidence(h, weights), dtype=float)
+    rows, d = _coincidence(h, weights)
+    mat = np.array([[x / d for x in row] for row in rows], dtype=float)
     x = np.ones(n, dtype=float)
     iterations = 0
     for iterations in range(1, PERRON_MAX_ITERATIONS + 1):

@@ -141,7 +141,7 @@ def _signed_indicator_in_nullspace(rows, n_edges: int, u_set, v_set) -> bool:
 def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
     if pairs is None:
         return _over_budget("partition_nullspace", vertex_nullity)
-    rows = {v: [int(x) for x in row] for v, row in zip(inc.row_labels, inc.entries)}
+    rows = dict(zip(inc.row_labels, inc.numerators))
     ok = True
     for u_set, v_set in pairs:
         counted, _ = verify_equal_edge_partition(h, u_set, v_set)

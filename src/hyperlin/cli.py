@@ -181,7 +181,7 @@ def cmd_certify(args, h: Hypergraph) -> tuple[dict, dict]:
 
 
 def cmd_partitions(args, h: Hypergraph) -> tuple[dict, dict]:
-    cap = args.max_support if args.max_support is not None else h.n_vertices
+    cap = args.max_support if args.max_support is not None else max(h.n_vertices, 1)
     pairs = find_equal_edge_partitions(h, max_support=cap)
     found = []
     for u_set, v_set in pairs:

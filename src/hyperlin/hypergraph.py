@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -279,11 +278,8 @@ def parse(text: str, format: str = "json") -> Hypergraph:
 
 def incidence_matrix(h: Hypergraph) -> RationalMatrix:
     """0/1 incidence matrix: rows are vertices, columns are hyperedges."""
-    rows = [
-        [Fraction(int(v in members)) for _, members in h.hyperedges]
-        for v in h.vertices
-    ]
-    return RationalMatrix.from_rows(h.vertices, h.edge_labels, rows)
+    rows = [[int(v in members) for _, members in h.hyperedges] for v in h.vertices]
+    return RationalMatrix(h.vertices, h.edge_labels, rows)
 
 
 def _dot_quote(text: str) -> str:
@@ -337,16 +333,12 @@ def incidence_graph_adjacency(h: Hypergraph) -> RationalMatrix:
     its transpose, the diagonal blocks are zero. Rows and columns are labeled
     by vertices followed by hyperedge labels, which never collide.
     """
-    inc = incidence_matrix(h)
+    inc = incidence_matrix(h).numerators
     labels = h.vertices + h.edge_labels
     n, m = h.n_vertices, h.n_hyperedges
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(0)] * n + list(inc.entries[i]))
-    for j in range(m):
-        rows.append([inc.entries[i][j] for i in range(n)] + [Fraction(0)] * m)
-    return RationalMatrix.from_rows(labels, labels, rows)
-
+    rows = [[0] * n + list(row) for row in inc]
+    rows += [[row[j] for row in inc] + [0] * m for j in range(m)]
+    return RationalMatrix(labels, labels, rows)
 
 def dual(h: Hypergraph) -> Hypergraph:
     """Dual hypergraph: vertices are hyperedge labels, hyperedges are stars.

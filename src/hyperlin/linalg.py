@@ -1,13 +1,13 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
-Matrices hold :class:`fractions.Fraction` entries at the API boundary.
-Elimination (RREF, nullspace, solve, determinant) runs inside on plain
-Python ints: each row is scaled by the lcm of its denominators, reduced
-fraction-free, and converted back to ``Fraction`` once at the end. Ranks,
-determinants, nullspaces and solutions are therefore exact, never
-approximate. Matrices carry row and column labels so results can be read
-back in terms of the objects they were built from (vertices, hyperedges,
-states).
+A matrix is stored as integer rows over one positive common denominator,
+reduced so that the numerators and the denominator share no factor; its
+``entries`` are the :class:`fractions.Fraction` view of those rows.
+Elimination (RREF, nullspace, solve, determinant) runs fraction-free on
+the integer rows, so ranks, determinants, nullspaces and solutions are
+exact, never approximate. Matrices carry row and column labels so results
+can be read back in terms of the objects they were built from (vertices,
+hyperedges, states).
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import NotSquareError, SingularError
+from .errors import NotSquareError, SingularError, UnknownLabelError
 
 __all__ = [
     "rat",
@@ -62,28 +64,56 @@ def _unique(labels: Sequence[str], axis: str) -> tuple[str, ...]:
     return out
 
 
+def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, as ints, and that lcm."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _known(keys: Iterable[str], labels: Sequence[str]) -> None:
+    """Raise UnknownLabelError naming the keys that are not ``labels``."""
+    unknown = set(keys).difference(labels)
+    if unknown:
+        raise UnknownLabelError(f"unknown labels: {sorted(unknown, key=str)}")
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
-    """A dense labeled matrix of exact rationals.
+    """A dense labeled matrix of exact rationals: ``numerators / denominator``.
 
-    Entries are stored row major as nested tuples, so instances are
-    immutable and safe to share. Labels are unique per axis.
+    The integer rows are nested tuples, so instances are immutable and safe
+    to share. The denominator is positive and shares no factor with all the
+    numerators, so equal matrices compare and hash equal. Labels are unique
+    per axis. Build from rationals with ``from_rows``.
     """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "row_labels", _unique(self.row_labels, "row"))
         object.__setattr__(self, "col_labels", _unique(self.col_labels, "column"))
-        rows = tuple(tuple(rat(x) for x in row) for row in self.entries)
+        rows = tuple(map(tuple, self.numerators))
         if len(rows) != len(self.row_labels):
             raise ValueError("entry rows do not match row labels")
-        for row in rows:
-            if len(row) != len(self.col_labels):
-                raise ValueError("entry row length does not match column labels")
-        object.__setattr__(self, "entries", rows)
+        if any(len(row) != len(self.col_labels) for row in rows):
+            raise ValueError("entry row length does not match column labels")
+        d = self.denominator
+        if isinstance(d, bool) or not isinstance(d, int) or d == 0:
+            raise ValueError(f"the denominator must be a nonzero int, got {d!r}")
+        g = math.gcd(d, *(x for row in rows for x in row)) * (1 if d > 0 else -1)
+        if g != 1:
+            rows = tuple(tuple(x // g for x in row) for row in rows)
+        object.__setattr__(self, "numerators", rows)
+        object.__setattr__(self, "denominator", d // g)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, row major."""
+        d = self.denominator
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.numerators)
 
     # -- construction ---------------------------------------------------
 
@@ -94,22 +124,19 @@ class RationalMatrix:
         col_labels: Sequence[str],
         rows: Iterable[Iterable[RationalLike]],
     ) -> "RationalMatrix":
-        return cls(tuple(row_labels), tuple(col_labels), tuple(tuple(r) for r in rows))
+        """The matrix of rational ``rows``, scaled by the lcm of all their denominators."""
+        rows = [[rat(x) for x in row] for row in rows]
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        nums = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+        return cls(row_labels, col_labels, nums, scale)
 
     @classmethod
     def identity(cls, labels: Sequence[str]) -> "RationalMatrix":
-        n = len(labels)
-        return cls.from_rows(
-            labels, labels,
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
-        )
+        return cls(labels, labels, [[int(a == b) for b in labels] for a in labels])
 
     @classmethod
     def diagonal(cls, labels: Sequence[str], values: Mapping[str, RationalLike]) -> "RationalMatrix":
-        n = len(labels)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, lab in enumerate(labels):
-            rows[i][i] = rat(values[lab])
+        rows = [[values[a] if a == b else 0 for b in labels] for a in labels]
         return cls.from_rows(labels, labels, rows)
 
     # -- shape and access -----------------------------------------------
@@ -139,63 +166,53 @@ class RationalMatrix:
             raise KeyError(f"no column labeled {label!r}") from None
 
     def entry(self, row_label: str, col_label: str) -> Fraction:
-        return self.entries[self.row_index(row_label)][self.col_index(col_label)]
+        return self[self.row_index(row_label), self.col_index(col_label)]
 
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
         i, j = idx
-        return self.entries[i][j]
+        return Fraction(self.numerators[i][j], self.denominator)
 
     def row(self, label: str) -> dict[str, Fraction]:
-        i = self.row_index(label)
-        return dict(zip(self.col_labels, self.entries[i]))
+        d, i = self.denominator, self.row_index(label)
+        return {c: Fraction(x, d) for c, x in zip(self.col_labels, self.numerators[i])}
 
     # -- algebra ---------------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.col_labels,
-            self.row_labels,
-            tuple(zip(*self.entries)) if self.entries else tuple(() for _ in self.col_labels),
-        )
+        cols = tuple(zip(*self.numerators)) or ((),) * self.cols
+        return RationalMatrix(self.col_labels, self.row_labels, cols, self.denominator)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        bt = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in bt)
-            for row in self.entries
-        )
-        return RationalMatrix(self.row_labels, other.col_labels, out)
+        bt = list(zip(*other.numerators)) or [()] * other.cols
+        out = [[sum(map(mul, row, col)) for col in bt] for row in self.numerators]
+        d = self.denominator * other.denominator
+        return RationalMatrix(self.row_labels, other.col_labels, out, d)
 
     def apply(self, x: Mapping[str, RationalLike]) -> dict[str, Fraction]:
         """Matrix-vector product M x with x indexed by column labels.
 
-        Missing keys count as zero, so sparse vectors are fine.
+        Missing keys count as zero, so sparse vectors are fine; a key that is
+        not a column label raises UnknownLabelError.
         """
-        vec = [rat(x.get(lab, 0)) for lab in self.col_labels]
-        return {
-            lab: sum((a * b for a, b in zip(row, vec)), Fraction(0))
-            for lab, row in zip(self.row_labels, self.entries)
-        }
+        _known(x, self.col_labels)
+        vec, scale = _integer_row([rat(x.get(lab, 0)) for lab in self.col_labels])
+        d = self.denominator * scale
+        rows = zip(self.row_labels, self.numerators)
+        return {lab: Fraction(sum(map(mul, row, vec)), d) for lab, row in rows}
 
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False
-        n = self.rows
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        m = self.numerators
+        return all(m[i][j] == m[j][i] for i in range(self.rows) for j in range(i + 1, self.rows))
 
     def submatrix(self, row_labels: Sequence[str], col_labels: Sequence[str]) -> "RationalMatrix":
         ri = [self.row_index(l) for l in row_labels]
         ci = [self.col_index(l) for l in col_labels]
-        return RationalMatrix.from_rows(
-            row_labels, col_labels,
-            [[self.entries[i][j] for j in ci] for i in ri],
-        )
+        rows = [[self.numerators[i][j] for j in ci] for i in ri]
+        return RationalMatrix(tuple(row_labels), tuple(col_labels), rows, self.denominator)
 
     # -- serialization ----------------------------------------------------
 
@@ -211,8 +228,11 @@ class RationalMatrix:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "RationalMatrix":
-        rows = int(data["rows"])
-        cols = int(data["cols"])
+        for field in ("rows", "cols"):
+            value = data[field]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{field!r} must be a nonnegative integer, got {value!r}")
+        rows, cols = data["rows"], data["cols"]
         flat = [rat(x) for x in data["entries"]]
         if len(flat) != rows * cols:
             raise ValueError("entry count does not match the declared shape")
@@ -248,12 +268,6 @@ class NullspaceBasis:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
-
-
-def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, as ints, and that lcm."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
 def _fraction_free_reduce(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -313,11 +327,9 @@ def rref(m: RationalMatrix) -> RrefResult:
         The echelon matrix (same labels), its rank, and pivot column
         indices in increasing order.
     """
-    a = [_integer_row(row)[0] for row in m.entries]
+    a = [list(row) for row in m.numerators]
     pivots, d, _ = _fraction_free_reduce(a, m.cols)
-    reduced = RationalMatrix.from_rows(
-        m.row_labels, m.col_labels, [[Fraction(x, d) for x in row] for row in a]
-    )
+    reduced = RationalMatrix(m.row_labels, m.col_labels, a, d)
     return RrefResult(matrix=reduced, rank=len(pivots), pivot_cols=tuple(pivots))
 
 
@@ -333,27 +345,25 @@ def nullspace(m: RationalMatrix) -> NullspaceBasis:
     form and sign-normalized so the leading nonzero coordinate is +1.
     """
     res = rref(m)
-    a = res.matrix.entries
+    a, d = res.matrix.numerators, res.matrix.denominator
     pivot_set = set(res.pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
     vectors: list[dict] = []
-    for f in free_cols:
-        coeffs = [Fraction(0)] * m.cols
-        coeffs[f] = Fraction(1)
+    for f in (c for c in range(m.cols) if c not in pivot_set):
+        coeffs = [0] * m.cols
+        coeffs[f] = d
         for r, p in enumerate(res.pivot_cols):
             coeffs[p] = -a[r][f]
-        lead = next((x for x in coeffs if x != 0), None)
-        if lead is not None and lead < 0:
+        if next(x for x in coeffs if x) < 0:
             coeffs = [-x for x in coeffs]
-        vectors.append(dict(zip(m.col_labels, coeffs)))
+        vectors.append({lab: Fraction(x, d) for lab, x in zip(m.col_labels, coeffs)})
     return NullspaceBasis(ambient_labels=m.col_labels, vectors=tuple(vectors))
 
 
 def determinant(m: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    The last pivot is the determinant of the row-scaled integer matrix up
-    to the permutation sign; dividing by the row scales gives the result.
+    The last pivot is the determinant of the integer numerators up to the
+    permutation sign; dividing by denominator^n gives the result.
 
     Raises
     ------
@@ -362,12 +372,10 @@ def determinant(m: RationalMatrix) -> Fraction:
     """
     if not m.is_square:
         raise NotSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    rows = [_integer_row(row) for row in m.entries]
-    a = [row for row, _ in rows]
-    pivots, d, sign = _fraction_free_reduce(a, m.cols)
+    pivots, d, sign = _fraction_free_reduce([list(row) for row in m.numerators], m.cols)
     if len(pivots) < m.rows:
         return Fraction(0)
-    return Fraction(sign * d, math.prod(scale for _, scale in rows))
+    return Fraction(sign * d, m.denominator**m.rows)
 
 
 def solve(m: RationalMatrix, b: Mapping[str, RationalLike] | Sequence[RationalLike]) -> dict[str, Fraction]:
@@ -378,8 +386,9 @@ def solve(m: RationalMatrix, b: Mapping[str, RationalLike] | Sequence[RationalLi
     m : RationalMatrix
         Square coefficient matrix.
     b : mapping or sequence
-        Right hand side, either keyed by row label (missing keys are zero)
-        or a sequence aligned with the row order.
+        Right hand side, either keyed by row label (missing keys are zero;
+        a key that is not a row label raises UnknownLabelError) or a
+        sequence aligned with the row order.
 
     Returns
     -------
@@ -388,20 +397,22 @@ def solve(m: RationalMatrix, b: Mapping[str, RationalLike] | Sequence[RationalLi
 
     Raises
     ------
-    NotSquareError, SingularError
+    NotSquareError, SingularError, UnknownLabelError
     """
     if not m.is_square:
         raise NotSquareError(f"solve needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
     if isinstance(b, Mapping):
+        _known(b, m.row_labels)
         rhs = [rat(b.get(lab, 0)) for lab in m.row_labels]
     else:
         rhs = [rat(x) for x in b]
         if len(rhs) != n:
             raise ValueError("right hand side length does not match")
-    a = [_integer_row(row + (rhs[i],))[0] for i, row in enumerate(m.entries)]
-    nums, d = _integer_solve(a, n)
-    return {lab: Fraction(x, d) for lab, (x,) in zip(m.col_labels, nums)}
+    # with M = N / d and b = c / s, M x = b is N y = c for y = x s / d
+    c, s = _integer_row(rhs)
+    nums, last = _integer_solve([[*row, x] for row, x in zip(m.numerators, c)], n)
+    return {lab: Fraction(x * m.denominator, last * s) for lab, (x,) in zip(m.col_labels, nums)}
 
 
 def vector_support(x: Mapping[str, Fraction]) -> frozenset:

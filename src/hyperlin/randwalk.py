@@ -2,14 +2,14 @@
 
 A walk step from vertex u first picks a hyperedge e containing u (weight
 r(u, e)), then a vertex v in e (weight s(u, e, v)), so the transition
-kernel is P[u][v] = sum over shared hyperedges of r * s. Every kernel is
-held as integer rows M over one denominator D (P = M / D), which the exact
-walk algebra reads; its ``matrix`` is the Fraction view M / D. The uniform
-kernels are built in ints straight from the hypergraph's star index;
-custom policies and hand-built kernels go through Fractions and are
-validated as stochastic on the ints. Monte-Carlo simulation draws 64-bit
-integers from a fully specified generator so runs are bit-reproducible, and
-steps blocks of trajectories together as numpy uint64 arrays.
+kernel is P[u][v] = sum over shared hyperedges of r * s. Every kernel's
+``matrix`` holds integer rows M over one denominator D (P = M / D), which
+the exact walk algebra reads. The uniform kernels are built in ints
+straight from the hypergraph's star index; custom policies go through
+Fractions. Every kernel is validated as stochastic on the ints.
+Monte-Carlo simulation draws 64-bit integers from a fully specified
+generator so runs are bit-reproducible, and steps blocks of trajectories
+together as numpy uint64 arrays.
 """
 
 from __future__ import annotations
@@ -96,23 +96,19 @@ class WalkPolicy:
 class TransitionMatrix:
     """An exact row-stochastic kernel bound to its hypergraph and policy.
 
-    The kernel is kept as integer rows M over one common denominator D,
-    P = M / D, in canonical form (D is the lcm of the entries' reduced
-    denominators), with the columns of M and a state-to-index map, which
-    the exact walk functions read; ``matrix`` is the Fraction view M / D.
+    ``matrix`` holds the kernel as integer rows M over one denominator D,
+    P = M / D, which the exact walk functions read together with the
+    columns of M and a state-to-index map.
 
-    Built by hand from a Fraction ``matrix``, the kernel is validated: its
-    row and column labels must both be the source's vertices in order,
-    every entry must be nonnegative and every row must sum to exactly 1. ``transition_matrix`` builds the uniform kernels from
-    their ints directly.
+    The kernel is validated: its row and column labels must both be the
+    source's vertices in order, every entry must be nonnegative and every
+    row must sum to exactly 1.
     """
 
     source: Hypergraph
     policy: WalkPolicy
     matrix: RationalMatrix
-    _numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _denominator: int = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -122,47 +118,17 @@ class TransitionMatrix:
                 f"transition matrix rows {list(m.row_labels)} and columns "
                 f"{list(m.col_labels)} are not the vertices {list(verts)} in order"
             )
-        n = m.cols
-        flat, scale = _integer_row([x for row in m.entries for x in row])
-        self._store([flat[i * n : (i + 1) * n] for i in range(n)], scale)
-
-    @classmethod
-    def _from_integers(
-        cls, source: Hypergraph, policy: WalkPolicy, rows: list[list[int]], denominator: int
-    ) -> "TransitionMatrix":
-        """The kernel M / D on ``source``'s vertices from canonical integer rows.
-
-        ``matrix`` is written as the view Fraction(x, D), one Fraction per
-        distinct numerator; the rows are validated but not derived again
-        from it.
-        """
-        labels = source.vertices
-        view_of = {x: Fraction(x, denominator) for x in set().union(*rows)}
-        view = RationalMatrix(
-            labels, labels, tuple(tuple(map(view_of.__getitem__, row)) for row in rows)
-        )
-        tm = object.__new__(cls)
-        for name, value in (("source", source), ("policy", policy), ("matrix", view)):
-            object.__setattr__(tm, name, value)
-        tm._store(rows, denominator)
-        return tm
-
-    def _store(self, rows: list[list[int]], denominator: int) -> None:
-        """Check that M / D is stochastic, then keep M, its columns and D."""
-        for lab, row in zip(self.states, rows):
-            for v, x in zip(self.states, row):
+        d = m.denominator
+        for lab, row in zip(verts, m.numerators):
+            for v, x in zip(verts, row):
                 if x < 0:
                     raise BadDistributionError(
-                        f"row {lab!r} has entry {Fraction(x, denominator)} at {v!r}, below 0"
+                        f"row {lab!r} has entry {Fraction(x, d)} at {v!r}, below 0"
                     )
-            if sum(row) != denominator:
-                total = Fraction(sum(row), denominator)
-                raise BadDistributionError(f"row {lab!r} sums to {total}, not 1")
-        numerators = tuple(map(tuple, rows))
-        object.__setattr__(self, "_numerators", numerators)
-        object.__setattr__(self, "_columns", tuple(zip(*numerators)))
-        object.__setattr__(self, "_denominator", denominator)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.states)})
+            if sum(row) != d:
+                raise BadDistributionError(f"row {lab!r} sums to {Fraction(sum(row), d)}, not 1")
+        object.__setattr__(self, "_columns", tuple(zip(*m.numerators)))
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(verts)})
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -177,7 +143,7 @@ def _uniform_rows(h: Hypergraph, lazy: bool) -> tuple[list[list[int]], int]:
     nothing to u itself when non-lazy), so it sums to deg(u) * L_u: that is
     P[u][v] = sum over shared e of 1/deg(u) * 1/k_e. Each row is reduced by
     its gcd with that sum, D is the lcm of the reduced row denominators, and
-    every row is scaled to D: the canonical form of ``_integer_row``.
+    every row is scaled to D: the canonical form of ``RationalMatrix``.
     """
     index = {v: i for i, v in enumerate(h.vertices)}
     members = {e: [index[v] for v in ms] for e, ms in h.hyperedges}
@@ -218,7 +184,8 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
             raise IsolatedVertexError(f"vertex {v!r} has no incident hyperedge")
     if policy.is_uniform:
         rows, denominator = _uniform_rows(h, policy.kind == UNIFORM_LAZY)
-        return TransitionMatrix._from_integers(h, policy, rows, denominator)
+        matrix = RationalMatrix(h.vertices, h.vertices, rows, denominator)
+        return TransitionMatrix(source=h, policy=policy, matrix=matrix)
     if policy.kind != CUSTOM:
         raise ValueError(f"unknown policy kind {policy.kind!r}")
     if policy.edge_rule is None or policy.vertex_rule is None:
@@ -303,7 +270,7 @@ def _integer_walk(
     absorbed: list[Fraction] = []
     for _ in range(steps):
         masses = [sum(map(mul, masses, col)) for col in cols]
-        denom *= tm._denominator
+        denom *= tm.matrix.denominator
         if absorb is not None:
             absorbed.append(Fraction(masses[absorb], denom))
             masses[absorb] = 0
@@ -317,6 +284,21 @@ def step_distribution(
     _check_count(t, "step count", 0)
     masses, denom, _ = _integer_walk(tm, init, t)
     return {v: Fraction(x, denom) for v, x in zip(tm.states, masses)}
+
+
+def _require_reachable(tm: TransitionMatrix, target: str) -> None:
+    """Raise UnreachableError naming the states from which ``target`` cannot be reached."""
+    m, t = tm.matrix.numerators, tm._index[target]
+    reached, frontier = {t}, [t]
+    while frontier:
+        frontier = [
+            u for u, row in enumerate(m)
+            if u not in reached and any(row[v] > 0 for v in frontier)
+        ]
+        reached.update(frontier)
+    missing = sorted(v for i, v in enumerate(tm.states) if i not in reached)
+    if missing:
+        raise UnreachableError(f"states cannot reach {target!r}: {missing}")
 
 
 def hitting_times(
@@ -340,19 +322,10 @@ def hitting_times(
         raise UnknownLabelError(f"unknown state {target!r}")
     if self_time not in ("return", "zero"):
         raise ValueError("self_time must be 'return' or 'zero'")
-    m, d = tm._numerators, tm._denominator
+    _require_reachable(tm, target)
+    m, d = tm.matrix.numerators, tm.matrix.denominator
     t = tm._index[target]
-    reached, frontier = {t}, [t]
-    while frontier:
-        frontier = [
-            u for u, row in enumerate(m)
-            if u not in reached and any(row[v] > 0 for v in frontier)
-        ]
-        reached.update(frontier)
     others = [i for i in range(len(tm.states)) if i != t]
-    missing = sorted(tm.states[i] for i in others if i not in reached)
-    if missing:
-        raise UnreachableError(f"states cannot reach {target!r}: {missing}")
     a = [[d * (i == j) - m[i][j] for j in others] + [d] for i in others]
     sol, last = _integer_solve(a, len(others))
     nums = [row[0] for row in sol]
@@ -610,7 +583,7 @@ def simulate(
     states = tm.states
     n = len(states)
     init_table = _threshold_table([masses], denom)
-    row_table = _threshold_table(tm._numerators, tm._denominator)
+    row_table = _threshold_table(tm.matrix.numerators, tm.matrix.denominator)
     shift, row_bits, splits, picks, marked = _bucket_table(*row_table)
     fallback = bool(marked.any())
     visits = np.zeros(n, dtype=np.int64)

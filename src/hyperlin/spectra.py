@@ -1,6 +1,6 @@
 """Weighted hypergraph matrices and their spectra.
 
-Matrix construction is exact rational arithmetic throughout. Floating
+Matrices are built exactly, as integer rows over one denominator. Floating
 point enters exactly once, inside eigenvalues_sym, after the exact
 symmetry (or similarity) checks have passed.
 """
@@ -21,7 +21,7 @@ from .errors import (
     WeightDomainMismatchError,
 )
 from .hypergraph import Hypergraph, incidence_graph_adjacency, incidence_matrix
-from .linalg import RationalMatrix, rat
+from .linalg import RationalMatrix, _integer_row, rat
 from .structures import Certificate, CertificateKind, VERTEX_AXIS
 
 __all__ = [
@@ -138,32 +138,37 @@ def _check_weights(h: Hypergraph, w: WeightScheme) -> None:
         raise WeightDomainMismatchError("weights must be positive")
 
 
-def _coincidence(h: Hypergraph, edge_weights: Mapping[str, Fraction]) -> list[list[Fraction]]:
-    """Entry (u, v) is the total weight over star(u) meet star(v), in vertex order."""
+def _coincidence(h: Hypergraph, edge_weights: Mapping[str, Fraction]) -> tuple[list, int]:
+    """Int rows over one denominator: entry (u, v) is the total weight over
+    star(u) meet star(v), in vertex order."""
+    scaled, d = _integer_row([edge_weights[e] for e in h.edge_labels])
+    weight = dict(zip(h.edge_labels, scaled))
     stars = [h.star(v) for v in h.vertices]
-    return [[sum((edge_weights[e] for e in su & sv), Fraction(0)) for sv in stars] for su in stars]
+    return [[sum(weight[e] for e in su & sv) for sv in stars] for su in stars], d
 
 
-def _q_rows(h: Hypergraph, w: WeightScheme) -> list[list[Fraction]]:
-    """Rows of Q in vertex order; every weighted matrix is read off this table."""
+def _q_rows(h: Hypergraph, w: WeightScheme) -> tuple[list, int]:
+    """Int rows of Q in vertex order and their denominator; every weighted
+    matrix is read off this table."""
     _check_weights(h, w)
-    return [
-        [w.vertex_weights[u] * x for x in row]
-        for u, row in zip(h.vertices, _coincidence(h, w.edge_weights))
-    ]
+    scaled, vd = _integer_row([w.vertex_weights[u] for u in h.vertices])
+    rows, d = _coincidence(h, w.edge_weights)
+    return [[s * x for x in row] for s, row in zip(scaled, rows)], d * vd
 
 
-def _adjacency_rows(q: list[list[Fraction]]) -> list[list[Fraction]]:
+def _adjacency_rows(q: list[list[int]]) -> list[list[int]]:
     """Q with the diagonal zeroed."""
-    return [[Fraction(0) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(q)]
+    return [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(q)]
 
 
-def _laplacian_rows(a: list[list[Fraction]]) -> list[list[Fraction]]:
+def _laplacian_rows(a: list[list[int]]) -> list[list[int]]:
     """K - A for adjacency rows A, K carrying the row sums of A."""
-    return [
-        [sum(row, Fraction(0)) if i == j else -x for j, x in enumerate(row)]
-        for i, row in enumerate(a)
-    ]
+    return [[sum(row) if i == j else -x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+def _diagonal_part(rows: list[list[int]]) -> list[list[int]]:
+    """The rows with every entry off the diagonal zeroed."""
+    return [[x if i == j else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
 
 def build_Q(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
@@ -173,32 +178,32 @@ def build_Q(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     the hyperedges containing both u and v, read off the star index rather
     than multiplied out. The diagonal carries the weighted degree.
     """
-    return RationalMatrix.from_rows(h.vertices, h.vertices, _q_rows(h, w))
+    return RationalMatrix(h.vertices, h.vertices, *_q_rows(h, w))
 
 
 def build_D(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Diagonal weighted-degree matrix: entry (v, v) is w_V(v) sum of w_E over star(v)."""
-    q = _q_rows(h, w)
-    return RationalMatrix.diagonal(h.vertices, {v: q[i][i] for i, v in enumerate(h.vertices)})
+    q, d = _q_rows(h, w)
+    return RationalMatrix(h.vertices, h.vertices, _diagonal_part(q), d)
 
 
 def build_A(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Weighted adjacency: Q with the diagonal zeroed (equivalently Q - D)."""
-    return RationalMatrix.from_rows(h.vertices, h.vertices, _adjacency_rows(_q_rows(h, w)))
+    q, d = _q_rows(h, w)
+    return RationalMatrix(h.vertices, h.vertices, _adjacency_rows(q), d)
 
 
 def build_K(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Diagonal row-sum matrix of the weighted adjacency."""
-    a = _adjacency_rows(_q_rows(h, w))
-    return RationalMatrix.diagonal(
-        h.vertices, {v: sum(row, Fraction(0)) for v, row in zip(h.vertices, a)}
-    )
+    q, d = _q_rows(h, w)
+    rows = _diagonal_part(_laplacian_rows(_adjacency_rows(q)))
+    return RationalMatrix(h.vertices, h.vertices, rows, d)
 
 
 def build_L(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Weighted Laplacian K - A."""
-    a = _adjacency_rows(_q_rows(h, w))
-    return RationalMatrix.from_rows(h.vertices, h.vertices, _laplacian_rows(a))
+    q, d = _q_rows(h, w)
+    return RationalMatrix(h.vertices, h.vertices, _laplacian_rows(_adjacency_rows(q)), d)
 
 
 def build_A_GH(h: Hypergraph) -> RationalMatrix:
@@ -287,32 +292,29 @@ def eigenvalues_sym(
     if not m.is_square:
         raise NotSquareError("eigenvalues need a square matrix")
     group_tol = 10.0 * tol
-    n = m.rows
+    n, rows, den = m.rows, m.numerators, m.denominator
+    # int true division rounds correctly, exactly as float(Fraction) does
     if m.is_symmetric():
-        arr = np.array([[float(x) for x in row] for row in m.entries], dtype=float)
+        arr = np.array([[x / den for x in row] for row in rows], dtype=float).reshape(n, n)
     elif similarity is not None:
         d = {str(k): rat(v) for k, v in similarity.items()}
         if set(d) != set(m.row_labels) or m.row_labels != m.col_labels:
             raise NotSymmetrizableError("similarity diagonal must cover the matrix labels")
         if any(x <= 0 for x in d.values()):
             raise NotSymmetrizableError("similarity diagonal must be positive")
-        dv = [d[lab] for lab in m.row_labels]
+        dv, _ = _integer_row([d[lab] for lab in m.row_labels])
         for i in range(n):
             for j in range(i + 1, n):
-                if m.entries[i][j] * dv[j] != m.entries[j][i] * dv[i]:
+                if rows[i][j] * dv[j] != rows[j][i] * dv[i]:
                     raise NotSymmetrizableError(
                         "matrix is not symmetric under the declared diagonal"
                     )
         arr = np.zeros((n, n), dtype=float)
         for i in range(n):
-            arr[i, i] = float(m.entries[i][i])
+            arr[i, i] = rows[i][i] / den
             for j in range(i + 1, n):
-                prod = m.entries[i][j] * m.entries[j][i]
-                val = math.sqrt(float(prod))
-                if m.entries[i][j] < 0:
-                    val = -val
-                arr[i, j] = val
-                arr[j, i] = val
+                val = math.sqrt(rows[i][j] * rows[j][i] / (den * den))
+                arr[i, j] = arr[j, i] = -val if rows[i][j] < 0 else val
     else:
         raise NotSymmetrizableError("matrix is not symmetric and no similarity was declared")
     eigs = np.linalg.eigvalsh(arr)
@@ -412,9 +414,9 @@ def verify_A_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fr
     coefficient vector is an eigenvector of A with eigenvalue minus that
     constant, verified exactly; returns None when the degrees differ.
     """
-    q = _q_rows(h, w)
-    degrees = {v: q[i][i] for i, v in enumerate(h.vertices)}
-    adjacency = RationalMatrix.from_rows(h.vertices, h.vertices, _adjacency_rows(q))
+    q, d = _q_rows(h, w)
+    degrees = {v: Fraction(row[i], d) for i, (v, row) in enumerate(zip(h.vertices, q))}
+    adjacency = RationalMatrix(h.vertices, h.vertices, _adjacency_rows(q), d)
     return _eigen_check(h, cert, adjacency, degrees, sign=-1)
 
 
@@ -425,8 +427,7 @@ def verify_L_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fr
     vertices jointly incident with v, scaled by v's weight. When constant on
     the support, L has the certificate as an eigenvector with that eigenvalue.
     """
-    q = _q_rows(h, w)
-    constant = {v: sum(row, Fraction(0)) for v, row in zip(h.vertices, q)}
-    rows = _laplacian_rows(_adjacency_rows(q))
-    laplacian = RationalMatrix.from_rows(h.vertices, h.vertices, rows)
+    q, d = _q_rows(h, w)
+    constant = {v: Fraction(sum(row), d) for v, row in zip(h.vertices, q)}
+    laplacian = RationalMatrix(h.vertices, h.vertices, _laplacian_rows(_adjacency_rows(q)), d)
     return _eigen_check(h, cert, laplacian, constant, sign=1)

@@ -140,7 +140,7 @@ def test_walk_centralities_constant_on_units(policy, long_horizon):
     tm = transition_matrix(h, policy)
     horizon = 12
     if long_horizon:
-        bits_per_step = tm._denominator.bit_length()
+        bits_per_step = tm.matrix.denominator.bit_length()
         horizon = centrality._FIRST_PASSAGE_BITS_PER_STATE * len(tm.states) // bits_per_step + 1
     assert centrality._first_passage_pays(tm, horizon) is not long_horizon
     for rep in (rw_closeness(tm), rw_betweenness(tm, horizon=horizon)):

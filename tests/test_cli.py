@@ -154,6 +154,23 @@ def test_check_on_the_empty_hypergraph_passes(capsys, tmp_path):
     assert report["results"] == {"failed": 0, "nullity_A_GH": 0}
 
 
+@pytest.mark.parametrize("matrix", ["Q", "A_GH"])
+def test_spectra_of_the_empty_hypergraph_is_empty(capsys, tmp_path, matrix):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [], "hyperedges": {}}', encoding="utf-8")
+    code, out, err = run(capsys, "spectra", str(path), "--matrix", matrix)
+    assert code == 0, err
+    assert json.loads(out)["results"]["eigs"] == []
+
+
+def test_partitions_of_the_empty_hypergraph_are_none(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [], "hyperedges": {}}', encoding="utf-8")
+    code, out, err = run(capsys, "partitions", str(path))
+    assert code == 0, err
+    assert json.loads(out)["results"] == {"count": 0, "partitions": []}
+
+
 def test_exit_one_on_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "units", str(tmp_path / "missing.json"))
     assert code == 1

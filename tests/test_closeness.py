@@ -5,8 +5,8 @@ Gauss-Jordan. These tests compare it, values and key order, with the
 Fraction oracle built from per-target hitting times on generated lazy,
 non-lazy and custom kernels, and check that chains which are not
 irreducible (the solve is singular, or a stationary weight is not
-positive) fall back to the per-target solves and raise their
-``UnreachableError`` unchanged. None of the checks is an ``assert`` inside
+positive) raise the first target's ``UnreachableError`` of the per-target
+solves, found by a reachability test and not by solving. None of the checks is an ``assert`` inside
 the library, so they also hold under ``python -O``.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import example, given, strategies as st
 
 import fraction_oracles as oracle
 from conftest import random_hypergraph
-from hyperlin import Hypergraph, WalkPolicy, centrality, hitting_times, rw_closeness, transition_matrix
+from hyperlin import Hypergraph, WalkPolicy, centrality, hitting_times, randwalk, rw_closeness, transition_matrix
 from hyperlin.errors import TooSmallError, UnreachableError
 from hyperlin import fixtures as fx
 from test_kernel import KERNEL, UNEQUAL_TM, kernels
@@ -140,15 +140,38 @@ def test_irreducible_chains_take_no_per_target_solve(monkeypatch, policy):
     want = [rw_closeness(tm, s).values for s in SELF_TIMES]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("per-target solve on an irreducible chain")
+        raise AssertionError("per-target fallback on an irreducible chain")
 
-    monkeypatch.setattr(centrality, "hitting_times", refuse)
+    monkeypatch.setattr(centrality, "_require_reachable", refuse)
     assert [rw_closeness(tm, s).values for s in SELF_TIMES] == want
     monkeypatch.undo()
     n = h.n_vertices
     for s, values in zip(SELF_TIMES, want):
         sums = {v: sum(hitting_times(tm, v, self_time=s).values(), Fraction(0)) for v in h.vertices}
         assert values == {v: Fraction(n) / sums[v] for v in h.vertices}
+
+
+def test_a_chain_that_is_not_irreducible_takes_one_solve(monkeypatch):
+    """No state may enter c: the one-inverse solve is the only solve, and the
+    per-target fallback only tests reachability."""
+    h = Hypergraph.from_members([("e1", ["a", "b", "c"]), ("e2", ["a", "b"])])
+    into = {(u, e, v): 1 for u in h.vertices for e in h.star(u) for v in h.members(e) if v != "c"}
+    tm = transition_matrix(h, _weighted(h, {}, into))
+    expected = _per_target_error(tm, "return")
+    assert expected == "states cannot reach 'c': ['a', 'b']"
+    calls = []
+    solve = randwalk._integer_solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(centrality, "_integer_solve", counting)
+    monkeypatch.setattr(randwalk, "_integer_solve", counting)
+    with pytest.raises(UnreachableError) as info:
+        rw_closeness(tm)
+    assert str(info.value) == expected
+    assert len(calls) == 1
 
 
 def test_unknown_self_time_is_rejected():

@@ -19,6 +19,7 @@ order included.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,49 @@ def test_determinant_matches_fraction_bareiss(m):
     assert determinant(m) == oracle.determinant([list(r) for r in m.entries])
 
 
+def _products(a: list[list[Fraction]], b: list[list[Fraction]], inner: int, k: int) -> list[list[Fraction]]:
+    return [[sum((row[t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(k)] for row in a]
+
+
+@KERNEL
+@given(st.data())
+def test_integer_rows_are_canonical_and_match_the_fraction_algebra(data):
+    """Stored ints are canonical, so two scalings of one value are equal and
+    hash equal, and every operation equals the Fraction oracle on the drawn rows."""
+    nrows, ncols, k = (data.draw(st.integers(0, 5)) for _ in range(3))
+    rows = [[data.draw(scalars) for _ in range(ncols)] for _ in range(nrows)]
+    m = _matrix(rows, ncols)
+    assert m.denominator > 0
+    assert math.gcd(m.denominator, *(x for row in m.numerators for x in row)) == 1
+    assert m.entries == tuple(map(tuple, rows))
+    factor = data.draw(st.integers(-6, 6).filter(bool))
+    scaled = [[x * factor for x in row] for row in m.numerators]
+    again = RationalMatrix(m.row_labels, m.col_labels, scaled, m.denominator * factor)
+    assert again == m and hash(again) == hash(m)
+    assert again.transpose().entries == tuple(tuple(row[j] for row in rows) for j in range(ncols))
+    other_rows = [[data.draw(scalars) for _ in range(k)] for _ in range(ncols)]
+    other = RationalMatrix.from_rows(m.col_labels, [f"d{j}" for j in range(k)], other_rows)
+    assert (again @ other).entries == tuple(map(tuple, _products(rows, other_rows, ncols, k)))
+    x = {c: data.draw(scalars) for c in m.col_labels if data.draw(st.booleans())}
+    vec = [[x.get(c, Fraction(0))] for c in m.col_labels]
+    expected = [row[0] for row in _products(rows, vec, ncols, 1)]
+    assert again.apply(x) == dict(zip(m.row_labels, expected))
+    ri = data.draw(st.permutations(range(nrows)))[: data.draw(st.integers(0, nrows))]
+    ci = data.draw(st.permutations(range(ncols)))[: data.draw(st.integers(0, ncols))]
+    sub = again.submatrix([m.row_labels[i] for i in ri], [m.col_labels[j] for j in ci])
+    assert sub.entries == tuple(tuple(rows[i][j] for j in ci) for i in ri)
+    reduced, pivots = oracle.gauss_jordan(rows, ncols)
+    assert rref(again).matrix.entries == tuple(map(tuple, reduced))
+    basis = nullspace(again)
+    assert [[v[c] for c in m.col_labels] for v in basis.vectors] == oracle.nullspace_vectors(rows, ncols)
+    if nrows == ncols:
+        assert determinant(again) == oracle.determinant(rows)
+        rhs = [data.draw(scalars) for _ in range(nrows)]
+        solution = oracle.solve(rows, rhs)
+        if solution is not None:
+            assert solve(again, rhs) == dict(zip(m.col_labels, solution))
+
+
 def _custom_policy(h: Hypergraph, weights: list[int]) -> WalkPolicy:
     """Unequal rules: each choice normalizes positive integer weights taken
     in turn from ``weights``, so rows get differing denominators."""
@@ -230,11 +274,13 @@ def test_uniform_kernels_match_the_fraction_rules(h):
         assert _kernel_rows(tm) == expected
         flat, scale = _integer_row([x for row in expected for x in row])
         n = len(expected)
-        assert tm._numerators == tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-        assert tm._denominator == scale
-        # the public constructor derives the same ints from the Fraction view
-        again = TransitionMatrix(source=h, policy=policy, matrix=tm.matrix)
-        assert (again._numerators, again._denominator) == (tm._numerators, scale)
+        assert tm.matrix.numerators == tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+        assert tm.matrix.denominator == scale
+        # from_rows derives the same ints from the Fraction rules
+        again = TransitionMatrix(
+            source=h, policy=policy, matrix=RationalMatrix.from_rows(h.vertices, h.vertices, expected)
+        )
+        assert (again.matrix.numerators, again.matrix.denominator) == (tm.matrix.numerators, scale)
 
 
 def _kernel_rows(tm) -> list[list[Fraction]]:
@@ -451,7 +497,7 @@ TINY_MASS_TM = _one_edge_kernel([TINY, Fraction(1, 2**60), 1 - Fraction(1, 2**60
 @pytest.mark.parametrize("tm", [SHARED_BUCKET_TM, EQUAL_BOUNDS_TM, TINY_MASS_TM])
 @pytest.mark.parametrize("seed", [0, 7, 2**70 + 5])
 def test_buckets_holding_two_bounds_fall_back_to_the_bisect(monkeypatch, tm, seed):
-    table = randwalk._threshold_table(tm._numerators, tm._denominator)
+    table = randwalk._threshold_table(tm.matrix.numerators, tm.matrix.denominator)
     assert randwalk._bucket_table(*table)[-1].any()
     looked_up = []
     choose = randwalk._choose
@@ -484,7 +530,7 @@ def test_a_draw_on_a_bound_takes_the_next_state(past):
         ),
     )
     # from "a", the bound of "a" is the one threshold in its bucket: its split
-    thresholds, targets = randwalk._threshold_table(tm._numerators, tm._denominator)
+    thresholds, targets = randwalk._threshold_table(tm.matrix.numerators, tm.matrix.denominator)
     assert thresholds[0, 0] == second - past
     shift, _, splits, picks, marked = randwalk._bucket_table(thresholds, targets)
     slot = (second >> shift) << 1

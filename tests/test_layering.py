@@ -1,4 +1,6 @@
-"""Only ``linalg`` knows the layout of its fraction-free elimination."""
+"""Only ``linalg`` knows the layout of its fraction-free elimination, and only
+it reads a matrix's Fraction view ``entries``: every other module reads the
+integer rows."""
 
 import ast
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import hyperlin
 
 
-def test_only_linalg_names_the_fraction_free_reduction():
+def _uses_outside_linalg(name: str) -> list[str]:
     found = []
     for path in sorted(Path(hyperlin.__file__).parent.glob("*.py")):
         if path.name == "linalg.py":
@@ -14,6 +16,14 @@ def test_only_linalg_names_the_fraction_free_reduction():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
-            if "_fraction_free_reduce" in names:
+            if name in names:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
-    assert found == []
+    return found
+
+
+def test_only_linalg_names_the_fraction_free_reduction():
+    assert _uses_outside_linalg("_fraction_free_reduce") == []
+
+
+def test_only_linalg_reads_the_fraction_view():
+    assert _uses_outside_linalg("entries") == []

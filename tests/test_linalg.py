@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlin.errors import NotSquareError, SingularError
+from hyperlin.errors import NotSquareError, SingularError, UnknownLabelError
 from hyperlin.linalg import (
     RationalMatrix,
     determinant,
@@ -75,6 +75,23 @@ def test_apply_treats_missing_keys_as_zero():
     m = _m([[1, 1], [0, 2]])
     out = m.apply({"c1": Fraction(3)})
     assert out == {"r0": Fraction(3), "r1": Fraction(6)}
+
+
+def test_apply_and_solve_reject_keys_that_are_not_labels():
+    m = RationalMatrix.from_rows(["a", "b"], ["a", "b"], [[1, 0], [0, 1]])
+    with pytest.raises(UnknownLabelError, match="'bb'"):
+        m.apply({"a": 1, "bb": 5})
+    with pytest.raises(UnknownLabelError, match="'bb'"):
+        solve(m, {"a": 1, "bb": 5})
+
+
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("value", [1.9, True, -1, "1"])
+def test_json_shape_must_be_a_nonnegative_int(field, value):
+    data = _m([[1]]).to_json_dict()
+    data[field] = value
+    with pytest.raises(ValueError, match=repr(field)):
+        RationalMatrix.from_json_dict(data)
 
 
 def test_json_roundtrip():

@@ -1,11 +1,14 @@
 """Weighted matrices and float spectra, cross-checked against numpy."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fraction_oracles as oracle
+from conftest import random_hypergraph
 
 from hyperlin import (
     Hypergraph,
@@ -33,7 +36,8 @@ from hyperlin.errors import (
     SingletonEdgeError,
 )
 from hyperlin.linalg import RationalMatrix, nullspace
-from hyperlin.spectra import unit_weights
+from hyperlin import spectra
+from hyperlin.spectra import WeightScheme, unit_weights
 from hyperlin.structures import Certificate, CertificateKind, VERTEX_AXIS
 from hyperlin import fixtures as fx
 from hyperlin.fixtures import _FIXTURE_BUILDERS
@@ -251,3 +255,30 @@ def test_float_bridge_hands_numpy_the_fraction_oracle_array(monkeypatch, fixture
         hypergraph_spectrum(h, kind, w)
         assert len(captured) == 1
         assert np.array_equal(captured[0], oracle.float_bridge(rows))
+
+
+def _diagonal(values: list[Fraction]) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(x if i == j else Fraction(0) for j in range(len(values))) for i, x in enumerate(values))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.data())
+def test_weighted_builders_equal_the_fraction_oracles(seed, data):
+    """Q, A, D, K, L and the coincidence rows under random positive weights
+    with mixed denominators equal the Fraction rows built entry by entry."""
+    h = random_hypergraph(random.Random(seed))
+    positive = st.fractions(min_value=Fraction(1, 12), max_value=30, max_denominator=12)
+    w = WeightScheme(
+        "random",
+        {v: data.draw(positive) for v in h.vertices},
+        {e: data.draw(positive) for e in h.edge_labels},
+    )
+    q = oracle.q_rows(h, w)
+    a = oracle.adjacency_rows(q)
+    assert build_Q(h, w).entries == tuple(map(tuple, q))
+    assert build_A(h, w).entries == tuple(map(tuple, a))
+    assert build_L(h, w).entries == tuple(map(tuple, oracle.laplacian_rows(a)))
+    assert build_D(h, w).entries == _diagonal([row[i] for i, row in enumerate(q)])
+    assert build_K(h, w).entries == _diagonal([sum(row, Fraction(0)) for row in a])
+    rows, d = spectra._coincidence(h, w.edge_weights)
+    assert [[Fraction(x, d) for x in row] for row in rows] == oracle.coincidence(h, w.edge_weights)
