@@ -143,7 +143,9 @@ def _products(a: list[list[Fraction]], b: list[list[Fraction]], inner: int, k: i
 @given(st.data())
 def test_integer_rows_are_canonical_and_match_the_fraction_algebra(data):
     """Stored ints are canonical, so two scalings of one value are equal and
-    hash equal, and every operation equals the Fraction oracle on the drawn rows."""
+    hash equal, and entries give back the drawn rows, on which the tests
+    above compare rref, nullspace, solve and determinant with their oracles;
+    @, apply, transpose and submatrix equal Fraction arithmetic on them."""
     nrows, ncols, k = (data.draw(st.integers(0, 5)) for _ in range(3))
     rows = [[data.draw(scalars) for _ in range(ncols)] for _ in range(nrows)]
     m = _matrix(rows, ncols)
@@ -166,16 +168,6 @@ def test_integer_rows_are_canonical_and_match_the_fraction_algebra(data):
     ci = data.draw(st.permutations(range(ncols)))[: data.draw(st.integers(0, ncols))]
     sub = again.submatrix([m.row_labels[i] for i in ri], [m.col_labels[j] for j in ci])
     assert sub.entries == tuple(tuple(rows[i][j] for j in ci) for i in ri)
-    reduced, pivots = oracle.gauss_jordan(rows, ncols)
-    assert rref(again).matrix.entries == tuple(map(tuple, reduced))
-    basis = nullspace(again)
-    assert [[v[c] for c in m.col_labels] for v in basis.vectors] == oracle.nullspace_vectors(rows, ncols)
-    if nrows == ncols:
-        assert determinant(again) == oracle.determinant(rows)
-        rhs = [data.draw(scalars) for _ in range(nrows)]
-        solution = oracle.solve(rows, rhs)
-        if solution is not None:
-            assert solve(again, rhs) == dict(zip(m.col_labels, solution))
 
 
 def _custom_policy(h: Hypergraph, weights: list[int]) -> WalkPolicy:

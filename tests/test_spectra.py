@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,3 +283,8 @@ def test_weighted_builders_equal_the_fraction_oracles(seed, data):
     assert build_K(h, w).entries == _diagonal([sum(row, Fraction(0)) for row in a])
     rows, d = spectra._coincidence(h, w.edge_weights)
     assert [[Fraction(x, d) for x in row] for row in rows] == oracle.coincidence(h, w.edge_weights)
+    captured = []
+    with mock.patch.object(np.linalg, "eigvalsh", lambda arr: captured.append(arr) or np.zeros(0)):
+        for kind, expected in (("Q", q), ("A", a)):
+            hypergraph_spectrum(h, kind, w)
+            assert np.array_equal(captured.pop(), oracle.float_bridge(expected))
