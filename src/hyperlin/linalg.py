@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import NotSquareError, SingularError, UnknownLabelError
@@ -95,7 +95,7 @@ class RationalMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "row_labels", _unique(self.row_labels, "row"))
         object.__setattr__(self, "col_labels", _unique(self.col_labels, "column"))
-        rows = tuple(map(tuple, self.numerators))
+        rows = tuple(tuple(map(index, row)) for row in self.numerators)  # ints, or TypeError
         if len(rows) != len(self.row_labels):
             raise ValueError("entry rows do not match row labels")
         if any(len(row) != len(self.col_labels) for row in rows):
@@ -212,7 +212,7 @@ class RationalMatrix:
         ri = [self.row_index(l) for l in row_labels]
         ci = [self.col_index(l) for l in col_labels]
         rows = [[self.numerators[i][j] for j in ci] for i in ri]
-        return RationalMatrix(tuple(row_labels), tuple(col_labels), rows, self.denominator)
+        return RationalMatrix(row_labels, col_labels, rows, self.denominator)
 
     # -- serialization ----------------------------------------------------
 

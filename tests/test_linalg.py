@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperlin.errors import NotSquareError, SingularError, UnknownLabelError
@@ -92,6 +93,18 @@ def test_json_shape_must_be_a_nonnegative_int(field, value):
     data[field] = value
     with pytest.raises(ValueError, match=repr(field)):
         RationalMatrix.from_json_dict(data)
+
+
+def test_positional_constructor_stores_canonical_python_ints():
+    m = RationalMatrix(["a"], ["b", "c"], [[np.int64(-4), 6]], -10)
+    assert m.numerators == ((2, -3),) and m.denominator == 5
+    assert all(type(x) is int for x in m.numerators[0])
+    assert m == RationalMatrix.from_rows(["a"], ["b", "c"], [["2/5", "-3/5"]])
+    with pytest.raises(TypeError):
+        RationalMatrix(["a"], ["b"], [[Fraction(1, 2)]])
+    for bad in (0, 2.0, True):
+        with pytest.raises(ValueError, match="denominator"):
+            RationalMatrix(["a"], ["b"], [[1]], bad)
 
 
 def test_json_roundtrip():
