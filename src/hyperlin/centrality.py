@@ -451,9 +451,21 @@ def perron_centrality(
             raise WeightDomainMismatchError("edge weights must cover exactly the hyperedges")
         if any(x <= 0 for x in weights.values()):
             raise WeightDomainMismatchError("edge weights must be positive")
+    n = h.n_vertices
+    if n == 0:
+        # the empty matrix: no vertex to rank, and no eigenvalue above 0
+        return CentralityReport(
+            kind="perron",
+            values={},
+            parameters={
+                "tol": tol,
+                "iterations": 0,
+                "spectral_radius": 0.0,
+                "residual": 0.0,
+            },
+        )
     import numpy as np  # on first use, so importing hyperlin does not load it
 
-    n = h.n_vertices
     rows, d = _coincidence(h, weights)
     mat = np.array([[x / d for x in row] for row in rows], dtype=float)
     x = np.ones(n, dtype=float)

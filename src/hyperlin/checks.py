@@ -12,7 +12,6 @@ per run.
 
 from __future__ import annotations
 
-import itertools
 from operator import add, sub
 
 from .errors import IsolatedVertexError, SingletonEdgeNonLazyError, UnreachableError
@@ -25,13 +24,19 @@ from .randwalk import (
     verify_partition_transition,
 )
 from .spectra import build_A_GH, build_Q, weight_scheme
-from .structures import find_equal_edge_partitions, units, verify_equal_edge_partition
+from .structures import (
+    _gray_steps,
+    find_equal_edge_partitions,
+    units,
+    verify_equal_edge_partition,
+)
 
 __all__ = ["ENUMERATION_BUDGET", "run_checks"]
 
 #: Most sign assignments a check may enumerate: the partition search tries
 #: 3^nullity(I^T) basis combinations and the exhaustive sweep 3^|V| vertex
-#: assignments. A search over budget is reported as ``skipped``.
+#: assignments. Both walk in ternary Gray order, changing one coordinate per
+#: step. A search over budget is reported as ``skipped``.
 ENUMERATION_BUDGET = 3 ** 10
 
 
@@ -138,6 +143,58 @@ def _signed_indicator_in_nullspace(rows, n_edges: int, u_set, v_set) -> bool:
     return not any(totals)
 
 
+def _sweep(h, inc):
+    """Every oriented nonzero sign assignment of V, with two verdicts on it.
+
+    Each unordered pair is visited once, oriented as the search orients it:
+    for each leading position i, vertex i is +1, every earlier vertex 0, and
+    the later ones walk {-1, 0, 1} in Gray order, one vertex per step. Yields
+    ``(signs, counted, in_kernel)``: ``signs`` is one list in vertex order,
+    updated in place (+1 for U, -1 for V); ``counted`` is |U meet e| ==
+    |V meet e| for every hyperedge e, kept from the vertex stars; and
+    ``in_kernel`` is I^T (chi_U - chi_V) == 0, kept from the rows of ``inc``.
+    """
+    n = h.n_vertices
+    edge_pos = {label: k for k, (label, _) in enumerate(h.hyperedges)}
+    stars = [[edge_pos[e] for e in h.star(v)] for v in h.vertices]
+    rows = dict(zip(inc.row_labels, inc.numerators))
+    nonzeros = [[(k, x) for k, x in enumerate(rows[v]) if x] for v in h.vertices]
+    for lead in range(n):
+        signs = [0] * lead + [1] + [-1] * (n - lead - 1)
+        in_u = [0] * len(edge_pos)
+        in_v = [0] * len(edge_pos)
+        totals = [0] * inc.cols
+        for v, s in enumerate(signs):
+            for k in stars[v]:
+                if s > 0:
+                    in_u[k] += 1
+                elif s < 0:
+                    in_v[k] += 1
+            for k, x in nonzeros[v]:
+                totals[k] += s * x
+        unequal = sum(1 for a, b in zip(in_u, in_v) if a != b)
+        nonzero = sum(1 for t in totals if t)
+        yield signs, not unequal, not nonzero
+        for j, d in _gray_steps(n - lead - 1):
+            v = lead + 1 + j
+            new = signs[v] + d
+            signs[v] = new
+            # -1 -> 0 leaves V, 0 -> 1 joins U, 1 -> 0 leaves U, 0 -> -1 joins V
+            if new == 0:
+                side, change = (in_v, -1) if d > 0 else (in_u, -1)
+            else:
+                side, change = (in_u, 1) if new > 0 else (in_v, 1)
+            for k in stars[v]:
+                before = in_u[k] != in_v[k]
+                side[k] += change
+                unequal += (in_u[k] != in_v[k]) - before
+            for k, x in nonzeros[v]:
+                before = totals[k] != 0
+                totals[k] += d * x
+                nonzero += (totals[k] != 0) - before
+            yield signs, not unequal, not nonzero
+
+
 def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
     if pairs is None:
         return _over_budget("partition_nullspace", vertex_nullity)
@@ -152,19 +209,14 @@ def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
     witness = f"{len(pairs)} partitions from the nullspace all verified by counting"
     if 3 ** h.n_vertices <= ENUMERATION_BUDGET:
         found = set(pairs)
-        labels = list(h.vertices)
-        for assignment in itertools.product((-1, 0, 1), repeat=len(labels)):
-            # Each unordered pair once, oriented as the search orients it: the
-            # first signed vertex goes into U (the all-zero assignment is skipped).
-            if next((s for s in assignment if s), -1) < 0:
-                continue
-            u_set = frozenset(l for l, s in zip(labels, assignment) if s == 1)
-            v_set = frozenset(l for l, s in zip(labels, assignment) if s == -1)
-            counted, _ = verify_equal_edge_partition(h, u_set, v_set)
-            if counted != _signed_indicator_in_nullspace(rows, inc.cols, u_set, v_set):
+        for signs, counted, in_kernel in _sweep(h, inc):
+            if counted != in_kernel:
                 ok = False
-            if counted and (u_set, v_set) not in found:
-                ok = False
+            elif counted:
+                u_set = frozenset(l for l, s in zip(h.vertices, signs) if s > 0)
+                v_set = frozenset(l for l, s in zip(h.vertices, signs) if s < 0)
+                if (u_set, v_set) not in found:
+                    ok = False
         witness += "; exhaustive counting sweep agreed both directions"
     return _check("partition_nullspace", _verdict(ok), witness)
 

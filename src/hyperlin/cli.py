@@ -10,6 +10,7 @@ failure (the library error name is printed), 3 a theorem check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -293,7 +294,10 @@ def cmd_check(args, h: Hypergraph) -> tuple[dict, dict]:
 # argument parsing and dispatch
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; argparse reads sys.stderr and the
+    terminal width when it prints, not when it is built."""
     parser = argparse.ArgumentParser(
         prog="hyperlin",
         description="Exact dependence structure, spectra, walks, and "

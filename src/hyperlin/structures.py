@@ -412,6 +412,30 @@ def verify_equal_edge_partition(
     return ok, table
 
 
+def _gray_steps(m: int):
+    """The reflected ternary Gray walk over {-1, 0, 1}^m from (-1, ..., -1).
+
+    Yields ``(position, delta)`` for each of its 3^m - 1 steps: each step
+    moves one coordinate by ``delta`` = +-1, and the walk visits every
+    vector exactly once (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H).
+    """
+    digit = [-1] * m
+    direction = [1] * m
+    focus = list(range(m + 1))
+    while True:
+        j = focus[0]
+        focus[0] = 0
+        if j == m:
+            return
+        d = direction[j]
+        digit[j] += d
+        if digit[j] == d:
+            direction[j] = -d
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
+        yield j, d
+
+
 def find_equal_edge_partitions(
     h: Hypergraph, max_support: int = 8
 ) -> list[tuple[frozenset[str], frozenset[str]]]:
@@ -423,10 +447,12 @@ def find_equal_edge_partitions(
     grows as 3^nullity, not with the number of vertex subsets). Each basis
     vector is +-1 on its own free column and 0 on the others, so no other
     coefficients can give a {-1, 0, 1} vector. The basis is scaled to ints
-    by the lcm D of its denominators and the combinations are summed
-    depth-first as running integer vectors. A sum with every entry in
-    {-D, 0, D} is D (chi_U - chi_V) with I^T (chi_U - chi_V) = 0, which
-    is |U meet e| == |V meet e| for every hyperedge e, so it is an equal
+    by the lcm D of its denominators and the combinations are visited in
+    reflected ternary Gray order, so each step adds or subtracts one sparse
+    basis vector to a running integer sum and updates a count of the
+    entries outside {-D, 0, D}. A sum with that count at 0 is
+    D (chi_U - chi_V) with I^T (chi_U - chi_V) = 0, which is
+    |U meet e| == |V meet e| for every hyperedge e, so it is an equal
     partition without counting. Pairs are deduplicated by orienting the
     first supported vertex into U, so U is never empty; V may be empty
     (isolated vertices make this legitimate).
@@ -438,19 +464,21 @@ def find_equal_edge_partitions(
         return []
     n = h.n_vertices
     flat, scale = _integer_row([x for vec in basis.vectors for x in vec.values()])
-    scaled = [flat[k * n : (k + 1) * n] for k in range(basis.dimension)]
-    allowed = (-scale, 0, scale)
+    scaled = [
+        [(i, x) for i, x in enumerate(flat[k * n : (k + 1) * n]) if x]
+        for k in range(basis.dimension)
+    ]
+    allowed = {-scale, 0, scale}
     vertex_pos = {v: i for i, v in enumerate(h.vertices)}
     results: list[tuple[frozenset[str], frozenset[str]]] = []
+    # the walk starts with every coefficient at -1
+    sums = [0] * n
+    for vec in scaled:
+        for i, x in vec:
+            sums[i] -= x
+    bad = sum(1 for x in sums if x not in allowed)
 
-    def extend(k: int, sums: list[int]) -> None:
-        if k < len(scaled):
-            for c in (-1, 0, 1):
-                step = sums if c == 0 else [x + c * y for x, y in zip(sums, scaled[k])]
-                extend(k + 1, step)
-            return
-        if any(x not in allowed for x in sums):
-            return
+    def leaf() -> None:
         support = [i for i, x in enumerate(sums) if x]
         if not support or sums[support[0]] < 0 or len(support) > max_support:
             return
@@ -458,7 +486,16 @@ def find_equal_edge_partitions(
         v_set = frozenset(h.vertices[i] for i in support if sums[i] < 0)
         results.append((u_set, v_set))
 
-    extend(0, [0] * h.n_vertices)
+    if not bad:
+        leaf()
+    for k, d in _gray_steps(len(scaled)):
+        for i, x in scaled[k]:
+            old = sums[i]
+            new = old + d * x
+            sums[i] = new
+            bad += (new not in allowed) - (old not in allowed)
+        if not bad:
+            leaf()
     results.sort(
         key=lambda pair: (
             len(pair[0] | pair[1]),

@@ -171,6 +171,45 @@ def test_partitions_of_the_empty_hypergraph_are_none(capsys, tmp_path):
     assert json.loads(out)["results"] == {"count": 0, "partitions": []}
 
 
+@pytest.mark.parametrize("kind", ["rw_closeness", "perron"])
+def test_centrality_of_the_empty_hypergraph_is_empty(capsys, tmp_path, kind):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [], "hyperedges": {}}', encoding="utf-8")
+    code, out, err = run(capsys, "centrality", str(path), "--kind", kind)
+    assert code == 0, err
+    assert json.loads(out)["results"]["values"] == {}
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(pack, capsys):
+    h = str(pack / "h_units.json")
+    calls = [
+        ["check", h],
+        ["spectra", h, "--matrix", "A", "--det"],
+        ["units", h, "--format", "lines"],
+        ["spectra", h, "--no-such-option"],
+        ["centrality", h, "--kind", "rw_betweenness", "--horizon", "5"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    shared = [outcome(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0]
+    assert "unrecognized arguments: --no-such-option" in shared[3][2]
+
+
 def test_exit_one_on_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "units", str(tmp_path / "missing.json"))
     assert code == 1

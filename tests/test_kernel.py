@@ -47,6 +47,7 @@ from hyperlin.errors import (
     SingularError,
     UnreachableError,
 )
+from hyperlin.hypergraph import incidence_matrix
 from hyperlin.linalg import RationalMatrix, _integer_row, determinant, nullspace, rref, solve
 from hyperlin.randwalk import SplitMix64, trajectory_seed
 from hyperlin.structures import find_equal_edge_partitions
@@ -589,3 +590,20 @@ def test_partition_search_matches_fraction_enumeration_on_twins(k, hub):
     h = _twins(k, hub)
     for cap in (1, 2, 4, h.n_vertices):
         assert find_equal_edge_partitions(h, max_support=cap) == oracle.equal_edge_partitions(h, cap)
+
+
+def test_partition_search_matches_fraction_enumeration_on_seven_twins_and_a_hub():
+    # all 3^7 combinations of the basis and (3^7 - 1) / 2 pairs, one per unordered
+    # nonzero combination: every step of the walk reaches a leaf that is kept
+    h = _twins(7, hub=True)
+    found = find_equal_edge_partitions(h, max_support=h.n_vertices)
+    assert len(found) == 1093
+    assert found == oracle.equal_edge_partitions(h, h.n_vertices)
+
+
+def test_partition_search_on_a_zero_dimensional_basis_is_empty():
+    h = Hypergraph.from_members([("e1", ["1"]), ("e2", ["1", "2"]), ("e3", ["2", "3"])])
+    assert nullspace(incidence_matrix(h).transpose()).dimension == 0
+    for cap in (1, h.n_vertices):
+        assert find_equal_edge_partitions(h, max_support=cap) == []
+        assert oracle.equal_edge_partitions(h, cap) == []
