@@ -6,12 +6,15 @@ criterion, unit soundness, Q-annihilation of the vertex certificates, the
 equal partition <=> ker I^T correspondence, the walk balance of equal
 partitions, and the hitting-time symmetry of units. Every shared fact (the
 incidence matrix, the three nullspaces, the unit decomposition, the equal
-partitions and the non-lazy transition kernel) is computed at most once
-per run.
+partitions and the non-lazy transition kernel) is computed once per run,
+except ker I^T: ``find_equal_edge_partitions`` takes no basis and computes
+it again (ROADMAP item 5 shares it). The kernel is built only when a walk
+check asks for it.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add, sub
 
 from .errors import IsolatedVertexError, SingletonEdgeNonLazyError, UnreachableError
@@ -25,7 +28,7 @@ from .randwalk import (
 )
 from .spectra import build_A_GH, build_Q, weight_scheme
 from .structures import (
-    _gray_steps,
+    _gray_sums,
     find_equal_edge_partitions,
     units,
     verify_equal_edge_partition,
@@ -35,8 +38,9 @@ __all__ = ["ENUMERATION_BUDGET", "run_checks"]
 
 #: Most sign assignments a check may enumerate: the partition search tries
 #: 3^nullity(I^T) basis combinations and the exhaustive sweep 3^|V| vertex
-#: assignments. Both walk in ternary Gray order, changing one coordinate per
-#: step. A search over budget is reported as ``skipped``.
+#: assignments. One walker, ``structures._gray_sums``, serves both: it visits
+#: the assignments in ternary Gray order, adding one sparse vector per step.
+#: A search over budget is reported as ``skipped``.
 ENUMERATION_BUDGET = 3 ** 10
 
 
@@ -143,56 +147,26 @@ def _signed_indicator_in_nullspace(rows, n_edges: int, u_set, v_set) -> bool:
     return not any(totals)
 
 
-def _sweep(h, inc):
-    """Every oriented nonzero sign assignment of V, with two verdicts on it.
+def _zero_assignments(h, vectors, width: int) -> set:
+    """The oriented pairs (U, V) whose signed sum of per-vertex vectors vanishes.
 
-    Each unordered pair is visited once, oriented as the search orients it:
-    for each leading position i, vertex i is +1, every earlier vertex 0, and
-    the later ones walk {-1, 0, 1} in Gray order, one vertex per step. Yields
-    ``(signs, counted, in_kernel)``: ``signs`` is one list in vertex order,
-    updated in place (+1 for U, -1 for V); ``counted`` is |U meet e| ==
-    |V meet e| for every hyperedge e, kept from the vertex stars; and
-    ``in_kernel`` is I^T (chi_U - chi_V) == 0, kept from the rows of ``inc``.
+    ``vectors[i]`` is vertex i's sparse int vector over ``width`` positions.
+    Each unordered nonzero assignment is visited once, oriented as the search
+    orients it: for each lead vertex, ``sums`` starts at the lead's vector
+    (the lead in U, every earlier vertex out) and ``_gray_sums`` walks the
+    later vertices through {-1, 0, 1}, -1 for V and +1 for U.
     """
-    n = h.n_vertices
-    edge_pos = {label: k for k, (label, _) in enumerate(h.hyperedges)}
-    stars = [[edge_pos[e] for e in h.star(v)] for v in h.vertices]
-    rows = dict(zip(inc.row_labels, inc.numerators))
-    nonzeros = [[(k, x) for k, x in enumerate(rows[v]) if x] for v in h.vertices]
-    for lead in range(n):
-        signs = [0] * lead + [1] + [-1] * (n - lead - 1)
-        in_u = [0] * len(edge_pos)
-        in_v = [0] * len(edge_pos)
-        totals = [0] * inc.cols
-        for v, s in enumerate(signs):
-            for k in stars[v]:
-                if s > 0:
-                    in_u[k] += 1
-                elif s < 0:
-                    in_v[k] += 1
-            for k, x in nonzeros[v]:
-                totals[k] += s * x
-        unequal = sum(1 for a, b in zip(in_u, in_v) if a != b)
-        nonzero = sum(1 for t in totals if t)
-        yield signs, not unequal, not nonzero
-        for j, d in _gray_steps(n - lead - 1):
-            v = lead + 1 + j
-            new = signs[v] + d
-            signs[v] = new
-            # -1 -> 0 leaves V, 0 -> 1 joins U, 1 -> 0 leaves U, 0 -> -1 joins V
-            if new == 0:
-                side, change = (in_v, -1) if d > 0 else (in_u, -1)
-            else:
-                side, change = (in_u, 1) if new > 0 else (in_v, 1)
-            for k in stars[v]:
-                before = in_u[k] != in_v[k]
-                side[k] += change
-                unequal += (in_u[k] != in_v[k]) - before
-            for k, x in nonzeros[v]:
-                before = totals[k] != 0
-                totals[k] += d * x
-                nonzero += (totals[k] != 0) - before
-            yield signs, not unequal, not nonzero
+    zero = set()
+    for lead, first in enumerate(h.vertices):
+        sums = [0] * width
+        for k, x in vectors[lead]:
+            sums[k] += x
+        later = h.vertices[lead + 1 :]
+        for signs, bad in _gray_sums(vectors[lead + 1 :], sums, {0}):
+            if not bad:
+                u_set = frozenset([first, *(l for l, s in zip(later, signs) if s > 0)])
+                zero.add((u_set, frozenset(l for l, s in zip(later, signs) if s < 0)))
+    return zero
 
 
 def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
@@ -208,15 +182,13 @@ def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
             ok = False
     witness = f"{len(pairs)} partitions from the nullspace all verified by counting"
     if 3 ** h.n_vertices <= ENUMERATION_BUDGET:
-        found = set(pairs)
-        for signs, counted, in_kernel in _sweep(h, inc):
-            if counted != in_kernel:
-                ok = False
-            elif counted:
-                u_set = frozenset(l for l, s in zip(h.vertices, signs) if s > 0)
-                v_set = frozenset(l for l, s in zip(h.vertices, signs) if s < 0)
-                if (u_set, v_set) not in found:
-                    ok = False
+        # |e meet U| - |e meet V| from the stars, and I^T (chi_U - chi_V) from inc
+        edge_pos = {label: k for k, (label, _) in enumerate(h.hyperedges)}
+        stars = [[(edge_pos[e], 1) for e in h.star(v)] for v in h.vertices]
+        nonzeros = [[(k, x) for k, x in enumerate(rows[v]) if x] for v in h.vertices]
+        counted = _zero_assignments(h, stars, len(edge_pos))
+        if counted != _zero_assignments(h, nonzeros, inc.cols) or not counted <= set(pairs):
+            ok = False
         witness += "; exhaustive counting sweep agreed both directions"
     return _check("partition_nullspace", _verdict(ok), witness)
 
@@ -292,16 +264,14 @@ def run_checks(h: Hypergraph) -> dict:
     pairs = None
     if 3 ** vertex_nullity <= ENUMERATION_BUDGET:
         pairs = find_equal_edge_partitions(h, max_support=max(h.n_vertices, 1))
-    memo: list = []
 
+    @cache
     def kernel():
         """The non-lazy kernel, or the name of the error that rules it out."""
-        if not memo:
-            try:
-                memo.append(transition_matrix(h, WalkPolicy.uniform_nonlazy()))
-            except (IsolatedVertexError, SingletonEdgeNonLazyError) as exc:
-                memo.append(type(exc).__name__)
-        return memo[0]
+        try:
+            return transition_matrix(h, WalkPolicy.uniform_nonlazy())
+        except (IsolatedVertexError, SingletonEdgeNonLazyError) as exc:
+            return type(exc).__name__
 
     checks = [
         _rank_equality(inc, edge_nullity, vertex_nullity),

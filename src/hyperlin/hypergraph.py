@@ -184,7 +184,11 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, text: str) -> "Hypergraph":
-        """Parse the canonical JSON form; a repeated key anywhere is an error."""
+        """Parse the canonical JSON form.
+
+        A repeated key anywhere, or a member listed twice in one hyperedge,
+        is an error.
+        """
         try:
             data = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
@@ -204,6 +208,9 @@ class Hypergraph:
         for label, members in edges.items():
             if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
                 raise HypergraphSyntaxError(f"members of {label!r} must be a list of strings")
+            repeated = _repeated_member(members)
+            if repeated is not None:
+                raise HypergraphSyntaxError(f"hyperedge {label!r} lists {repeated!r} twice")
             pairs.append((label, frozenset(members)))
         return cls(tuple(verts), tuple(pairs))
 
@@ -243,6 +250,11 @@ class Hypergraph:
             members = rest.split()
             if not members:
                 raise EmptyHyperedgeError(f"line {lineno}: hyperedge {label!r} is empty")
+            repeated = _repeated_member(members)
+            if repeated is not None:
+                raise HypergraphSyntaxError(
+                    f"line {lineno}: hyperedge {label!r} lists {repeated!r} twice"
+                )
             pairs.append((label, frozenset(members)))
             for m in members:
                 if m not in seen_members:
@@ -255,6 +267,19 @@ class Hypergraph:
                 seen.add(m)
                 order.append(m)
         return cls(tuple(order), tuple(pairs))
+
+
+def _repeated_member(members: list[str]) -> str | None:
+    """The first member listed a second time, or None.
+
+    A set would silently drop the repeat, so both parsers reject it instead.
+    """
+    seen: set[str] = set()
+    for m in members:
+        if m in seen:
+            return m
+        seen.add(m)
+    return None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

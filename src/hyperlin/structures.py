@@ -412,28 +412,42 @@ def verify_equal_edge_partition(
     return ok, table
 
 
-def _gray_steps(m: int):
-    """The reflected ternary Gray walk over {-1, 0, 1}^m from (-1, ..., -1).
+def _gray_sums(vectors, sums, allowed):
+    """Walk c in {-1, 0, 1}^k in reflected ternary Gray order from (-1, ..., -1).
 
-    Yields ``(position, delta)`` for each of its 3^m - 1 steps: each step
-    moves one coordinate by ``delta`` = +-1, and the walk visits every
-    vector exactly once (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H).
+    ``vectors`` are k sparse int vectors, lists of ``(position, value)``.
+    ``sums`` is updated in place to its start value plus sum_j c_j vectors[j],
+    one vector added or subtracted per step. Yields ``(c, bad)`` at each of
+    the 3^k visits: ``c`` is one list, updated in place, and ``bad`` counts
+    the entries of ``sums`` outside ``allowed`` (Knuth, TAOCP 4A, 7.2.1.1,
+    Algorithm H).
     """
-    digit = [-1] * m
-    direction = [1] * m
-    focus = list(range(m + 1))
+    k = len(vectors)
+    c = [-1] * k
+    for vec in vectors:
+        for i, x in vec:
+            sums[i] -= x
+    bad = sum(1 for x in sums if x not in allowed)
+    yield c, bad
+    direction = [1] * k
+    focus = list(range(k + 1))
     while True:
         j = focus[0]
         focus[0] = 0
-        if j == m:
+        if j == k:
             return
         d = direction[j]
-        digit[j] += d
-        if digit[j] == d:
+        c[j] += d
+        if c[j] == d:
             direction[j] = -d
             focus[j] = focus[j + 1]
             focus[j + 1] = j + 1
-        yield j, d
+        for i, x in vectors[j]:
+            old = sums[i]
+            new = old + d * x
+            sums[i] = new
+            bad += (new not in allowed) - (old not in allowed)
+        yield c, bad
 
 
 def find_equal_edge_partitions(
@@ -447,15 +461,16 @@ def find_equal_edge_partitions(
     grows as 3^nullity, not with the number of vertex subsets). Each basis
     vector is +-1 on its own free column and 0 on the others, so no other
     coefficients can give a {-1, 0, 1} vector. The basis is scaled to ints
-    by the lcm D of its denominators and the combinations are visited in
-    reflected ternary Gray order, so each step adds or subtracts one sparse
-    basis vector to a running integer sum and updates a count of the
-    entries outside {-D, 0, D}. A sum with that count at 0 is
-    D (chi_U - chi_V) with I^T (chi_U - chi_V) = 0, which is
-    |U meet e| == |V meet e| for every hyperedge e, so it is an equal
-    partition without counting. Pairs are deduplicated by orienting the
-    first supported vertex into U, so U is never empty; V may be empty
-    (isolated vertices make this legitimate).
+    by the lcm D of its denominators and ``_gray_sums`` walks the
+    combinations, the one Gray walker that the exhaustive sweep of
+    ``hyperlin check`` also uses, with the entries {-D, 0, D} allowed. A
+    sum with no entry outside them is D (chi_U - chi_V) with
+    I^T (chi_U - chi_V) = 0, which is |U meet e| == |V meet e| for every
+    hyperedge e, so it is an equal partition without counting. Pairs are
+    deduplicated by orienting the first supported vertex into U, so U is
+    never empty; V may be empty (isolated vertices make this legitimate).
+    Pairs are ordered by support size, then support positions, then U
+    positions in vertex order.
     """
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
@@ -468,42 +483,22 @@ def find_equal_edge_partitions(
         [(i, x) for i, x in enumerate(flat[k * n : (k + 1) * n]) if x]
         for k in range(basis.dimension)
     ]
-    allowed = {-scale, 0, scale}
-    vertex_pos = {v: i for i, v in enumerate(h.vertices)}
-    results: list[tuple[frozenset[str], frozenset[str]]] = []
-    # the walk starts with every coefficient at -1
     sums = [0] * n
-    for vec in scaled:
-        for i, x in vec:
-            sums[i] -= x
-    bad = sum(1 for x in sums if x not in allowed)
-
-    def leaf() -> None:
+    keyed = []
+    for _, bad in _gray_sums(scaled, sums, {-scale, 0, scale}):
+        if bad:
+            continue
         support = [i for i, x in enumerate(sums) if x]
         if not support or sums[support[0]] < 0 or len(support) > max_support:
-            return
-        u_set = frozenset(h.vertices[i] for i in support if sums[i] > 0)
-        v_set = frozenset(h.vertices[i] for i in support if sums[i] < 0)
-        results.append((u_set, v_set))
-
-    if not bad:
-        leaf()
-    for k, d in _gray_steps(len(scaled)):
-        for i, x in scaled[k]:
-            old = sums[i]
-            new = old + d * x
-            sums[i] = new
-            bad += (new not in allowed) - (old not in allowed)
-        if not bad:
-            leaf()
-    results.sort(
-        key=lambda pair: (
-            len(pair[0] | pair[1]),
-            tuple(sorted(vertex_pos[v] for v in pair[0] | pair[1])),
-            tuple(sorted(vertex_pos[v] for v in pair[0])),
+            continue
+        u_pos = tuple(i for i in support if sums[i] > 0)
+        pair = (
+            frozenset(h.vertices[i] for i in u_pos),
+            frozenset(h.vertices[i] for i in support if sums[i] < 0),
         )
-    )
-    return results
+        keyed.append(((len(support), tuple(support), u_pos), pair))
+    keyed.sort(key=lambda item: item[0])
+    return [pair for _, pair in keyed]
 
 
 def verify_star_partition(h: Hypergraph, center: str, parts: Iterable[str]) -> bool:

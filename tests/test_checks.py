@@ -1,6 +1,7 @@
 """The theorem check engine: each fact computed once, and each check a real verifier."""
 
 import itertools
+import random
 
 import pytest
 
@@ -48,6 +49,18 @@ WITH_ISOLATED = Hypergraph.from_members(
 )
 
 
+def _star_vectors(h):
+    """Vertex i's sparse vector: +1 at the position of each hyperedge in its star."""
+    edge_pos = {label: k for k, (label, _) in enumerate(h.hyperedges)}
+    return [[(edge_pos[e], 1) for e in h.star(v)] for v in h.vertices]
+
+
+def _row_vectors(h, inc):
+    """Vertex i's sparse vector: the nonzero entries of its row of ``inc``."""
+    rows = dict(zip(inc.row_labels, inc.numerators))
+    return [[(k, x) for k, x in enumerate(rows[v]) if x] for v in h.vertices]
+
+
 @pytest.mark.parametrize(
     "h",
     [
@@ -58,36 +71,48 @@ WITH_ISOLATED = Hypergraph.from_members(
     ],
     ids=["balanced-overlap", "h-cov-base", "isolated-vertex", "vertexless"],
 )
-def test_sweep_visits_each_oriented_assignment_once_with_correct_verdicts(h):
+def test_zero_assignments_equal_brute_force_sets(h):
     inc = incidence_matrix(h)
-    visited = []
-    for signs, counted, in_kernel in checks._sweep(h, inc):
-        u_set = {v for v, s in zip(h.vertices, signs) if s > 0}
-        v_set = {v for v, s in zip(h.vertices, signs) if s < 0}
-        assert counted == verify_equal_edge_partition(h, u_set, v_set)[0]
-        assert in_kernel == _in_kernel_by_product(h, inc, signs)
-        visited.append(tuple(signs))
-    # each unordered nonzero pair once, its first signed vertex in U
-    oriented = {
-        a
-        for a in itertools.product((-1, 0, 1), repeat=h.n_vertices)
-        if next((s for s in a if s), -1) > 0
-    }
-    assert len(visited) == len(oriented) == (3 ** h.n_vertices - 1) // 2
-    assert set(visited) == oriented
+    counted, in_kernel = set(), set()
+    for signs in itertools.product((-1, 0, 1), repeat=h.n_vertices):
+        # each unordered nonzero pair once, its first signed vertex in U
+        if next((s for s in signs if s), -1) < 0:
+            continue
+        u_set = frozenset(v for v, s in zip(h.vertices, signs) if s > 0)
+        v_set = frozenset(v for v, s in zip(h.vertices, signs) if s < 0)
+        if verify_equal_edge_partition(h, u_set, v_set)[0]:
+            counted.add((u_set, v_set))
+        if _in_kernel_by_product(h, inc, signs):
+            in_kernel.add((u_set, v_set))
+    assert checks._zero_assignments(h, _star_vectors(h), h.n_hyperedges) == counted
+    assert checks._zero_assignments(h, _row_vectors(h, inc), inc.cols) == in_kernel
     assert statuses(run_checks(h))["partition_nullspace"] == "pass"
 
 
-def test_gray_steps_move_one_coordinate_by_one_through_every_vector():
-    for m in range(5):
-        point = [-1] * m
-        seen = {tuple(point)}
-        for j, d in structures._gray_steps(m):
-            assert d in (-1, 1)
-            point[j] += d
-            assert point[j] in (-1, 0, 1)
-            seen.add(tuple(point))
-        assert len(seen) == 3 ** m
+def test_gray_sums_keep_the_sums_and_the_out_of_range_count_at_every_visit():
+    rng = random.Random(15)
+    width, allowed = 6, {-2, 0, 1}
+    for k in range(6):
+        vectors = [
+            [(i, rng.choice([-3, -2, -1, 1, 2, 3])) for i in rng.sample(range(width), size)]
+            for size in (rng.randint(0, 3) for _ in range(k))
+        ]
+        start = [rng.randint(-3, 3) for _ in range(width)]
+        sums = list(start)
+        visits = []
+        for c, bad in structures._gray_sums(vectors, sums, allowed):
+            direct = list(start)
+            for cj, vec in zip(c, vectors):
+                for i, x in vec:
+                    direct[i] += cj * x
+            assert sums == direct
+            assert bad == sum(1 for x in direct if x not in allowed)
+            assert set(c) <= {-1, 0, 1}
+            visits.append(tuple(c))
+        assert visits[0] == (-1,) * k
+        for before, after in zip(visits, visits[1:]):
+            assert sorted(abs(a - b) for a, b in zip(before, after)) == [0] * (k - 1) + [1]
+        assert len(visits) == len(set(visits)) == 3 ** k
 
 
 @pytest.mark.parametrize(
@@ -126,8 +151,21 @@ def test_partition_nullspace_fails_on_one_flipped_incidence_entry(i, k):
     assert checks._partition_nullspace(h, inc, pairs, nullity)["status"] == "pass"
     tampered = _flip(inc, i, k)
     assert checks._partition_nullspace(h, tampered, pairs, nullity)["status"] == "fail"
-    # the sweep alone sees it: its kernel verdict now differs from counting
-    assert any(c != z for _, c, z in checks._sweep(h, tampered))
+    # the sweep alone sees it: its kernel set now differs from the counted set
+    counted = checks._zero_assignments(h, _star_vectors(h), h.n_hyperedges)
+    assert checks._zero_assignments(h, _row_vectors(h, tampered), inc.cols) != counted
+
+
+def test_partition_nullspace_fails_when_only_the_sweep_sees_a_flipped_entry():
+    # vertex 3 takes vertex 4's row, so ({3}, {4}) joins the kernel set alone:
+    # every found pair avoids 3 and 4 and still checks out
+    h = WITH_ISOLATED
+    inc = incidence_matrix(h)
+    pairs = structures.find_equal_edge_partitions(h, max_support=h.n_vertices)
+    tampered = _flip(inc, 3, 0)
+    rows = dict(zip(tampered.row_labels, tampered.numerators))
+    assert all(checks._signed_indicator_in_nullspace(rows, inc.cols, u, v) for u, v in pairs)
+    assert checks._partition_nullspace(h, tampered, pairs, 2)["status"] == "fail"
 
 
 def _split_unit(dec):

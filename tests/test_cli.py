@@ -238,6 +238,23 @@ def test_exit_one_on_repeated_hyperedge_key(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "name, text",
+    [
+        ("repeat.json", '{"vertices": ["a", "b"], "hyperedges": {"e": ["a", "a", "b"]}}'),
+        ("repeat.txt", "e: a a b\n"),
+    ],
+    ids=["json", "lines"],
+)
+def test_exit_one_on_a_member_listed_twice(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "units", str(path))
+    assert code == 1
+    assert "HypergraphSyntaxError" in err and "hyperedge 'e' lists 'a' twice" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [["check"], ["nullspace", "--axis", "incidence"], ["spectra", "--matrix", "A_GH"]],
 )

@@ -85,6 +85,23 @@ def test_from_json_rejects_repeated_hyperedge_key():
         Hypergraph.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text, fmt, message",
+    [
+        (
+            '{"vertices": ["a", "b"], "hyperedges": {"e": ["a", "a", "b"]}}',
+            "json",
+            "^hyperedge 'e' lists 'a' twice$",
+        ),
+        ("#vertices: a b\nf: a b\ne: a a b\n", "lines", "^line 3: hyperedge 'e' lists 'a' twice$"),
+    ],
+    ids=["json", "lines"],
+)
+def test_rejects_a_member_listed_twice_in_one_hyperedge(text, fmt, message):
+    with pytest.raises(HypergraphSyntaxError, match=message):
+        parse(text, fmt)
+
+
 def test_star_degree_members():
     h = fx.hub_cycle()
     assert h.star("5") == frozenset({"e1", "e2", "e3", "e4"})
