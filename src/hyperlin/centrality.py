@@ -15,12 +15,11 @@ from .errors import (
     SingularError,
     TooFewEdgesError,
     TooSmallError,
-    UnknownLabelError,
     UnreachableError,
     WeightDomainMismatchError,
 )
 from .hypergraph import Hypergraph, _dot_quote
-from .linalg import _integer_solve, rat
+from .linalg import _integer_solve, _known, rat
 from .randwalk import TransitionMatrix, _check_count, _require_reachable
 from .spectra import _check_tol, _coincidence
 from .structures import UnitDecomposition, units
@@ -59,15 +58,13 @@ class GraphProjection:
 
     def neighbors(self, node: str) -> tuple[str, ...]:
         """Adjacent nodes, in the order of ``edges``."""
-        if node not in self._adjacency:
-            raise UnknownLabelError(f"no projection node {node!r}")
+        _known([node], self._adjacency, "projection nodes")
         return tuple(self._adjacency[node])
 
     def distances_from(self, node: str) -> dict[str, int]:
         """Breadth-first hop counts; unreachable nodes are absent."""
+        _known([node], self._adjacency, "projection nodes")
         dist = {node: 0}
-        if node not in self._adjacency:
-            raise UnknownLabelError(f"no projection node {node!r}")
         frontier = [node]
         while frontier:
             nxt = []

@@ -17,7 +17,12 @@ from __future__ import annotations
 from functools import cache
 from operator import add, sub
 
-from .errors import IsolatedVertexError, SingletonEdgeNonLazyError, UnreachableError
+from .errors import (
+    IsolatedVertexError,
+    SingletonEdgeError,
+    SingletonEdgeNonLazyError,
+    UnreachableError,
+)
 from .hypergraph import Hypergraph, incidence_matrix
 from .linalg import determinant, nullspace
 from .randwalk import (
@@ -26,7 +31,7 @@ from .randwalk import (
     transition_matrix,
     verify_partition_transition,
 )
-from .spectra import build_A_GH, build_Q, weight_scheme
+from .spectra import WEIGHT_PRESETS, build_A_GH, build_Q, weight_scheme
 from .structures import (
     _gray_sums,
     find_equal_edge_partitions,
@@ -111,19 +116,20 @@ def _q_annihilation(h, vertex_basis) -> dict:
         return _check(
             "q_annihilation", "not-applicable", "nullity(I^T)=0, no certificates"
         )
-    presets = ["unit"]
-    if all(len(m) >= 2 for _, m in h.hyperedges):
-        presets.append("edgenorm")
-        if all(h.degree(v) >= 1 for v in h.vertices):
-            presets.append("fullnorm")
-    qs = [build_Q(h, weight_scheme(h, preset)) for preset in presets]
+    qs = []
+    for preset in WEIGHT_PRESETS:
+        try:
+            w = weight_scheme(h, preset)
+        except (SingletonEdgeError, IsolatedVertexError):
+            continue
+        qs.append(build_Q(h, w))
     ok = not any(
         x for q in qs for vec in vertex_basis.vectors for x in q.apply(vec).values()
     )
     return _check(
         "q_annihilation",
         _verdict(ok),
-        f"{vertex_basis.dimension} basis certificates under {len(presets)} "
+        f"{vertex_basis.dimension} basis certificates under {len(qs)} "
         f"weight presets",
     )
 
@@ -187,7 +193,7 @@ def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
         stars = [[(edge_pos[e], 1) for e in h.star(v)] for v in h.vertices]
         nonzeros = [[(k, x) for k, x in enumerate(rows[v]) if x] for v in h.vertices]
         counted = _zero_assignments(h, stars, len(edge_pos))
-        if counted != _zero_assignments(h, nonzeros, inc.cols) or not counted <= set(pairs):
+        if counted != _zero_assignments(h, nonzeros, inc.cols) or counted != set(pairs):
             ok = False
         witness += "; exhaustive counting sweep agreed both directions"
     return _check("partition_nullspace", _verdict(ok), witness)

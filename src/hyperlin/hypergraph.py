@@ -22,7 +22,7 @@ from .errors import (
     UnknownLabelError,
     UnknownVertexError,
 )
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, _known
 
 __all__ = [
     "Hypergraph",
@@ -40,7 +40,8 @@ class Hypergraph:
     """Immutable labeled hypergraph.
 
     vertices: vertex labels in declaration order.
-    hyperedges: (label, members) pairs in declaration order.
+    hyperedges: (label, members) pairs in declaration order; a member
+    listed twice is an error, not read as once.
     """
 
     vertices: tuple[str, ...]
@@ -58,7 +59,12 @@ class Hypergraph:
         seen_sets: dict[frozenset[str], str] = {}
         for label, members in self.hyperedges:
             label = str(label)
-            members = frozenset(str(m) for m in members)
+            listed = [str(m) for m in members]
+            members = frozenset(listed)
+            if len(members) < len(listed):
+                raise HypergraphSyntaxError(
+                    f"hyperedge {label!r} lists {_repeated_member(listed)!r} twice"
+                )
             if label in members_of:
                 raise HypergraphSyntaxError(f"duplicate hyperedge label {label!r}")
             if not members:
@@ -119,9 +125,7 @@ class Hypergraph:
     def vertex_order(self, labels: Iterable[str]) -> tuple[str, ...]:
         """The given vertex labels, sorted into declaration order."""
         given = set(labels)
-        unknown = given - set(self.vertices)
-        if unknown:
-            raise UnknownLabelError(f"unknown vertices: {sorted(unknown)}")
+        _known(given, self._stars, "vertices")
         return tuple(v for v in self.vertices if v in given)
 
     def is_connected(self) -> bool:
@@ -170,24 +174,15 @@ class Hypergraph:
         appearance order across hyperedges.
         """
         pairs = [(str(label), [str(m) for m in members]) for label, members in hyperedges]
-        if vertices is not None:
-            order = [str(v) for v in vertices]
-        else:
-            order = []
-            seen: set[str] = set()
-            for _, members in pairs:
-                for m in members:
-                    if m not in seen:
-                        seen.add(m)
-                        order.append(m)
-        return cls(tuple(order), tuple((l, frozenset(ms)) for l, ms in pairs))
+        if vertices is None:
+            vertices = dict.fromkeys(m for _, members in pairs for m in members)
+        return cls(tuple(vertices), tuple(pairs))
 
     @classmethod
     def from_json(cls, text: str) -> "Hypergraph":
         """Parse the canonical JSON form.
 
-        A repeated key anywhere, or a member listed twice in one hyperedge,
-        is an error.
+        A repeated key anywhere is an error.
         """
         try:
             data = json.loads(text, object_pairs_hook=_unique_keys)
@@ -208,10 +203,7 @@ class Hypergraph:
         for label, members in edges.items():
             if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
                 raise HypergraphSyntaxError(f"members of {label!r} must be a list of strings")
-            repeated = _repeated_member(members)
-            if repeated is not None:
-                raise HypergraphSyntaxError(f"hyperedge {label!r} lists {repeated!r} twice")
-            pairs.append((label, frozenset(members)))
+            pairs.append((label, members))
         return cls(tuple(verts), tuple(pairs))
 
     @classmethod
@@ -224,9 +216,7 @@ class Hypergraph:
         by first appearance.
         """
         declared: list[str] = []
-        pairs: list[tuple[str, frozenset[str]]] = []
-        appearance: list[str] = []
-        seen_members: set[str] = set()
+        pairs: list[tuple[str, list[str]]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
@@ -255,24 +245,15 @@ class Hypergraph:
                 raise HypergraphSyntaxError(
                     f"line {lineno}: hyperedge {label!r} lists {repeated!r} twice"
                 )
-            pairs.append((label, frozenset(members)))
-            for m in members:
-                if m not in seen_members:
-                    seen_members.add(m)
-                    appearance.append(m)
-        order = list(declared)
-        seen = set(order)
-        for m in appearance:
-            if m not in seen:
-                seen.add(m)
-                order.append(m)
+            pairs.append((label, members))
+        order = dict.fromkeys([*declared, *(m for _, members in pairs for m in members)])
         return cls(tuple(order), tuple(pairs))
 
 
 def _repeated_member(members: list[str]) -> str | None:
     """The first member listed a second time, or None.
 
-    A set would silently drop the repeat, so both parsers reject it instead.
+    A set would silently drop the repeat, so a hyperedge rejects it instead.
     """
     seen: set[str] = set()
     for m in members:

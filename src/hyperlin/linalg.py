@@ -70,11 +70,15 @@ def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
-def _known(keys: Iterable[str], labels: Sequence[str]) -> None:
-    """Raise UnknownLabelError naming the keys that are not ``labels``."""
+def _known(keys: Iterable[str], labels: Iterable[str], what: str = "labels") -> None:
+    """Raise UnknownLabelError naming the keys that are not ``labels``.
+
+    The one home of the unknown-label rule. ``labels`` may be a dict, whose
+    key lookups keep the check O(len(keys)).
+    """
     unknown = set(keys).difference(labels)
     if unknown:
-        raise UnknownLabelError(f"unknown labels: {sorted(unknown, key=str)}")
+        raise UnknownLabelError(f"unknown {what}: {sorted(unknown, key=str)}")
 
 
 @dataclass(frozen=True)

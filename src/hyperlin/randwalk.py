@@ -31,7 +31,7 @@ from .errors import (
     UnreachableError,
 )
 from .hypergraph import Hypergraph
-from .linalg import RationalMatrix, _integer_row, _integer_solve, rat
+from .linalg import RationalMatrix, _integer_row, _integer_solve, _known, rat
 from .structures import _check_disjoint
 
 if TYPE_CHECKING:
@@ -228,13 +228,10 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
 
 def _as_distribution(tm: TransitionMatrix, init: Union[str, Mapping[str, Fraction]]) -> dict[str, Fraction]:
     if isinstance(init, str):
-        if init not in tm._index:
-            raise UnknownLabelError(f"unknown state {init!r}")
+        _known([init], tm._index, "states")
         return {v: Fraction(int(v == init)) for v in tm.states}
     dist = {str(k): rat(v) for k, v in init.items()}
-    unknown = set(dist).difference(tm._index)
-    if unknown:
-        raise UnknownLabelError(f"unknown states: {sorted(unknown)}")
+    _known(dist, tm._index, "states")
     if any(v < 0 for v in dist.values()):
         raise BadDistributionError("probabilities must be nonnegative")
     total = sum(dist.values(), Fraction(0))
@@ -318,8 +315,7 @@ def hitting_times(
         If some state cannot reach the target at all (the system would not
         determine finite values).
     """
-    if target not in tm._index:
-        raise UnknownLabelError(f"unknown state {target!r}")
+    _known([target], tm._index, "states")
     if self_time not in ("return", "zero"):
         raise ValueError("self_time must be 'return' or 'zero'")
     _require_reachable(tm, target)
@@ -351,8 +347,7 @@ def first_hit_probabilities(
     return, for mass starting on the target). The entries sum to at most 1.
     """
     _check_count(horizon, "horizon", 1)
-    if target not in tm._index:
-        raise UnknownLabelError(f"unknown state {target!r}")
+    _known([target], tm._index, "states")
     return _integer_walk(tm, init, horizon, absorb=tm._index[target])[2]
 
 

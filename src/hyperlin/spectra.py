@@ -22,7 +22,7 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, incidence_graph_adjacency, incidence_matrix
 from .linalg import RationalMatrix, _integer_row, rat
-from .structures import Certificate, CertificateKind, VERTEX_AXIS
+from .structures import Certificate, CertificateKind, _require_vertex_certificate
 
 __all__ = [
     "WeightScheme",
@@ -358,13 +358,6 @@ def hypergraph_spectrum(
         similarity=scheme.vertex_weights,
         matrix_kind=matrix,
     )
-
-
-def _require_vertex_certificate(h: Hypergraph, cert: Certificate) -> None:
-    if cert.annihilated_by != VERTEX_AXIS:
-        raise InvalidCertificateError("certificate must be a vertex-axis certificate")
-    if set(cert.coefficients) != set(h.vertices):
-        raise InvalidCertificateError("certificate does not live on this hypergraph")
 
 
 def verify_Q_annihilation(h: Hypergraph, w: WeightScheme, cert: Certificate) -> bool:

@@ -29,7 +29,7 @@ from .hypergraph import (
     incidence_graph_adjacency,
     incidence_matrix,
 )
-from .linalg import _integer_row, nullspace, rat, vector_support
+from .linalg import _integer_row, _known, nullspace, rat, vector_support
 
 __all__ = [
     "CertificateKind",
@@ -153,9 +153,7 @@ def is_dependent_set(h: Hypergraph, labels: Iterable[str], axis: str = "vertices
         kind, annihilator = CertificateKind.DEPENDENT_HYPEREDGES, EDGE_AXIS
     else:
         raise ValueError(f"axis must be 'vertices' or 'hyperedges', got {axis!r}")
-    unknown = wanted - set(ambient)
-    if unknown:
-        raise UnknownLabelError(f"unknown {axis}: {sorted(unknown)}")
+    _known(wanted, ambient, axis)
     cols = [l for l in ambient if l in wanted]
     if not cols:
         return None
@@ -334,9 +332,7 @@ def verify_unit_maximality(h: Hypergraph, candidate: Iterable[str]) -> bool:
     cand = [str(v) for v in candidate]
     if len(set(cand)) < 2:
         raise TooSmallError("a unit check needs at least two distinct vertices")
-    unknown = set(cand) - set(h.vertices)
-    if unknown:
-        raise UnknownLabelError(f"unknown vertices: {sorted(unknown)}")
+    _known(cand, h._stars, "vertices")
     stars = {h.star(v) for v in cand}
     if len(stars) != 1:
         return False
@@ -359,9 +355,7 @@ def contraction_nullspace_lift(
     cmap = unit_contraction(h)
     adj = incidence_graph_adjacency(cmap.contracted)
     zz = {str(k): rat(v) for k, v in z.items()}
-    unknown = set(zz) - set(adj.row_labels)
-    if unknown:
-        raise UnknownLabelError(f"labels outside the contraction: {sorted(unknown)}")
+    _known(zz, adj.row_labels, "contraction labels")
     image = adj.apply(zz)
     if any(v != 0 for v in image.values()):
         raise NotInNullspaceError("vector is not annihilated by the contracted adjacency")
@@ -387,9 +381,7 @@ def _check_disjoint(
     """
     a_set = frozenset(str(x) for x in a)
     b_set = frozenset(str(x) for x in b)
-    unknown = [x for x in a_set | b_set if x not in universe]
-    if unknown:
-        raise UnknownLabelError(f"unknown {what}: {sorted(unknown)}")
+    _known(a_set | b_set, universe, what)
     if a_set & b_set:
         raise NotDisjointError(f"sets overlap on {sorted(a_set & b_set)}")
     return a_set, b_set
@@ -511,9 +503,7 @@ def verify_star_partition(h: Hypergraph, center: str, parts: Iterable[str]) -> b
     part_list = [str(p) for p in parts]
     if center in part_list:
         raise OverlapError(f"center {center!r} may not be one of the parts")
-    unknown = ({center} | set(part_list)) - set(h.vertices)
-    if unknown:
-        raise UnknownLabelError(f"unknown vertices: {sorted(unknown)}")
+    _known([center, *part_list], h._stars, "vertices")
     if len(set(part_list)) != len(part_list):
         raise OverlapError("parts must be distinct vertices")
     stars = [h.star(p) for p in part_list]
@@ -580,12 +570,8 @@ def _validate_vertex_map(
     missing = set(source.vertices) - set(fmap)
     if missing:
         raise UnknownLabelError(f"map not defined on: {sorted(missing)}")
-    extra = set(fmap) - set(source.vertices)
-    if extra:
-        raise UnknownLabelError(f"map defined on unknown vertices: {sorted(extra)}")
-    bad_targets = set(fmap.values()) - set(target.vertices)
-    if bad_targets:
-        raise UnknownLabelError(f"map hits unknown target vertices: {sorted(bad_targets)}")
+    _known(fmap, source._stars, "source vertices")
+    _known(fmap.values(), target._stars, "target vertices")
     return fmap
 
 
@@ -624,6 +610,13 @@ def verify_covering_projection(
     return ProjectionClass.COVERING
 
 
+def _require_vertex_certificate(h: Hypergraph, cert: Certificate) -> None:
+    if cert.annihilated_by != VERTEX_AXIS:
+        raise InvalidCertificateError("certificate must be a vertex-axis certificate")
+    if set(cert.coefficients) != set(h.vertices):
+        raise InvalidCertificateError("certificate does not live on this hypergraph")
+
+
 def pullback_dependent_set(
     source: Hypergraph,
     target: Hypergraph,
@@ -641,8 +634,7 @@ def pullback_dependent_set(
     cls = verify_covering_projection(source, target, fmap)
     if cls != ProjectionClass.CARDINALITY_PRESERVING_COVERING:
         raise NotCardinalityPreservingError(f"map classifies as {cls.value}")
-    if cert.annihilated_by != VERTEX_AXIS or set(cert.coefficients) != set(target.vertices):
-        raise InvalidCertificateError("certificate must live on the target's vertices")
+    _require_vertex_certificate(target, cert)
     image = incidence_matrix(target).transpose().apply(cert.coefficients)
     if any(v != 0 for v in image.values()):
         raise InvalidCertificateError("certificate is not annihilated on the target")

@@ -47,6 +47,11 @@ WITH_ISOLATED = Hypergraph.from_members(
     [("e1", ["1", "2", "3"]), ("e2", ["1", "2"]), ("e3", ["3", "4"])],
     vertices=["1", "x", "2", "3", "4"],
 )
+# the same with the isolated vertex last: only the sweep's last lead finds ({"x"}, {})
+X_LAST = Hypergraph.from_members(
+    [("e1", ["1", "2", "3"]), ("e2", ["1", "2"]), ("e3", ["3", "4"])],
+    vertices=["1", "2", "3", "4", "x"],
+)
 
 
 def _star_vectors(h):
@@ -67,9 +72,10 @@ def _row_vectors(h, inc):
         fx.balanced_overlap(),
         fx.double_cover()[1],
         WITH_ISOLATED,
+        X_LAST,
         Hypergraph.from_members([], vertices=[]),
     ],
-    ids=["balanced-overlap", "h-cov-base", "isolated-vertex", "vertexless"],
+    ids=["balanced-overlap", "h-cov-base", "isolated-vertex", "isolated-vertex-last", "vertexless"],
 )
 def test_zero_assignments_equal_brute_force_sets(h):
     inc = incidence_matrix(h)
@@ -166,6 +172,18 @@ def test_partition_nullspace_fails_when_only_the_sweep_sees_a_flipped_entry():
     rows = dict(zip(tampered.row_labels, tampered.numerators))
     assert all(checks._signed_indicator_in_nullspace(rows, inc.cols, u, v) for u, v in pairs)
     assert checks._partition_nullspace(h, tampered, pairs, 2)["status"] == "fail"
+
+
+def test_partition_nullspace_fails_when_the_sweep_misses_a_found_pair(monkeypatch):
+    # as if the sweep skipped its last lead vertex: both of its sets lose ({x}, {})
+    real = checks._zero_assignments
+    lost = (frozenset({"x"}), frozenset())
+    monkeypatch.setattr(checks, "_zero_assignments", lambda *args: real(*args) - {lost})
+    h = X_LAST
+    inc = incidence_matrix(h)
+    pairs = structures.find_equal_edge_partitions(h, max_support=h.n_vertices)
+    assert lost in pairs
+    assert checks._partition_nullspace(h, inc, pairs, 2)["status"] == "fail"
 
 
 def _split_unit(dec):

@@ -86,20 +86,30 @@ def test_from_json_rejects_repeated_hyperedge_key():
 
 
 @pytest.mark.parametrize(
-    "text, fmt, message",
+    "build, message",
     [
         (
-            '{"vertices": ["a", "b"], "hyperedges": {"e": ["a", "a", "b"]}}',
-            "json",
+            lambda: parse('{"vertices": ["a", "b"], "hyperedges": {"e": ["a", "a", "b"]}}', "json"),
             "^hyperedge 'e' lists 'a' twice$",
         ),
-        ("#vertices: a b\nf: a b\ne: a a b\n", "lines", "^line 3: hyperedge 'e' lists 'a' twice$"),
+        (
+            lambda: parse("#vertices: a b\nf: a b\ne: a a b\n", "lines"),
+            "^line 3: hyperedge 'e' lists 'a' twice$",
+        ),
+        (
+            lambda: Hypergraph(("a", "b"), (("e", ["a", "a", "b"]),)),
+            "^hyperedge 'e' lists 'a' twice$",
+        ),
+        (
+            lambda: Hypergraph.from_members([("e", ["a", "a", "b"])]),
+            "^hyperedge 'e' lists 'a' twice$",
+        ),
     ],
-    ids=["json", "lines"],
+    ids=["json", "lines", "constructor", "from_members"],
 )
-def test_rejects_a_member_listed_twice_in_one_hyperedge(text, fmt, message):
+def test_rejects_a_member_listed_twice_in_one_hyperedge(build, message):
     with pytest.raises(HypergraphSyntaxError, match=message):
-        parse(text, fmt)
+        build()
 
 
 def test_star_degree_members():
