@@ -171,9 +171,13 @@ def vertex_pair_certificate(h: Hypergraph, u: str, v: str) -> Certificate:
 
     This is the simplest dependence certificate: +1 on the first vertex in
     declaration order, -1 on the other. Raises InvalidCertificateError when
-    the stars differ (the difference would not be annihilated).
+    the stars differ (the difference would not be annihilated) or when u and
+    v are one vertex.
     """
-    first, second = h.vertex_order([u, v])
+    pair = h.vertex_order([u, v])
+    if len(pair) == 1:
+        raise InvalidCertificateError(f"vertex {u!r} is given twice; a pair needs two vertices")
+    first, second = pair
     if h.star(first) != h.star(second):
         raise InvalidCertificateError(f"vertices {u!r} and {v!r} have different stars")
     coeffs = {lab: Fraction(0) for lab in h.vertices}
@@ -586,7 +590,13 @@ def verify_covering_projection(
     cardinality preserving covering also keeps every hyperedge's size.
     The strongest applicable class is returned.
     """
-    fmap = _validate_vertex_map(source, target, f)
+    return _classify_projection(source, target, _validate_vertex_map(source, target, f))
+
+
+def _classify_projection(
+    source: Hypergraph, target: Hypergraph, fmap: dict[str, str]
+) -> ProjectionClass:
+    """``verify_covering_projection`` on a map ``_validate_vertex_map`` returned."""
     edge_map = _edge_image_map(source, target, fmap)
     if edge_map is None:
         return ProjectionClass.NOT_HOMOMORPHISM
@@ -631,7 +641,7 @@ def pullback_dependent_set(
     the transposed incidence matrix of the source, which is checked exactly.
     """
     fmap = _validate_vertex_map(source, target, f)
-    cls = verify_covering_projection(source, target, fmap)
+    cls = _classify_projection(source, target, fmap)
     if cls != ProjectionClass.CARDINALITY_PRESERVING_COVERING:
         raise NotCardinalityPreservingError(f"map classifies as {cls.value}")
     _require_vertex_certificate(target, cert)

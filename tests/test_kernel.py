@@ -3,7 +3,13 @@
 Each public exact routine is compared, entry by entry, with the reference
 loop in ``fraction_oracles`` on generated matrices: empty shapes,
 rank-deficient matrices, zero columns ahead of a pivot, negative entries
-and non-unit denominators. The integer partition search is compared with
+and non-unit denominators. The multimodular RREF is compared with the
+same oracles on those matrices (cut-over patched to 0) and on sized ones:
+0/1 and small-int matrices of 20 to 60 rows, numerators beyond int64,
+matrices that need several primes, an unlucky prime first or second in
+the prime source, and corrupted reconstructions the certificate must
+reject.
+The integer partition search is compared with
 the Fraction enumeration on generated hypergraphs and twin families, and
 the integer walk functions with Fraction stepping, absorption, row sums
 and solves on generated kernels under uniform and unequal custom policies.
@@ -20,7 +26,9 @@ order included.
 
 import itertools
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +48,7 @@ from hyperlin import (
     transition_matrix,
     verify_partition_transition,
 )
-from hyperlin import centrality, fixtures as fx
+from hyperlin import centrality, fixtures as fx, linalg
 from hyperlin.errors import (
     NotUniformPolicyError,
     SingletonEdgeNonLazyError,
@@ -48,7 +56,7 @@ from hyperlin.errors import (
     UnreachableError,
 )
 from hyperlin.hypergraph import incidence_matrix
-from hyperlin.linalg import RationalMatrix, _integer_row, determinant, nullspace, rref, solve
+from hyperlin.linalg import RationalMatrix, _integer_row, determinant, nullspace, rank, rref, solve
 from hyperlin.randwalk import SplitMix64, trajectory_seed
 from hyperlin.structures import find_equal_edge_partitions
 
@@ -134,6 +142,167 @@ def test_solve_matches_fraction_solution(m, rhs):
 @example(_matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 4), Fraction(2, 5)]], 2))
 def test_determinant_matches_fraction_bareiss(m):
     assert determinant(m) == oracle.determinant([list(r) for r in m.entries])
+
+
+def _assert_rref_rank_and_nullspace_match_the_oracles(m: RationalMatrix) -> None:
+    rows = [list(r) for r in m.entries]
+    reduced, pivots = oracle.gauss_jordan(rows, m.cols)
+    res = rref(m)
+    assert res.matrix.entries == tuple(tuple(r) for r in reduced)
+    assert res.pivot_cols == tuple(pivots)
+    assert res.rank == rank(m) == len(pivots)
+    basis = nullspace(m)
+    assert [[v[lab] for lab in m.col_labels] for v in basis.vectors] == oracle.nullspace_vectors(rows, m.cols)
+
+
+@KERNEL
+@given(matrices())
+@example(EMPTY_ROWS)
+@example(EMPTY_COLS)
+@example(ZERO_LEAD)
+def test_modular_rref_rank_and_nullspace_match_the_oracles(m):
+    """The multimodular engine on the small strategies, with the cut-over at 0."""
+    with mock.patch.object(linalg, "_MODULAR_MIN_CELLS", 0):
+        _assert_rref_rank_and_nullspace_match_the_oracles(m)
+
+
+def _count_primes(monkeypatch) -> list[int]:
+    """Record every prime the multimodular engine takes."""
+    taken: list[int] = []
+    primes = linalg._primes
+
+    def counting():
+        for p in primes():
+            taken.append(p)
+            yield p
+
+    monkeypatch.setattr(linalg, "_primes", counting)
+    return taken
+
+
+def _random_rows(seed: int, nrows: int, ncols: int, values, deficient: int) -> list[list[int]]:
+    """Random rows drawn from ``values``; the last ``deficient`` rows are
+    combinations of two earlier ones, so the rank is at most nrows - deficient."""
+    rng = random.Random(seed)
+    rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+    for k in range(1, deficient + 1):
+        i, j = rng.sample(range(nrows - deficient), 2)
+        a, b = rng.randint(-3, 3), rng.randint(1, 3)
+        rows[-k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "seed, nrows, ncols, values, deficient",
+    [
+        (1, 20, 30, (0, 1), 0),
+        (2, 30, 20, (0, 1), 4),
+        (3, 40, 40, (0, 0, 0, 1), 6),
+        (4, 60, 25, (-2, -1, 0, 1, 2), 0),
+        (5, 25, 60, (0, 1), 5),
+        (6, 50, 36, (0, 0, 1, 2), 20),
+    ],
+)
+def test_modular_rref_matches_the_oracles_at_size(monkeypatch, seed, nrows, ncols, values, deficient):
+    taken = _count_primes(monkeypatch)
+    m = _matrix(_random_rows(seed, nrows, ncols, values, deficient), ncols)
+    assert m.rows * m.cols >= linalg._MODULAR_MIN_CELLS
+    _assert_rref_rank_and_nullspace_match_the_oracles(m)
+    assert taken
+
+
+@pytest.mark.parametrize("scale", [2**62 + 1, 2**64 + 13, Fraction(2**70 + 1, 2**65 + 3)])
+def test_modular_rref_on_numerators_beyond_int64(monkeypatch, scale):
+    """Scaling one row keeps the RREF small but makes numerators large. From
+    2^62 + 1 the certificate's int64 bound fails, so its product runs in
+    Python ints; from 2^64 the residues too are taken by Python's %."""
+    taken = _count_primes(monkeypatch)
+    rows = _random_rows(7, 24, 30, (0, 1), 3)
+    rows[0] = [x * scale for x in rows[0]]
+    m = _matrix(rows, 30)
+    assert max(abs(x) for row in m.numerators for x in row) > 2**62
+    _assert_rref_rank_and_nullspace_match_the_oracles(m)
+    assert taken
+
+
+def test_modular_rref_combines_primes_when_one_is_not_enough(monkeypatch):
+    """A dense small-int matrix has RREF entries far above sqrt(p / 2)."""
+    taken = _count_primes(monkeypatch)
+    m = _matrix(_random_rows(8, 24, 30, range(-5, 6), 2), 30)
+    _assert_rref_rank_and_nullspace_match_the_oracles(m)
+    assert len(taken) > 2
+    assert max(abs(x) for row in rref(m).matrix.numerators for x in row) > 2**62
+
+
+#: A prime far from the engine's first ones, to plant in a pivot minor.
+UNLUCKY = 1_000_003
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("kind", ["later pivots", "fewer pivots"])
+def test_modular_rref_drops_an_unlucky_prime(monkeypatch, kind, position):
+    """The prime source yields UNLUCKY at ``position``, then ends after a few
+    usual primes, so a result that kept its residues could not be certified."""
+    usual = list(itertools.islice(linalg._primes(), 16))
+    source = usual[:position] + [UNLUCKY] + usual[position:]
+    monkeypatch.setattr(linalg, "_primes", lambda: iter(source))
+    taken = _count_primes(monkeypatch)
+    # dense small ints, so the engine needs more than one prime and meets UNLUCKY
+    rows = _random_rows(9, 24, 30, range(-5, 6), 0)
+    if kind == "later pivots":  # column 0 vanishes mod UNLUCKY
+        rows = [[UNLUCKY * row[0], *row[1:]] for row in rows]
+    else:  # the last row equals the first mod UNLUCKY, and only mod UNLUCKY
+        rows[-1] = [x + UNLUCKY * y for x, y in zip(rows[0], rows[-1])]
+    m = _matrix(rows, 30)
+    _assert_rref_rank_and_nullspace_match_the_oracles(m)
+    assert UNLUCKY in taken
+
+
+def _tampered(n, d: int, corrupt: str):
+    n = n.copy()
+    if corrupt == "one entry":
+        n[0, -1] += 1
+        return n, d
+    f = next(q for q in range(2, d + 1) if d % q == 0)
+    n[n == d] = d // f  # the pivots agree with the smaller denominator
+    return n, d // f
+
+
+@pytest.mark.parametrize("corrupt", ["one entry", "dropped denominator factor"])
+def test_a_corrupted_reconstruction_fails_the_certificate(monkeypatch, corrupt):
+    """The first candidate is corrupted: the certificate must reject it and
+    the engine must go on to a prime whose candidate it proves."""
+    m = _matrix(_random_rows(10, 20, 30, (0, 1), 0), 30)
+    reconstruct = linalg._reconstruct
+    seen = []
+
+    def corrupting(residues, modulus):
+        found = reconstruct(residues, modulus)
+        if found is not None and not seen:
+            assert found[1] > 1
+            found = _tampered(*found, corrupt)
+        seen.append(found)
+        return found
+
+    monkeypatch.setattr(linalg, "_reconstruct", corrupting)
+    _assert_rref_rank_and_nullspace_match_the_oracles(m)
+    assert len(seen) > 1
+
+
+def test_the_certificate_takes_python_ints_above_the_int64_bound():
+    """2 (1 - 2^63) = 2 - 2^64 wraps to 2 in int64, so an int64 product
+    would certify this wrong row; max|A| max|N| r = 2 (2^63 - 1) is above
+    the bound, so the product runs in Python ints and rejects it."""
+    a = np.array([[2, 2]], dtype=np.int64)
+    assert linalg._certified(a, np.array([[1, 1]], dtype=np.int64), 1, [0])
+    assert not linalg._certified(a, np.array([[1, 1 - 2**63]], dtype=np.int64), 1, [0])
+
+
+def test_word_primes_are_the_primes_below_2_to_the_31_in_descending_order():
+    by_trial = [
+        p for p in range(2**31 - 1, 2**31 - 400, -2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+    ]
+    assert list(itertools.islice(linalg._primes(), len(by_trial))) == by_trial
 
 
 def _products(a: list[list[Fraction]], b: list[list[Fraction]], inner: int, k: int) -> list[list[Fraction]]:

@@ -19,8 +19,10 @@ from hyperlin import (
     verify_equal_star_partition,
     verify_unit_maximality,
 )
+from hyperlin import structures
 from hyperlin.errors import (
     HypergraphSyntaxError,
+    InvalidCertificateError,
     NotCardinalityPreservingError,
     NotDisjointError,
     NotInNullspaceError,
@@ -161,6 +163,11 @@ def test_vertex_pair_certificate_for_twins():
     assert cert.coefficients["2"] == -1
     a = incidence_graph_adjacency(h)
     assert all(v == 0 for v in a.apply(cert.coefficients).values())
+
+
+def test_vertex_pair_certificate_rejects_one_vertex_given_twice():
+    with pytest.raises(InvalidCertificateError, match="vertex '1' is given twice"):
+        vertex_pair_certificate(fx.unit_blocks(), "1", "1")
 
 
 def test_contraction_shape_and_bijection():
@@ -358,6 +365,22 @@ def test_pullback_lifts_certificates_exactly():
     )
     inc_t = incidence_matrix(cover).transpose()
     assert all(v == 0 for v in inc_t.apply(lifted.coefficients).values())
+
+
+def test_pullback_validates_the_vertex_map_once(monkeypatch):
+    calls = []
+    validate = structures._validate_vertex_map
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(structures, "_validate_vertex_map", counting)
+    cover, base, proj = fx.double_cover()
+    pullback_dependent_set(cover, base, proj, dependent_vertices(base))
+    assert len(calls) == 1
+    verify_covering_projection(cover, base, proj)
+    assert len(calls) == 2
 
 
 def test_pullback_requires_cardinality_preservation():
