@@ -10,7 +10,6 @@ from typing import Callable, Mapping
 
 from .errors import (
     DisconnectedError,
-    IsolatedVertexError,
     NoConvergenceError,
     SingularError,
     TooFewEdgesError,
@@ -20,7 +19,13 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, _dot_quote
 from .linalg import _integer_solve, _known, rat
-from .randwalk import TransitionMatrix, _check_count, _require_reachable
+from .randwalk import (
+    TransitionMatrix,
+    _check_count,
+    _check_self_time,
+    _require_incident,
+    _require_reachable,
+)
 from .spectra import _check_tol, _coincidence
 from .structures import UnitDecomposition, units
 
@@ -171,8 +176,7 @@ def rw_closeness(tm: TransitionMatrix, self_time: str = "return") -> CentralityR
     TooSmallError
         Under self_time="zero" on a single state, whose sum is zero.
     """
-    if self_time not in ("return", "zero"):
-        raise ValueError("self_time must be 'return' or 'zero'")
+    _check_self_time(self_time)
     h = tm.source
     n = h.n_vertices
     if n == 1 and self_time == "zero":
@@ -189,19 +193,18 @@ def rw_closeness(tm: TransitionMatrix, self_time: str = "return") -> CentralityR
     )
 
 
-def _closeness_from_one_inverse(tm: TransitionMatrix, self_time: str) -> dict[str, object] | None:
-    """``rw_closeness`` values from one inverse, or None for a chain that is not irreducible.
+def _passage_inverse(tm: TransitionMatrix) -> tuple[list[list[int]], int, list[int]] | None:
+    """The X, d and w that give every mean first-passage time.
 
     The reference state r is state 0. Gauss-Jordan on [D Id - M' | Id]
     gives X over the last pivot d, so (Id - P')^-1 = D X / d, and the
     stationary weights w are d at r and M[r] X elsewhere (pi = w / W with
     W their sum). The chain is irreducible exactly when the solve is
-    regular and every weight has the sign of d. With X padded by zeros at
-    r, row sums R, column sums C and total T, the closeness of v is
+    regular and every weight has the sign of d; otherwise this returns
+    None. X comes padded by zeros at r; with R its row sums, the identity
+    in ``rw_closeness`` reads, for u != v,
 
-        n d w_v / (D (T - n R_v) w_v + (D (n X[v][v] - C_v) + b d) W),
-
-    where b is 1 when the target counts its return time and 0 otherwise.
+        E_u^v = D e(u, v) / (d w_v),  e(u, v) = (R_u - R_v) w_v + (X[v][v] - X[u][v]) W.
     """
     m, scale = tm.matrix.numerators, tm.matrix.denominator
     n = len(m)
@@ -213,14 +216,30 @@ def _closeness_from_one_inverse(tm: TransitionMatrix, self_time: str) -> dict[st
         x, d = _integer_solve(a, n - 1)
     except SingularError:
         return None
-    columns = list(zip(*x))
-    weights = [d] + [sum(map(mul, m[0][1:], col)) for col in columns]
+    weights = [d] + [sum(map(mul, m[0][1:], col)) for col in zip(*x)]
     if any(w * d <= 0 for w in weights):
         return None
+    return [[0] * n] + [[0, *row] for row in x], d, weights
+
+
+def _closeness_from_one_inverse(tm: TransitionMatrix, self_time: str) -> dict[str, object] | None:
+    """``rw_closeness`` values from ``_passage_inverse``, or None where it gives None.
+
+    With R, C and T the row sums, column sums and total of X, the closeness of v is
+
+        n d w_v / (D (T - n R_v) w_v + (D (n X[v][v] - C_v) + b d) W),
+
+    where b is 1 when the target counts its return time and 0 otherwise.
+    """
+    inverse = _passage_inverse(tm)
+    if inverse is None:
+        return None
+    x, d, weights = inverse
+    scale, n = tm.matrix.denominator, len(weights)
     total_weight = sum(weights)
-    row_sums = [0] + [sum(row) for row in x]
-    col_sums = [0] + [sum(col) for col in columns]
-    diagonal = [0] + [x[i][i] for i in range(n - 1)]
+    row_sums = [sum(row) for row in x]
+    col_sums = [sum(col) for col in zip(*x)]
+    diagonal = [x[i][i] for i in range(n)]
     total = sum(row_sums)
     back = d if self_time == "return" else 0
     return {
@@ -437,9 +456,7 @@ def perron_centrality(
     _check_tol(tol)
     if not h.is_connected():
         raise DisconnectedError("the coincidence matrix needs a connected hypergraph")
-    for v in h.vertices:
-        if h.degree(v) == 0:
-            raise IsolatedVertexError(f"vertex {v!r} has no incident hyperedge")
+    _require_incident(h)
     if edge_weights is None:
         weights = {e: Fraction(1) for e in h.edge_labels}
     else:

@@ -5,32 +5,23 @@ equality, nullity(A_GH) = nullity(I) + nullity(I^T), the square-determinant
 criterion, unit soundness, Q-annihilation of the vertex certificates, the
 equal partition <=> ker I^T correspondence, the walk balance of equal
 partitions, and the hitting-time symmetry of units. Every shared fact (the
-incidence matrix, the three nullspaces, the unit decomposition, the equal
-partitions and the non-lazy transition kernel) is computed once per run,
-except ker I^T: ``find_equal_edge_partitions`` takes no basis and computes
-it again (ROADMAP item 5 shares it). The kernel is built only when a walk
-check asks for it.
+incidence matrix, the ranks of I and A_GH, ker I^T, the unit decomposition,
+the equal partitions, the non-lazy kernel and its one passage inverse) is
+computed once per run, except ker I^T: ``find_equal_edge_partitions`` takes
+no basis and computes it again (ROADMAP item 5 shares it). The kernel is
+built only when a walk check asks for it.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import add, sub
+from itertools import combinations
 
-from .errors import (
-    IsolatedVertexError,
-    SingletonEdgeError,
-    SingletonEdgeNonLazyError,
-    UnreachableError,
-)
+from .centrality import _passage_inverse
+from .errors import IsolatedVertexError, SingletonEdgeError, SingletonEdgeNonLazyError
 from .hypergraph import Hypergraph, incidence_matrix
-from .linalg import determinant, nullspace
-from .randwalk import (
-    WalkPolicy,
-    hitting_times,
-    transition_matrix,
-    verify_partition_transition,
-)
+from .linalg import determinant, nullspace, rank
+from .randwalk import WalkPolicy, transition_matrix, verify_partition_transition
 from .spectra import WEIGHT_PRESETS, build_A_GH, build_Q, weight_scheme
 from .structures import (
     _gray_sums,
@@ -57,9 +48,7 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _rank_equality(inc, edge_nullity: int, vertex_nullity: int) -> dict:
-    r_rows = inc.cols - edge_nullity
-    r_cols = inc.rows - vertex_nullity
+def _rank_equality(r_rows: int, r_cols: int) -> dict:
     return _check(
         "rank_equality",
         _verdict(r_rows == r_cols),
@@ -143,16 +132,6 @@ def _over_budget(name: str, vertex_nullity: int) -> dict:
     )
 
 
-def _signed_indicator_in_nullspace(rows, n_edges: int, u_set, v_set) -> bool:
-    """I^T (chi_U - chi_V) == 0, summed per hyperedge over the vertex rows of I."""
-    totals = [0] * n_edges
-    for v in u_set:
-        totals = list(map(add, totals, rows[v]))
-    for v in v_set:
-        totals = list(map(sub, totals, rows[v]))
-    return not any(totals)
-
-
 def _zero_assignments(h, vectors, width: int) -> set:
     """The oriented pairs (U, V) whose signed sum of per-vertex vectors vanishes.
 
@@ -178,22 +157,18 @@ def _zero_assignments(h, vectors, width: int) -> set:
 def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
     if pairs is None:
         return _over_budget("partition_nullspace", vertex_nullity)
-    rows = dict(zip(inc.row_labels, inc.numerators))
-    ok = True
+    # With I the stars' 0/1 table, I^T (chi_U - chi_V)[e] = |e meet U| - |e meet V|: a
+    # counted pair lies in ker I^T, and the sweep over the stars sweeps the rows of I
+    table = tuple(tuple(int(e in h.star(v)) for e in h.edge_labels) for v in h.vertices)
+    labels = (inc.row_labels, inc.col_labels) == (h.vertices, h.edge_labels)
+    ok = labels and inc.denominator == 1 and inc.numerators == table
     for u_set, v_set in pairs:
-        counted, _ = verify_equal_edge_partition(h, u_set, v_set)
-        if not counted or not _signed_indicator_in_nullspace(
-            rows, inc.cols, u_set, v_set
-        ):
+        if not verify_equal_edge_partition(h, u_set, v_set)[0]:
             ok = False
     witness = f"{len(pairs)} partitions from the nullspace all verified by counting"
     if 3 ** h.n_vertices <= ENUMERATION_BUDGET:
-        # |e meet U| - |e meet V| from the stars, and I^T (chi_U - chi_V) from inc
-        edge_pos = {label: k for k, (label, _) in enumerate(h.hyperedges)}
-        stars = [[(edge_pos[e], 1) for e in h.star(v)] for v in h.vertices]
-        nonzeros = [[(k, x) for k, x in enumerate(rows[v]) if x] for v in h.vertices]
-        counted = _zero_assignments(h, stars, len(edge_pos))
-        if counted != _zero_assignments(h, nonzeros, inc.cols) or counted != set(pairs):
+        stars = [[(k, 1) for k, x in enumerate(row) if x] for row in table]
+        if _zero_assignments(h, stars, h.n_hyperedges) != set(pairs):
             ok = False
         witness += "; exhaustive counting sweep agreed both directions"
     return _check("partition_nullspace", _verdict(ok), witness)
@@ -216,7 +191,7 @@ def _partition_transition(pairs, vertex_nullity: int, kernel) -> dict:
     )
 
 
-def _walk_symmetries(h, dec, kernel) -> dict:
+def _walk_symmetries(dec, kernel) -> dict:
     multi = [u for u in dec.units if len(u.members) >= 2]
     if not multi:
         return _check(
@@ -225,31 +200,28 @@ def _walk_symmetries(h, dec, kernel) -> dict:
     tm = kernel()
     if isinstance(tm, str):
         return _check("walk_symmetries", "not-applicable", tm)
-    tables = {}
-    ok = True
-    pairs = 0
-    try:
-        for u in multi:
-            members = list(u.members)
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    for t in (a, b):
-                        if t not in tables:
-                            tables[t] = hitting_times(tm, t)
-                    if tables[b][a] != tables[a][b]:
-                        ok = False
-                    for w in h.vertices:
-                        if w in (a, b):
-                            continue
-                        if tables[a][w] != tables[b][w]:
-                            ok = False
-                    pairs += 1
-    except UnreachableError as exc:
-        return _check("walk_symmetries", "not-applicable", type(exc).__name__)
+    inverse = _passage_inverse(tm)
+    if inverse is None:
+        # symmetric support: a reducible chain leaves the first target unreachable
+        return _check("walk_symmetries", "not-applicable", "UnreachableError")
+    x, _, w = inverse
+    r = [sum(row) for row in x]
+    total = sum(w)
+
+    def e(u: int, v: int) -> int:  # E_u^v d w_v / D, as in ``centrality._passage_inverse``
+        return (r[u] - r[v]) * w[v] + (x[v][v] - x[u][v]) * total
+
+    pairs = [(tm._index[a], tm._index[b]) for u in multi for a, b in combinations(u.members, 2)]
+    # E_a^b = E_b^a, and E_k^a = E_k^b from every other state k
+    ok = all(
+        e(a, b) * w[a] == e(b, a) * w[b]
+        and all(e(k, a) * w[b] == e(k, b) * w[a] for k in range(len(w)) if k not in (a, b))
+        for a, b in pairs
+    )
     return _check(
         "walk_symmetries",
         _verdict(ok),
-        f"{pairs} unit pairs, exact hitting-time symmetry",
+        f"{len(pairs)} unit pairs, exact hitting-time symmetry",
     )
 
 
@@ -262,10 +234,10 @@ def run_checks(h: Hypergraph) -> dict:
     ``ENUMERATION_BUDGET``). Only ``fail`` counts as failed.
     """
     inc = incidence_matrix(h)
-    edge_nullity = nullspace(inc).dimension
+    inc_rank = rank(inc)
     vertex_basis = nullspace(inc.transpose())
     vertex_nullity = vertex_basis.dimension
-    n_big = nullspace(build_A_GH(h)).dimension
+    n_big = h.n_vertices + h.n_hyperedges - rank(build_A_GH(h))
     dec = units(h)
     pairs = None
     if 3 ** vertex_nullity <= ENUMERATION_BUDGET:
@@ -280,14 +252,14 @@ def run_checks(h: Hypergraph) -> dict:
             return type(exc).__name__
 
     checks = [
-        _rank_equality(inc, edge_nullity, vertex_nullity),
-        _nullity_additivity(h, edge_nullity, vertex_nullity, n_big),
+        _rank_equality(inc_rank, inc.rows - vertex_nullity),
+        _nullity_additivity(h, inc.cols - inc_rank, vertex_nullity, n_big),
         _square_determinant(h, inc, n_big),
         _unit_soundness(h, dec),
         _q_annihilation(h, vertex_basis),
         _partition_nullspace(h, inc, pairs, vertex_nullity),
         _partition_transition(pairs, vertex_nullity, kernel),
-        _walk_symmetries(h, dec, kernel),
+        _walk_symmetries(dec, kernel),
     ]
     return {
         "nullity_A_GH": n_big,

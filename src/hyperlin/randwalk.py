@@ -171,6 +171,13 @@ def _uniform_rows(h: Hypergraph, lazy: bool) -> tuple[list[list[int]], int]:
     return [[x * (scale // d) for x in row] for row, d in zip(rows, dens)], scale
 
 
+def _require_incident(h: Hypergraph) -> None:
+    """Raise IsolatedVertexError naming the first vertex in no hyperedge."""
+    for v in h.vertices:
+        if h.degree(v) == 0:
+            raise IsolatedVertexError(f"vertex {v!r} has no incident hyperedge")
+
+
 def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
     """Build the exact transition kernel of a walk policy on ``h``.
 
@@ -179,9 +186,7 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
     and per-edge vertex choice must each be probability distributions; this
     is validated exactly and implies the rows sum to one.
     """
-    for v in h.vertices:
-        if h.degree(v) == 0:
-            raise IsolatedVertexError(f"vertex {v!r} has no incident hyperedge")
+    _require_incident(h)
     if policy.is_uniform:
         rows, denominator = _uniform_rows(h, policy.kind == UNIFORM_LAZY)
         matrix = RationalMatrix(h.vertices, h.vertices, rows, denominator)
@@ -298,6 +303,12 @@ def _require_reachable(tm: TransitionMatrix, target: str) -> None:
         raise UnreachableError(f"states cannot reach {target!r}: {missing}")
 
 
+def _check_self_time(self_time: str) -> None:
+    """The one rule for the target's own entry: its return time, or zero."""
+    if self_time not in ("return", "zero"):
+        raise ValueError("self_time must be 'return' or 'zero'")
+
+
 def hitting_times(
     tm: TransitionMatrix, target: str, self_time: str = "return"
 ) -> dict[str, Fraction]:
@@ -316,8 +327,7 @@ def hitting_times(
         determine finite values).
     """
     _known([target], tm._index, "states")
-    if self_time not in ("return", "zero"):
-        raise ValueError("self_time must be 'return' or 'zero'")
+    _check_self_time(self_time)
     _require_reachable(tm, target)
     m, d = tm.matrix.numerators, tm.matrix.denominator
     t = tm._index[target]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hyperlin import Hypergraph, checks, spectra, structures
+from hyperlin import Hypergraph, centrality, checks, randwalk, spectra, structures
 from hyperlin import fixtures as fx
 from hyperlin.checks import run_checks
 from hyperlin.hypergraph import incidence_matrix
@@ -169,9 +169,20 @@ def test_partition_nullspace_fails_when_only_the_sweep_sees_a_flipped_entry():
     inc = incidence_matrix(h)
     pairs = structures.find_equal_edge_partitions(h, max_support=h.n_vertices)
     tampered = _flip(inc, 3, 0)
-    rows = dict(zip(tampered.row_labels, tampered.numerators))
-    assert all(checks._signed_indicator_in_nullspace(rows, inc.cols, u, v) for u, v in pairs)
     assert checks._partition_nullspace(h, tampered, pairs, 2)["status"] == "fail"
+
+
+def test_partition_nullspace_fails_on_every_flipped_entry_above_the_sweep_limit():
+    # 11 vertices: 3^11 is over the sweep's budget, so only I against the stars sees a
+    # flip in a vertex row that no found pair touches
+    h = fx.unit_blocks()
+    assert 3 ** h.n_vertices > checks.ENUMERATION_BUDGET
+    inc = incidence_matrix(h)
+    pairs = structures.find_equal_edge_partitions(h, max_support=h.n_vertices)
+    nullity = 6
+    assert checks._partition_nullspace(h, inc, pairs, nullity)["status"] == "pass"
+    for i, k in itertools.product(range(inc.rows), range(inc.cols)):
+        assert checks._partition_nullspace(h, _flip(inc, i, k), pairs, nullity)["status"] == "fail"
 
 
 def test_partition_nullspace_fails_when_the_sweep_misses_a_found_pair(monkeypatch):
@@ -216,3 +227,48 @@ def test_unit_soundness_fails_on_a_corrupted_decomposition(monkeypatch, corrupt)
     monkeypatch.setattr(checks, "units", lambda h: corrupt(real(h)))
     report = run_checks(fx.unit_blocks())
     assert statuses(report)["unit_soundness"] == "fail"
+
+
+def _merge_units(dec):
+    """The units {1, 2} and {3, 4} as one, though their stars differ."""
+    merged = [u for u in dec.units if u.members in (("1", "2"), ("3", "4"))]
+    rest = [u for u in dec.units if u not in merged]
+    return UnitDecomposition((Unit(("1", "2", "3", "4"), merged[0].generator), *rest))
+
+
+def test_walk_symmetries_fail_on_a_unit_whose_members_walk_differently(monkeypatch):
+    real = checks.units
+    monkeypatch.setattr(checks, "units", lambda h: _merge_units(real(h)))
+    check = next(
+        c for c in run_checks(fx.unit_blocks())["theorem_checks"] if c["name"] == "walk_symmetries"
+    )
+    assert check == {
+        "name": "walk_symmetries",
+        "status": "fail",
+        "witness": "10 unit pairs, exact hitting-time symmetry",
+    }
+
+
+def test_walk_symmetries_are_not_applicable_on_a_chain_that_is_not_irreducible():
+    h = Hypergraph.from_members([("e1", ["a", "b", "c"]), ("e2", ["a", "b"]), ("e3", ["x", "y"])])
+    check = next(c for c in run_checks(h)["theorem_checks"] if c["name"] == "walk_symmetries")
+    assert check == {
+        "name": "walk_symmetries",
+        "status": "not-applicable",
+        "witness": "UnreachableError",
+    }
+
+
+def test_the_check_pass_takes_one_integer_solve(monkeypatch):
+    """The walk symmetries read every hitting time from the inverse ``rw_closeness`` builds."""
+    calls = []
+    solve = randwalk._integer_solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(centrality, "_integer_solve", counting)
+    monkeypatch.setattr(randwalk, "_integer_solve", counting)
+    assert run_checks(fx.unit_blocks())["failed"] == 0
+    assert len(calls) == 1
