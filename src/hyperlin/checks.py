@@ -6,10 +6,11 @@ criterion, unit soundness, Q-annihilation of the vertex certificates, the
 equal partition <=> ker I^T correspondence, the walk balance of equal
 partitions, and the hitting-time symmetry of units. Every shared fact (the
 incidence matrix, the ranks of I and A_GH, ker I^T, the unit decomposition,
-the equal partitions, the non-lazy kernel and its one passage inverse) is
-computed once per run, except ker I^T: ``find_equal_edge_partitions`` takes
-no basis and computes it again (ROADMAP item 5 shares it). The kernel is
-built only when a walk check asks for it.
+the equal partitions and their signed matrix, the non-lazy kernel and its
+one passage inverse) is computed once per run, except ker I^T:
+``find_equal_edge_partitions`` takes no basis and computes it again
+(ROADMAP item 5 shares it). The kernel is built only when a walk check asks
+for it. The pairs are checked together, one integer product per check.
 """
 
 from __future__ import annotations
@@ -21,22 +22,17 @@ from .centrality import _passage_inverse
 from .errors import IsolatedVertexError, SingletonEdgeError, SingletonEdgeNonLazyError
 from .hypergraph import Hypergraph, incidence_matrix
 from .linalg import determinant, nullspace, rank
-from .randwalk import WalkPolicy, transition_matrix, verify_partition_transition
+from .randwalk import WalkPolicy, transition_matrix
 from .spectra import WEIGHT_PRESETS, build_A_GH, build_Q, weight_scheme
-from .structures import (
-    _gray_sums,
-    find_equal_edge_partitions,
-    units,
-    verify_equal_edge_partition,
-)
+from .structures import _oriented_pairs, _sign_sums, find_equal_edge_partitions, units
 
 __all__ = ["ENUMERATION_BUDGET", "run_checks"]
 
 #: Most sign assignments a check may enumerate: the partition search tries
 #: 3^nullity(I^T) basis combinations and the exhaustive sweep 3^|V| vertex
-#: assignments. One walker, ``structures._gray_sums``, serves both: it visits
-#: the assignments in ternary Gray order, adding one sparse vector per step.
-#: A search over budget is reported as ``skipped``.
+#: assignments. One enumerator, ``structures._sign_sums``, serves both: it
+#: sums the assignments in blocks, each block one integer product and one
+#: vectorized range test. A search over budget is reported as ``skipped``.
 ENUMERATION_BUDGET = 3 ** 10
 
 
@@ -132,29 +128,58 @@ def _over_budget(name: str, vertex_nullity: int) -> dict:
     )
 
 
-def _zero_assignments(h, vectors, width: int) -> set:
-    """The oriented pairs (U, V) whose signed sum of per-vertex vectors vanishes.
+def _zero_assignments(h, rows) -> set:
+    """The pairs (U, V) whose signed sum of vertex rows (``rows[i]`` vertex i's int
+    vector) vanishes, each once with its first signed vertex in U, as the
+    search orients them."""
+    import numpy as np
 
-    ``vectors[i]`` is vertex i's sparse int vector over ``width`` positions.
-    Each unordered nonzero assignment is visited once, oriented as the search
-    orients it: for each lead vertex, ``sums`` starts at the lead's vector
-    (the lead in U, every earlier vertex out) and ``_gray_sums`` walks the
-    later vertices through {-1, 0, 1}, -1 for V and +1 for U.
-    """
-    zero = set()
-    for lead, first in enumerate(h.vertices):
-        sums = [0] * width
-        for k, x in vectors[lead]:
-            sums[k] += x
-        later = h.vertices[lead + 1 :]
-        for signs, bad in _gray_sums(vectors[lead + 1 :], sums, {0}):
-            if not bad:
-                u_set = frozenset([first, *(l for l, s in zip(later, signs) if s > 0)])
-                zero.add((u_set, frozenset(l for l, s in zip(later, signs) if s < 0)))
-    return zero
+    if not rows:
+        return set()
+    signs = np.concatenate([c for c, _ in _sign_sums(rows, [0] * len(rows[0]), (0,))])
+    return set(_oriented_pairs(h.vertices, signs))
 
 
-def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
+def _signed_rows(h, pairs):
+    """The int64 rows chi_U - chi_V of the pairs, or None if one names a non-vertex
+    or overlaps (then +1 is overwritten by -1, so fewer entries are nonzero)."""
+    import numpy as np
+
+    index = {v: i for i, v in enumerate(h.vertices)}
+    signed = np.zeros((len(pairs), len(index)), dtype=np.int64)
+    written = 0
+    for side, sign in ((0, 1), (1, -1)):
+        parts = [pair[side] for pair in pairs]
+        try:
+            cols = [index[x] for part in parts for x in part]
+        except KeyError:
+            return None
+        signed[np.repeat(np.arange(len(parts)), list(map(len, parts))), cols] = sign
+        written += len(cols)
+    return signed if np.count_nonzero(signed) == written else None
+
+
+def _edge_balanced(signed, h, table):
+    """Per pair, |e meet U| == |e meet V| on every e: (S T)[p, e], T the stars' table."""
+    import numpy as np
+
+    stars = np.array(table, dtype=np.int64).reshape(h.n_vertices, h.n_hyperedges)
+    return ~(signed @ stars).any(axis=1)
+
+
+def _walk_balanced(signed, tm):
+    """Per pair, whether each state w outside U and V enters both equally:
+    (S M^T)[p, w], row w of the kernel's numerators M over U minus over V."""
+    import numpy as np
+
+    # each row of M sums to D, so D bounds every |(S M^T)[p, w]|
+    dtype = np.int64 if tm.matrix.denominator < 2**63 else object
+    s = signed.astype(dtype)
+    flow = s @ np.array(tm.matrix.numerators, dtype=dtype).T
+    return ~((flow != 0) & (s == 0)).any(axis=1)
+
+
+def _partition_nullspace(h, inc, pairs, signed, vertex_nullity: int) -> dict:
     if pairs is None:
         return _over_budget("partition_nullspace", vertex_nullity)
     # With I the stars' 0/1 table, I^T (chi_U - chi_V)[e] = |e meet U| - |e meet V|: a
@@ -162,19 +187,17 @@ def _partition_nullspace(h, inc, pairs, vertex_nullity: int) -> dict:
     table = tuple(tuple(int(e in h.star(v)) for e in h.edge_labels) for v in h.vertices)
     labels = (inc.row_labels, inc.col_labels) == (h.vertices, h.edge_labels)
     ok = labels and inc.denominator == 1 and inc.numerators == table
-    for u_set, v_set in pairs:
-        if not verify_equal_edge_partition(h, u_set, v_set)[0]:
-            ok = False
+    if signed is None or not _edge_balanced(signed, h, table).all():
+        ok = False
     witness = f"{len(pairs)} partitions from the nullspace all verified by counting"
     if 3 ** h.n_vertices <= ENUMERATION_BUDGET:
-        stars = [[(k, 1) for k, x in enumerate(row) if x] for row in table]
-        if _zero_assignments(h, stars, h.n_hyperedges) != set(pairs):
+        if _zero_assignments(h, table) != set(pairs):
             ok = False
         witness += "; exhaustive counting sweep agreed both directions"
     return _check("partition_nullspace", _verdict(ok), witness)
 
 
-def _partition_transition(pairs, vertex_nullity: int, kernel) -> dict:
+def _partition_transition(pairs, signed, vertex_nullity: int, kernel) -> dict:
     if pairs is None:
         return _over_budget("partition_transition", vertex_nullity)
     if not pairs:
@@ -182,13 +205,9 @@ def _partition_transition(pairs, vertex_nullity: int, kernel) -> dict:
     tm = kernel()
     if isinstance(tm, str):
         return _check("partition_transition", "not-applicable", tm)
-    two_sided = [(u, v) for u, v in pairs if v]
-    ok = all(verify_partition_transition(tm, u, v) for u, v in two_sided)
-    return _check(
-        "partition_transition",
-        _verdict(ok),
-        f"{len(two_sided)} partitions balance transition mass",
-    )
+    ok = signed is not None and _walk_balanced(signed[(signed < 0).any(axis=1)], tm).all()
+    witness = f"{sum(1 for _, v in pairs if v)} partitions balance transition mass"
+    return _check("partition_transition", _verdict(ok), witness)
 
 
 def _walk_symmetries(dec, kernel) -> dict:
@@ -239,9 +258,10 @@ def run_checks(h: Hypergraph) -> dict:
     vertex_nullity = vertex_basis.dimension
     n_big = h.n_vertices + h.n_hyperedges - rank(build_A_GH(h))
     dec = units(h)
-    pairs = None
+    pairs = signed = None
     if 3 ** vertex_nullity <= ENUMERATION_BUDGET:
         pairs = find_equal_edge_partitions(h, max_support=max(h.n_vertices, 1))
+        signed = _signed_rows(h, pairs)
 
     @cache
     def kernel():
@@ -257,8 +277,8 @@ def run_checks(h: Hypergraph) -> dict:
         _square_determinant(h, inc, n_big),
         _unit_soundness(h, dec),
         _q_annihilation(h, vertex_basis),
-        _partition_nullspace(h, inc, pairs, vertex_nullity),
-        _partition_transition(pairs, vertex_nullity, kernel),
+        _partition_nullspace(h, inc, pairs, signed, vertex_nullity),
+        _partition_transition(pairs, signed, vertex_nullity, kernel),
         _walk_symmetries(dec, kernel),
     ]
     return {

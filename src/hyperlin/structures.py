@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, product
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -408,42 +409,56 @@ def verify_equal_edge_partition(
     return ok, table
 
 
-def _gray_sums(vectors, sums, allowed):
-    """Walk c in {-1, 0, 1}^k in reflected ternary Gray order from (-1, ..., -1).
+#: Most cells, rows times width, in one block of ``_sign_sums``: 128 KiB of
+#: int64 sums, which stays in a core's L2 cache and bounds a call's memory
+#: however many digits it runs, while a block still has rows enough (243 at
+#: width 64) to amortize numpy's per-call cost. Measured on a 2-core VM,
+#: 2^13 to 2^18 time alike on the check fixtures, and 2^14 is fastest on
+#: twins with a hub, k = 9.
+_BLOCK_CELLS = 1 << 14
 
-    ``vectors`` are k sparse int vectors, lists of ``(position, value)``.
-    ``sums`` is updated in place to its start value plus sum_j c_j vectors[j],
-    one vector added or subtracted per step. Yields ``(c, bad)`` at each of
-    the 3^k visits: ``c`` is one list, updated in place, and ``bad`` counts
-    the entries of ``sums`` outside ``allowed`` (Knuth, TAOCP 4A, 7.2.1.1,
-    Algorithm H).
+
+def _sign_sums(vectors, start, allowed):
+    """Yield blocks ``(c, sums)`` of every c in {-1, 0, 1}^k whose sums
+    start + sum_j c_j vectors[j] all lie in ``allowed``, k dense int vectors.
+
+    The 3^b partial sums of the first b digits are built once, b the most
+    that keeps a block within ``_BLOCK_CELLS``, row r holding digit j at
+    r // 3^j % 3 - 1; each assignment of the other digits shifts them, and
+    one vectorized test keeps the rows in range. The sums are int64 when
+    max|start| + sum_j max|vectors[j]| < 2^63, with every allowed value below
+    it, proves that none overflows; else Python ints.
     """
-    k = len(vectors)
-    c = [-1] * k
-    for vec in vectors:
-        for i, x in vec:
-            sums[i] -= x
-    bad = sum(1 for x in sums if x not in allowed)
-    yield c, bad
-    direction = [1] * k
-    focus = list(range(k + 1))
-    while True:
-        j = focus[0]
-        focus[0] = 0
-        if j == k:
-            return
-        d = direction[j]
-        c[j] += d
-        if c[j] == d:
-            direction[j] = -d
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-        for i, x in vectors[j]:
-            old = sums[i]
-            new = old + d * x
-            sums[i] = new
-            bad += (new not in allowed) - (old not in allowed)
-        yield c, bad
+    import numpy as np
+
+    k, width = len(vectors), len(start)
+    bound = max(map(abs, (*start, *allowed)), default=0)
+    bound += sum(max(map(abs, v), default=0) for v in vectors)
+    dtype = np.int64 if bound < 2**63 else object
+    vecs = np.array(vectors, dtype=dtype).reshape(k, width)
+    b = k
+    while b and 3**b * max(width, 1) > _BLOCK_CELLS:
+        b -= 1
+    part = np.array([start], dtype=dtype)
+    for v in vecs[:b]:
+        part = (np.multiply.outer((-1, 0, 1), v)[:, None] + part).reshape(3 * len(part), width)
+    for high in product((-1, 0, 1), repeat=k - b):
+        sums = part + np.array(high, dtype=dtype) @ vecs[b:]
+        rows = np.flatnonzero(np.logical_or.reduce([sums == a for a in allowed]).all(axis=1))
+        if len(rows):
+            c = np.empty((len(rows), k), dtype=np.int8)
+            c[:, :b], c[:, b:] = rows[:, None] // 3 ** np.arange(b) % 3 - 1, high
+            yield c, sums[rows]
+
+
+def _oriented_pairs(labels, signs) -> list[tuple[frozenset[str], frozenset[str]]]:
+    """The pair (U, V), U where it is 1 and V where -1, of each row of the 2-d
+    numpy array ``signs`` whose first nonzero entry is 1."""
+    import numpy as np
+
+    signs = signs[signs[np.arange(len(signs)), (signs != 0).argmax(axis=1)] > 0]
+    rows = map(np.ndarray.tolist, signs > 0), map(np.ndarray.tolist, signs < 0)
+    return [(frozenset(compress(labels, u)), frozenset(compress(labels, v))) for u, v in zip(*rows)]
 
 
 def find_equal_edge_partitions(
@@ -457,17 +472,19 @@ def find_equal_edge_partitions(
     grows as 3^nullity, not with the number of vertex subsets). Each basis
     vector is +-1 on its own free column and 0 on the others, so no other
     coefficients can give a {-1, 0, 1} vector. The basis is scaled to ints
-    by the lcm D of its denominators and ``_gray_sums`` walks the
-    combinations, the one Gray walker that the exhaustive sweep of
-    ``hyperlin check`` also uses, with the entries {-D, 0, D} allowed. A
-    sum with no entry outside them is D (chi_U - chi_V) with
-    I^T (chi_U - chi_V) = 0, which is |U meet e| == |V meet e| for every
-    hyperedge e, so it is an equal partition without counting. Pairs are
-    deduplicated by orienting the first supported vertex into U, so U is
-    never empty; V may be empty (isolated vertices make this legitimate).
-    Pairs are ordered by support size, then support positions, then U
-    positions in vertex order.
+    by the lcm D of its denominators and ``_sign_sums`` enumerates the
+    combinations in blocks, each one integer product, the enumerator that
+    the exhaustive sweep of ``hyperlin check`` also uses, with the entries
+    {-D, 0, D} allowed. A sum with no entry outside them is
+    D (chi_U - chi_V) with I^T (chi_U - chi_V) = 0, which is
+    |U meet e| == |V meet e| for every hyperedge e, so it is an equal
+    partition without counting. Pairs are deduplicated by orienting the
+    first supported vertex into U, so U is never empty; V may be empty
+    (isolated vertices make this legitimate). Pairs are ordered by support
+    size, then support positions, then U positions in vertex order.
     """
+    import numpy as np
+
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
     basis = nullspace(incidence_matrix(h).transpose())
@@ -475,26 +492,19 @@ def find_equal_edge_partitions(
         return []
     n = h.n_vertices
     flat, scale = _integer_row([x for vec in basis.vectors for x in vec.values()])
-    scaled = [
-        [(i, x) for i, x in enumerate(flat[k * n : (k + 1) * n]) if x]
-        for k in range(basis.dimension)
-    ]
-    sums = [0] * n
-    keyed = []
-    for _, bad in _gray_sums(scaled, sums, {-scale, 0, scale}):
-        if bad:
-            continue
-        support = [i for i, x in enumerate(sums) if x]
-        if not support or sums[support[0]] < 0 or len(support) > max_support:
-            continue
-        u_pos = tuple(i for i in support if sums[i] > 0)
-        pair = (
-            frozenset(h.vertices[i] for i in u_pos),
-            frozenset(h.vertices[i] for i in support if sums[i] < 0),
-        )
-        keyed.append(((len(support), tuple(support), u_pos), pair))
-    keyed.sort(key=lambda item: item[0])
-    return [pair for _, pair in keyed]
+    scaled = [flat[k * n : (k + 1) * n] for k in range(basis.dimension)]
+    blocks = _sign_sums(scaled, [0] * n, (-scale, 0, scale))
+    signs = np.concatenate([np.sign(sums).astype(np.int8) for _, sums in blocks])
+    signs = signs[(signs != 0).sum(axis=1) <= max_support]
+    # Python's tuple order as fixed-width columns: positions ascending, a short
+    # support padded after its end; a U that ends first sorts first, so -1 pads it.
+    # The smallest signed type holding -(n + 1) holds both pads.
+    cols = np.arange(n, dtype=np.min_scalar_type(-n - 1))
+    support = np.sort(np.where(signs != 0, cols, n), axis=1)
+    u_pos = np.sort(np.where(signs > 0, cols, n), axis=1)
+    u_pos[u_pos == n] = -1
+    order = np.lexsort([*u_pos.T[::-1], *support.T[::-1], (signs != 0).sum(axis=1)])
+    return _oriented_pairs(h.vertices, signs[order])
 
 
 def verify_star_partition(h: Hypergraph, center: str, parts: Iterable[str]) -> bool:

@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+from conftest import random_hypergraph
+
 from hyperlin import Hypergraph, centrality, checks, randwalk, spectra, structures
 from hyperlin import fixtures as fx
 from hyperlin.checks import run_checks
+from hyperlin.errors import IsolatedVertexError, SingletonEdgeNonLazyError
 from hyperlin.hypergraph import incidence_matrix
 from hyperlin.linalg import RationalMatrix
 from hyperlin.structures import Unit, UnitDecomposition, verify_equal_edge_partition
@@ -55,15 +58,18 @@ X_LAST = Hypergraph.from_members(
 
 
 def _star_vectors(h):
-    """Vertex i's sparse vector: +1 at the position of each hyperedge in its star."""
-    edge_pos = {label: k for k, (label, _) in enumerate(h.hyperedges)}
-    return [[(edge_pos[e], 1) for e in h.star(v)] for v in h.vertices]
+    """Vertex i's dense vector: 1 at the position of each hyperedge in its star."""
+    return [[int(e in h.star(v)) for e in h.edge_labels] for v in h.vertices]
 
 
 def _row_vectors(h, inc):
-    """Vertex i's sparse vector: the nonzero entries of its row of ``inc``."""
+    """Vertex i's dense vector: its row of ``inc``."""
     rows = dict(zip(inc.row_labels, inc.numerators))
-    return [[(k, x) for k, x in enumerate(rows[v]) if x] for v in h.vertices]
+    return [list(rows[v]) for v in h.vertices]
+
+
+def _nullspace_check(h, inc, pairs, nullity):
+    return checks._partition_nullspace(h, inc, pairs, checks._signed_rows(h, pairs), nullity)
 
 
 @pytest.mark.parametrize(
@@ -90,35 +96,9 @@ def test_zero_assignments_equal_brute_force_sets(h):
             counted.add((u_set, v_set))
         if _in_kernel_by_product(h, inc, signs):
             in_kernel.add((u_set, v_set))
-    assert checks._zero_assignments(h, _star_vectors(h), h.n_hyperedges) == counted
-    assert checks._zero_assignments(h, _row_vectors(h, inc), inc.cols) == in_kernel
+    assert checks._zero_assignments(h, _star_vectors(h)) == counted
+    assert checks._zero_assignments(h, _row_vectors(h, inc)) == in_kernel
     assert statuses(run_checks(h))["partition_nullspace"] == "pass"
-
-
-def test_gray_sums_keep_the_sums_and_the_out_of_range_count_at_every_visit():
-    rng = random.Random(15)
-    width, allowed = 6, {-2, 0, 1}
-    for k in range(6):
-        vectors = [
-            [(i, rng.choice([-3, -2, -1, 1, 2, 3])) for i in rng.sample(range(width), size)]
-            for size in (rng.randint(0, 3) for _ in range(k))
-        ]
-        start = [rng.randint(-3, 3) for _ in range(width)]
-        sums = list(start)
-        visits = []
-        for c, bad in structures._gray_sums(vectors, sums, allowed):
-            direct = list(start)
-            for cj, vec in zip(c, vectors):
-                for i, x in vec:
-                    direct[i] += cj * x
-            assert sums == direct
-            assert bad == sum(1 for x in direct if x not in allowed)
-            assert set(c) <= {-1, 0, 1}
-            visits.append(tuple(c))
-        assert visits[0] == (-1,) * k
-        for before, after in zip(visits, visits[1:]):
-            assert sorted(abs(a - b) for a, b in zip(before, after)) == [0] * (k - 1) + [1]
-        assert len(visits) == len(set(visits)) == 3 ** k
 
 
 @pytest.mark.parametrize(
@@ -154,12 +134,12 @@ def test_partition_nullspace_fails_on_one_flipped_incidence_entry(i, k):
     inc = incidence_matrix(h)
     pairs = structures.find_equal_edge_partitions(h, max_support=h.n_vertices)
     nullity = 1
-    assert checks._partition_nullspace(h, inc, pairs, nullity)["status"] == "pass"
+    assert _nullspace_check(h, inc, pairs, nullity)["status"] == "pass"
     tampered = _flip(inc, i, k)
-    assert checks._partition_nullspace(h, tampered, pairs, nullity)["status"] == "fail"
+    assert _nullspace_check(h, tampered, pairs, nullity)["status"] == "fail"
     # the sweep alone sees it: its kernel set now differs from the counted set
-    counted = checks._zero_assignments(h, _star_vectors(h), h.n_hyperedges)
-    assert checks._zero_assignments(h, _row_vectors(h, tampered), inc.cols) != counted
+    counted = checks._zero_assignments(h, _star_vectors(h))
+    assert checks._zero_assignments(h, _row_vectors(h, tampered)) != counted
 
 
 def test_partition_nullspace_fails_when_only_the_sweep_sees_a_flipped_entry():
@@ -169,7 +149,7 @@ def test_partition_nullspace_fails_when_only_the_sweep_sees_a_flipped_entry():
     inc = incidence_matrix(h)
     pairs = structures.find_equal_edge_partitions(h, max_support=h.n_vertices)
     tampered = _flip(inc, 3, 0)
-    assert checks._partition_nullspace(h, tampered, pairs, 2)["status"] == "fail"
+    assert _nullspace_check(h, tampered, pairs, 2)["status"] == "fail"
 
 
 def test_partition_nullspace_fails_on_every_flipped_entry_above_the_sweep_limit():
@@ -180,9 +160,9 @@ def test_partition_nullspace_fails_on_every_flipped_entry_above_the_sweep_limit(
     inc = incidence_matrix(h)
     pairs = structures.find_equal_edge_partitions(h, max_support=h.n_vertices)
     nullity = 6
-    assert checks._partition_nullspace(h, inc, pairs, nullity)["status"] == "pass"
+    assert _nullspace_check(h, inc, pairs, nullity)["status"] == "pass"
     for i, k in itertools.product(range(inc.rows), range(inc.cols)):
-        assert checks._partition_nullspace(h, _flip(inc, i, k), pairs, nullity)["status"] == "fail"
+        assert _nullspace_check(h, _flip(inc, i, k), pairs, nullity)["status"] == "fail"
 
 
 def test_partition_nullspace_fails_when_the_sweep_misses_a_found_pair(monkeypatch):
@@ -194,7 +174,7 @@ def test_partition_nullspace_fails_when_the_sweep_misses_a_found_pair(monkeypatc
     inc = incidence_matrix(h)
     pairs = structures.find_equal_edge_partitions(h, max_support=h.n_vertices)
     assert lost in pairs
-    assert checks._partition_nullspace(h, inc, pairs, 2)["status"] == "fail"
+    assert _nullspace_check(h, inc, pairs, 2)["status"] == "fail"
 
 
 def _split_unit(dec):
@@ -272,3 +252,150 @@ def test_the_check_pass_takes_one_integer_solve(monkeypatch):
     monkeypatch.setattr(randwalk, "_integer_solve", counting)
     assert run_checks(fx.unit_blocks())["failed"] == 0
     assert len(calls) == 1
+
+
+# -- the per-pair checks as products over all pairs at once ---------------------------
+
+
+def _twins_with_hub(k):
+    pairs = [(f"p{i}", [f"a{i}", f"b{i}"]) for i in range(k)]
+    return Hypergraph.from_members(pairs + [(f"g{i}", ["h", f"a{i}", f"b{i}"]) for i in range(k)])
+
+
+def _candidate_pairs(h, rng):
+    """The found pairs, each also with one vertex moved from U to V, and random
+    disjoint pairs, so both verdicts occur."""
+    found = structures.find_equal_edge_partitions(h, max_support=max(h.n_vertices, 1))
+    moved = [(u - {x}, v | {x}) for u, v in found for x in sorted(u)[:1]]
+    drawn = []
+    for _ in range(20):
+        signs = [rng.choice((-1, 0, 1)) for _ in h.vertices]
+        drawn.append(
+            (
+                frozenset(v for v, s in zip(h.vertices, signs) if s > 0),
+                frozenset(v for v, s in zip(h.vertices, signs) if s < 0),
+            )
+        )
+    return found + moved + drawn
+
+
+def _assert_batched_verdicts_equal_the_verifiers(h, rng):
+    pairs = _candidate_pairs(h, rng)
+    signed = checks._signed_rows(h, pairs)
+    table = tuple(tuple(int(e in h.star(v)) for e in h.edge_labels) for v in h.vertices)
+    counted = [verify_equal_edge_partition(h, u, v)[0] for u, v in pairs]
+    assert checks._edge_balanced(signed, h, table).tolist() == counted
+    try:
+        tm = randwalk.transition_matrix(h, randwalk.WalkPolicy.uniform_nonlazy())
+    except (IsolatedVertexError, SingletonEdgeNonLazyError):
+        return
+    balanced = [randwalk.verify_partition_transition(tm, u, v) for u, v in pairs]
+    assert checks._walk_balanced(signed, tm).tolist() == balanced
+
+
+@pytest.mark.parametrize("name", sorted(fx._FIXTURE_BUILDERS))
+def test_batched_pair_checks_equal_the_per_pair_verifiers_on_the_fixtures(name):
+    _assert_batched_verdicts_equal_the_verifiers(fx._FIXTURE_BUILDERS[name](), random.Random(name))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_batched_pair_checks_equal_the_per_pair_verifiers_on_twins_with_a_hub(k):
+    _assert_batched_verdicts_equal_the_verifiers(_twins_with_hub(k), random.Random(k))
+
+
+def test_batched_pair_checks_equal_the_per_pair_verifiers_on_random_inputs():
+    for seed in range(120):
+        rng = random.Random(seed)
+        _assert_batched_verdicts_equal_the_verifiers(random_hypergraph(rng, 9, 9), rng)
+
+
+def _with_last_pair(monkeypatch, change):
+    real = checks.find_equal_edge_partitions
+
+    def tampered(h, max_support):
+        pairs = real(h, max_support=max_support)
+        return pairs[:-1] + [change(*pairs[-1])]
+
+    monkeypatch.setattr(checks, "find_equal_edge_partitions", tampered)
+
+
+def test_a_pair_with_one_vertex_moved_from_u_to_v_fails(monkeypatch):
+    # 11 vertices, over the sweep's budget: only the product over the pairs sees it
+    _with_last_pair(monkeypatch, lambda u, v: (u - {min(u)}, v | {min(u)}))
+    report = run_checks(fx.unit_blocks())
+    assert statuses(report)["partition_nullspace"] == "fail"
+    assert statuses(report)["partition_transition"] == "fail"
+    assert report["failed"] == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda u, v: (u, v | {min(u)}), lambda u, v: (u | {"zz"}, v)],
+    ids=["overlapping-pair", "unknown-label"],
+)
+def test_an_impossible_pair_fails_both_pair_checks(monkeypatch, change):
+    _with_last_pair(monkeypatch, change)
+    report = run_checks(fx.unit_blocks())
+    assert statuses(report)["partition_nullspace"] == "fail"
+    assert statuses(report)["partition_transition"] == "fail"
+
+
+def test_an_overlap_on_an_isolated_vertex_fails_though_its_row_would_balance(monkeypatch):
+    # 12 vertices, over the sweep's budget; x meets no hyperedge, so the row of a pair
+    # with x in both sets, x written +1 and then -1, would still count equal on every edge
+    h = fx.unit_blocks()
+    h = Hypergraph.from_members(h.hyperedges, vertices=[*h.vertices, "x"])
+    _with_last_pair(monkeypatch, lambda u, v: (u | {"x"}, v | {"x"}))
+    assert statuses(run_checks(h))["partition_nullspace"] == "fail"
+
+
+def _report(statuses_and_witnesses, nullity_a_gh):
+    names = [
+        "rank_equality", "nullity_additivity", "square_determinant", "unit_soundness",
+        "q_annihilation", "partition_nullspace", "partition_transition", "walk_symmetries",
+    ]
+    checks_ = [
+        {"name": name, "status": status, "witness": witness}
+        for name, (status, witness) in zip(names, statuses_and_witnesses)
+    ]
+    return {"nullity_A_GH": nullity_a_gh, "theorem_checks": checks_, "failed": 0}
+
+
+def test_a_vertexless_input_gives_the_whole_report():
+    assert run_checks(Hypergraph.from_members([], vertices=[])) == _report(
+        [
+            ("pass", "rank(I)=0, rank(I^T)=0"),
+            ("pass", "nullity(A_GH)=0, nullity(I)=0, nullity(I^T)=0, lower bound 0"),
+            ("pass", "det(I)=1, nullity(A_GH)=0"),
+            ("pass", "0 units partition 0 vertices"),
+            ("not-applicable", "nullity(I^T)=0, no certificates"),
+            (
+                "pass",
+                "0 partitions from the nullspace all verified by counting; "
+                "exhaustive counting sweep agreed both directions",
+            ),
+            ("not-applicable", "no equal partitions"),
+            ("not-applicable", "no unit has two or more members"),
+        ],
+        0,
+    )
+
+
+def test_an_edgeless_input_has_thirteen_equal_partitions():
+    assert run_checks(Hypergraph.from_members([], vertices=["a", "b", "c"])) == _report(
+        [
+            ("pass", "rank(I)=0, rank(I^T)=0"),
+            ("pass", "nullity(A_GH)=3, nullity(I)=0, nullity(I^T)=3, lower bound 3"),
+            ("not-applicable", "|V|=3 != |E|=0"),
+            ("pass", "1 units partition 3 vertices"),
+            ("pass", "3 basis certificates under 2 weight presets"),
+            (
+                "pass",
+                "13 partitions from the nullspace all verified by counting; "
+                "exhaustive counting sweep agreed both directions",
+            ),
+            ("not-applicable", "IsolatedVertexError"),
+            ("not-applicable", "IsolatedVertexError"),
+        ],
+        3,
+    )

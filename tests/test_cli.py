@@ -112,8 +112,12 @@ def test_check_marks_inapplicable_determinant(pack, capsys):
 
 
 def test_check_exit_three_when_a_theorem_fails(pack, capsys, monkeypatch):
+    real = checks.find_equal_edge_partitions
     monkeypatch.setattr(
-        checks, "verify_equal_edge_partition", lambda h, u, v: (False, {})
+        checks,
+        "find_equal_edge_partitions",
+        lambda h, max_support: real(h, max_support=max_support)
+        + [(frozenset({"1"}), frozenset({"2"}))],
     )
     code, out, err = run(capsys, "check", str(pack / "h_eq.json"))
     assert code == 3

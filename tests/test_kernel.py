@@ -770,6 +770,19 @@ def test_partition_search_matches_fraction_enumeration_on_seven_twins_and_a_hub(
     assert found == oracle.equal_edge_partitions(h, h.n_vertices)
 
 
+def test_partition_search_matches_fraction_enumeration_on_128_vertices():
+    # the last six vertices have pairs of one support whose U sets differ in size, and
+    # 128, the pad past the last position, no longer fits in an int8
+    h = Hypergraph.from_members(
+        [(f"s{i}", [f"f{i}"]) for i in range(122)]
+        + [("e1", ["1", "2", "4"]), ("e2", ["1", "2", "4", "6"])],
+        vertices=[*(f"f{i}" for i in range(122)), "1", "2", "3", "4", "5", "6"],
+    )
+    assert h.n_vertices == 128
+    for cap in (2, 4, h.n_vertices):
+        assert find_equal_edge_partitions(h, max_support=cap) == oracle.equal_edge_partitions(h, cap)
+
+
 def test_partition_search_on_a_zero_dimensional_basis_is_empty():
     h = Hypergraph.from_members([("e1", ["1"]), ("e2", ["1", "2"]), ("e3", ["2", "3"])])
     assert nullspace(incidence_matrix(h).transpose()).dimension == 0

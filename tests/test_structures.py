@@ -1,5 +1,8 @@
 """Dependence certificates, units, contraction, partitions, coverings."""
 
+import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -274,6 +277,63 @@ def test_find_equal_edge_partitions_frozen_examples():
     assert find_equal_edge_partitions(fx.hub_cycle()) == [
         (frozenset({"1", "3"}), frozenset({"2", "4"}))
     ]
+
+
+def _sign_sums_directly(vectors, start, allowed):
+    """Every (c, start + sum_j c_j vectors[j]) with all entries in ``allowed``, in Python."""
+    out = set()
+    for c in itertools.product((-1, 0, 1), repeat=len(vectors)):
+        sums = tuple(s + sum(cj * v[i] for cj, v in zip(c, vectors)) for i, s in enumerate(start))
+        if all(x in allowed for x in sums):
+            out.add((c, sums))
+    return out
+
+
+def _sign_sums_yielded(vectors, start, allowed):
+    out = []
+    for c, sums in structures._sign_sums(vectors, start, allowed):
+        assert len(c) == len(sums) > 0
+        out += zip(map(tuple, c.tolist()), map(tuple, sums.tolist()))
+    assert len(out) == len(set(out))
+    return set(out)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_sign_sums_equal_a_direct_computation(k, monkeypatch):
+    rng = random.Random(k)
+    # widths k and 12 - k cover 0..12; the small cap makes k below, at and above
+    # the block's digits at most widths
+    for width in sorted({k, 12 - k}):
+        vectors = [[rng.choice((-2, -1, 0, 0, 0, 0, 1, 2)) for _ in range(width)] for _ in range(k)]
+        start = [rng.choice((-2, 0, 0, 2)) for _ in range(width)]
+        for allowed in ((0,), (-2, 0, 2)):
+            want = _sign_sums_directly(vectors, start, allowed)
+            for cells in (structures._BLOCK_CELLS, 9 * max(width, 1)):
+                monkeypatch.setattr(structures, "_BLOCK_CELLS", cells)
+                assert _sign_sums_yielded(vectors, start, allowed) == want
+
+
+def test_sign_sums_take_python_ints_when_int64_could_overflow():
+    big = 2**62
+    vectors = [[big, 1, 0], [big, -1, big], [0, 1, -big]]
+    start, allowed = [big, 0, 0], (0, 1, big, 2 * big, 3 * big)
+    blocks = list(structures._sign_sums(vectors, start, allowed))
+    assert all(sums.dtype == object for _, sums in blocks)
+    got = _sign_sums_yielded(vectors, start, allowed)
+    assert got == _sign_sums_directly(vectors, start, allowed)
+    assert max(max(sums) for _, sums in got) == 3 * big
+
+
+def test_sign_sums_hold_one_block_whatever_k():
+    vectors = [[0] * 8 for _ in range(20)]
+    tracemalloc.start()
+    try:
+        c, sums = next(structures._sign_sums(vectors, [0] * 8, (0,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.shape[1] == 20 and len(c) < 3**20
+    assert peak < 4 * 2**20
 
 
 def test_found_partitions_match_the_nullspace_both_ways():
