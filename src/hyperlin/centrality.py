@@ -15,7 +15,6 @@ from .errors import (
     TooFewEdgesError,
     TooSmallError,
     UnreachableError,
-    WeightDomainMismatchError,
 )
 from .hypergraph import Hypergraph, _dot_quote
 from .linalg import _integer_solve, _known, rat
@@ -26,7 +25,7 @@ from .randwalk import (
     _require_incident,
     _require_reachable,
 )
-from .spectra import _check_tol, _coincidence
+from .spectra import _check_edge_weights, _check_tol, _coincidence
 from .structures import UnitDecomposition, units
 
 __all__ = [
@@ -461,10 +460,7 @@ def perron_centrality(
         weights = {e: Fraction(1) for e in h.edge_labels}
     else:
         weights = {str(k): rat(v) for k, v in edge_weights.items()}
-        if set(weights) != set(h.edge_labels):
-            raise WeightDomainMismatchError("edge weights must cover exactly the hyperedges")
-        if any(x <= 0 for x in weights.values()):
-            raise WeightDomainMismatchError("edge weights must be positive")
+        _check_edge_weights(h, weights)
     n = h.n_vertices
     if n == 0:
         # the empty matrix: no vertex to rank, and no eigenvalue above 0

@@ -33,6 +33,7 @@ from .hypergraph import (
 )
 from .linalg import determinant, nullspace
 from .randwalk import (
+    SELF_TIMES,
     WalkPolicy,
     first_hit_probabilities,
     hitting_times,
@@ -41,6 +42,7 @@ from .randwalk import (
 )
 from .spectra import (
     _MATRIX_BUILDERS,
+    WEIGHT_PRESETS,
     _check_tol,
     build_A_GH,
     hypergraph_spectrum,
@@ -118,10 +120,17 @@ def _load(args) -> Hypergraph:
     return Hypergraph.from_lines(text)
 
 
-def _policy(name: str) -> WalkPolicy:
-    if name == "lazy":
-        return WalkPolicy.uniform_lazy()
-    return WalkPolicy.uniform_nonlazy()
+_POLICIES = {"nonlazy": WalkPolicy.uniform_nonlazy, "lazy": WalkPolicy.uniform_lazy}
+
+#: --axis name -> (report name of the matrix, its builder); the builders look
+#: incidence_matrix up when called, so a wrapper bound later is the one used.
+_NULLSPACE_AXES = {
+    "vertices": ("incidence transpose", lambda h: incidence_matrix(h).transpose()),
+    "edges": ("incidence", lambda h: incidence_matrix(h)),
+    "incidence": ("incidence graph adjacency", build_A_GH),
+}
+
+_DOT = {"incidence": incidence_graph, "projection": graph_projection, "contraction": unit_contraction}
 
 
 def _basis_payload(basis) -> list[dict]:
@@ -150,13 +159,8 @@ def cmd_contract(args, h: Hypergraph) -> tuple[dict, dict]:
 
 
 def cmd_nullspace(args, h: Hypergraph) -> tuple[dict, dict]:
-    inc = incidence_matrix(h)
-    if args.axis == "vertices":
-        mat, name = inc.transpose(), "incidence transpose"
-    elif args.axis == "edges":
-        mat, name = inc, "incidence"
-    else:
-        mat, name = build_A_GH(h), "incidence graph adjacency"
+    name, build = _NULLSPACE_AXES[args.axis]
+    mat = build(h)
     basis = nullspace(mat)
     results = {
         "axis": args.axis,
@@ -220,7 +224,7 @@ def cmd_spectra(args, h: Hypergraph) -> tuple[dict, dict]:
 
 
 def cmd_walk(args, h: Hypergraph) -> tuple[dict, dict]:
-    tm = transition_matrix(h, _policy(args.policy))
+    tm = transition_matrix(h, _POLICIES[args.policy]())
     params = {"policy": args.policy}
     if args.start is None:
         rows = {u: dict(tm.matrix.row(u)) for u in h.vertices}
@@ -240,7 +244,7 @@ def cmd_walk(args, h: Hypergraph) -> tuple[dict, dict]:
 def cmd_hitting(args, h: Hypergraph) -> tuple[dict, dict]:
     if (args.start is None) != (args.horizon is None):
         raise ValueError("a first-hit law needs both --start and --horizon")
-    tm = transition_matrix(h, _policy(args.policy))
+    tm = transition_matrix(h, _POLICIES[args.policy]())
     params = {
         "policy": args.policy,
         "target": args.target,
@@ -259,10 +263,10 @@ def cmd_centrality(args, h: Hypergraph) -> tuple[dict, dict]:
     params = {"kind": args.kind}
     if args.kind == "rw_closeness":
         params.update({"policy": args.policy, "self_time": args.self_time})
-        rep = rw_closeness(transition_matrix(h, _policy(args.policy)), args.self_time)
+        rep = rw_closeness(transition_matrix(h, _POLICIES[args.policy]()), args.self_time)
     elif args.kind == "rw_betweenness":
         params.update({"policy": args.policy, "horizon": args.horizon})
-        rep = rw_betweenness(transition_matrix(h, _policy(args.policy)), args.horizon)
+        rep = rw_betweenness(transition_matrix(h, _POLICIES[args.policy]()), args.horizon)
     elif args.kind == "unit_closeness":
         rep = unit_closeness(h)
     elif args.kind == "unit_eccentricity":
@@ -276,13 +280,7 @@ def cmd_centrality(args, h: Hypergraph) -> tuple[dict, dict]:
 
 
 def cmd_dot(args, h: Hypergraph) -> tuple[dict, dict]:
-    if args.which == "incidence":
-        text = incidence_graph(h).to_dot()
-    elif args.which == "projection":
-        text = graph_projection(h).to_dot()
-    else:
-        text = unit_contraction(h).to_dot()
-    print(text)
+    print(_DOT[args.which](h).to_dot())
     return {}, {}
 
 
@@ -305,8 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("file", help="hypergraph file (.json or label: members lines)")
         p.add_argument(
             "--format",
@@ -316,49 +315,45 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    add("units", "unit decomposition (star-equivalence classes)")
-    add("contract", "quotient by the unit partition")
+    add("units", "unit decomposition (star-equivalence classes)", cmd_units)
+    add("contract", "quotient by the unit partition", cmd_contract)
 
-    p = add("nullspace", "canonical nullspace basis of an incidence axis")
+    p = add("nullspace", "canonical nullspace basis of an incidence axis", cmd_nullspace)
     p.add_argument(
         "--axis",
-        choices=["vertices", "edges", "incidence"],
+        choices=list(_NULLSPACE_AXES),
         default="vertices",
         help="vertices: ker I^T, edges: ker I, incidence: ker A_GH",
     )
 
-    p = add("certify", "find a dependence certificate inside a given set")
+    p = add("certify", "find a dependence certificate inside a given set", cmd_certify)
     p.add_argument("--set", required=True, help="comma separated labels")
     p.add_argument("--axis", choices=["vertices", "edges"], default="vertices")
 
-    p = add("partitions", "equal partitions (U, V) via the nullspace")
+    p = add("partitions", "equal partitions (U, V) via the nullspace", cmd_partitions)
     p.add_argument("--max-support", type=int, default=None)
 
-    p = add("spectra", "eigenvalues (or exact determinant) of a matrix")
-    p.add_argument(
-        "--matrix", choices=["Q", "A", "L", "K", "D", "A_GH", "I"], default="A"
-    )
-    p.add_argument(
-        "--weights", choices=["unit", "edgenorm", "fullnorm"], default="unit"
-    )
+    p = add("spectra", "eigenvalues (or exact determinant) of a matrix", cmd_spectra)
+    p.add_argument("--matrix", choices=[*_MATRIX_BUILDERS, "A_GH", "I"], default="A")
+    p.add_argument("--weights", choices=list(WEIGHT_PRESETS), default="unit")
     p.add_argument("--det", action="store_true", help="exact determinant instead")
     p.add_argument("--tol", type=float, default=1e-12)
 
-    p = add("walk", "transition matrix, or seeded simulation with --start")
-    p.add_argument("--policy", choices=["nonlazy", "lazy"], default="nonlazy")
+    p = add("walk", "transition matrix, or seeded simulation with --start", cmd_walk)
+    p.add_argument("--policy", choices=list(_POLICIES), default="nonlazy")
     p.add_argument("--start", default=None)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--trajectories", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("hitting", "exact expected hitting times onto a target")
-    p.add_argument("--policy", choices=["nonlazy", "lazy"], default="nonlazy")
+    p = add("hitting", "exact expected hitting times onto a target", cmd_hitting)
+    p.add_argument("--policy", choices=list(_POLICIES), default="nonlazy")
     p.add_argument("--target", required=True)
-    p.add_argument("--self-time", choices=["return", "zero"], default="return")
+    p.add_argument("--self-time", choices=list(SELF_TIMES), default="return")
     p.add_argument("--start", default=None, help="with --horizon: first-hit law")
     p.add_argument("--horizon", type=int, default=None)
 
-    p = add("centrality", "one centrality report")
+    p = add("centrality", "one centrality report", cmd_centrality)
     p.add_argument(
         "--kind",
         choices=[
@@ -370,38 +365,17 @@ def _build_parser() -> argparse.ArgumentParser:
         ],
         required=True,
     )
-    p.add_argument("--policy", choices=["nonlazy", "lazy"], default="nonlazy")
+    p.add_argument("--policy", choices=list(_POLICIES), default="nonlazy")
     p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--self-time", choices=["return", "zero"], default="return")
-    p.add_argument(
-        "--weights", choices=["unit", "edgenorm", "fullnorm"], default="unit"
-    )
+    p.add_argument("--self-time", choices=list(SELF_TIMES), default="return")
+    p.add_argument("--weights", choices=list(WEIGHT_PRESETS), default="unit")
     p.add_argument("--tol", type=float, default=1e-12)
 
-    add("check", "run every applicable theorem check")
+    add("check", "run every applicable theorem check", cmd_check)
 
-    p = add("dot", "graphviz DOT export")
-    p.add_argument(
-        "--which",
-        choices=["incidence", "projection", "contraction"],
-        default="incidence",
-    )
+    p = add("dot", "graphviz DOT export", cmd_dot)
+    p.add_argument("--which", choices=list(_DOT), default="incidence")
     return parser
-
-
-_HANDLERS = {
-    "units": cmd_units,
-    "contract": cmd_contract,
-    "nullspace": cmd_nullspace,
-    "certify": cmd_certify,
-    "partitions": cmd_partitions,
-    "spectra": cmd_spectra,
-    "walk": cmd_walk,
-    "hitting": cmd_hitting,
-    "centrality": cmd_centrality,
-    "check": cmd_check,
-    "dot": cmd_dot,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -418,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         try:
-            parameters, results = _HANDLERS[args.command](args, h)
+            parameters, results = args.handler(args, h)
         except (HyperlinError, ValueError) as exc:
             print(f"precondition failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2

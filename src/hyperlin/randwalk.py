@@ -303,9 +303,13 @@ def _require_reachable(tm: TransitionMatrix, target: str) -> None:
         raise UnreachableError(f"states cannot reach {target!r}: {missing}")
 
 
+#: The target's own entry in hitting times: its return time, or zero.
+SELF_TIMES = ("return", "zero")
+
+
 def _check_self_time(self_time: str) -> None:
     """The one rule for the target's own entry: its return time, or zero."""
-    if self_time not in ("return", "zero"):
+    if self_time not in SELF_TIMES:
         raise ValueError("self_time must be 'return' or 'zero'")
 
 

@@ -44,9 +44,6 @@ __all__ = [
     "verify_L_eigenvalue",
 ]
 
-WEIGHT_PRESETS = ("unit", "edgenorm", "fullnorm")
-
-
 @dataclass(frozen=True)
 class WeightScheme:
     """Positive rational weights on vertices and hyperedges."""
@@ -116,26 +113,34 @@ def fully_normalized_weights(h: Hypergraph) -> WeightScheme:
     return WeightScheme(name="fullnorm", vertex_weights=vweights, edge_weights=base.edge_weights)
 
 
+WEIGHT_PRESETS = {
+    "unit": unit_weights,
+    "edgenorm": edge_normalized_weights,
+    "fullnorm": fully_normalized_weights,
+}
+
+
 def weight_scheme(h: Hypergraph, name: str) -> WeightScheme:
     """Look up a preset by name: unit, edgenorm, or fullnorm."""
-    if name == "unit":
-        return unit_weights(h)
-    if name == "edgenorm":
-        return edge_normalized_weights(h)
-    if name == "fullnorm":
-        return fully_normalized_weights(h)
-    raise ValueError(f"unknown weight preset {name!r}")
+    try:
+        build = WEIGHT_PRESETS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"unknown weight preset {name!r}") from None
+    return build(h)
 
 
-def _check_weights(h: Hypergraph, w: WeightScheme) -> None:
-    if set(w.vertex_weights) != set(h.vertices):
+def _check_vertex_weights(h: Hypergraph, weights: Mapping[str, Fraction]) -> None:
+    if set(weights) != set(h.vertices):
         raise WeightDomainMismatchError("vertex weights must cover exactly the vertices")
-    if set(w.edge_weights) != set(h.edge_labels):
+    if any(x <= 0 for x in weights.values()):
+        raise WeightDomainMismatchError("vertex weights must be positive")
+
+
+def _check_edge_weights(h: Hypergraph, weights: Mapping[str, Fraction]) -> None:
+    if set(weights) != set(h.edge_labels):
         raise WeightDomainMismatchError("edge weights must cover exactly the hyperedges")
-    if any(x <= 0 for x in w.vertex_weights.values()) or any(
-        x <= 0 for x in w.edge_weights.values()
-    ):
-        raise WeightDomainMismatchError("weights must be positive")
+    if any(x <= 0 for x in weights.values()):
+        raise WeightDomainMismatchError("edge weights must be positive")
 
 
 def _coincidence(h: Hypergraph, edge_weights: Mapping[str, Fraction]) -> tuple[list, int]:
@@ -150,7 +155,8 @@ def _coincidence(h: Hypergraph, edge_weights: Mapping[str, Fraction]) -> tuple[l
 def _q_rows(h: Hypergraph, w: WeightScheme) -> tuple[list, int]:
     """Int rows of Q in vertex order and their denominator; every weighted
     matrix is read off this table."""
-    _check_weights(h, w)
+    _check_vertex_weights(h, w.vertex_weights)
+    _check_edge_weights(h, w.edge_weights)
     scaled, vd = _integer_row([w.vertex_weights[u] for u in h.vertices])
     rows, d = _coincidence(h, w.edge_weights)
     return [[s * x for x in row] for s, row in zip(scaled, rows)], d * vd
@@ -258,7 +264,7 @@ def _group_eigenvalues(values: Sequence[float], group_tol: float) -> tuple[tuple
 
 def _check_tol(tol: float) -> None:
     """Raise ValueError unless the numeric tolerance ``tol`` is finite and positive."""
-    if not 0 < tol < math.inf:  # NaN fails both comparisons
+    if isinstance(tol, bool) or not 0 < tol < math.inf:  # NaN fails both comparisons
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
@@ -328,9 +334,9 @@ def eigenvalues_sym(
 _MATRIX_BUILDERS = {
     "Q": build_Q,
     "A": build_A,
-    "D": build_D,
-    "K": build_K,
     "L": build_L,
+    "K": build_K,
+    "D": build_D,
 }
 
 

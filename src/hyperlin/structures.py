@@ -9,6 +9,7 @@ hypergraphs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -392,6 +393,15 @@ def _check_disjoint(
     return a_set, b_set
 
 
+def _equal_counts(
+    sets: Iterable[tuple[str, frozenset[str]]], a: frozenset[str], b: frozenset[str]
+) -> tuple[bool, dict[str, tuple[int, int]]]:
+    """The table of (|a meet s|, |b meet s|) over the labeled sets (label, s),
+    and whether every row is equal: the one counting rule of both axes."""
+    table = {label: (len(a & s), len(b & s)) for label, s in sets}
+    return all(x == y for x, y in table.values()), table
+
+
 def verify_equal_edge_partition(
     h: Hypergraph, u_part: Iterable[str], v_part: Iterable[str]
 ) -> tuple[bool, dict[str, tuple[int, int]]]:
@@ -401,12 +411,7 @@ def verify_equal_edge_partition(
     U and V must be disjoint vertex sets.
     """
     u_set, v_set = _check_disjoint(h._stars, u_part, v_part, "vertices")
-    table = {
-        label: (len(u_set & members), len(v_set & members))
-        for label, members in h.hyperedges
-    }
-    ok = all(a == b for a, b in table.values())
-    return ok, table
+    return _equal_counts(h.hyperedges, u_set, v_set)
 
 
 #: Most cells, rows times width, in one block of ``_sign_sums``: 128 KiB of
@@ -485,8 +490,12 @@ def find_equal_edge_partitions(
     """
     import numpy as np
 
-    if max_support < 1:
-        raise ValueError("max_support must be at least 1")
+    try:
+        cap = operator.index(max_support)
+    except TypeError:
+        cap = 0
+    if isinstance(max_support, bool) or cap < 1:
+        raise ValueError(f"max_support must be a positive integer, got {max_support!r}")
     basis = nullspace(incidence_matrix(h).transpose())
     if basis.dimension == 0:
         return []
@@ -495,7 +504,7 @@ def find_equal_edge_partitions(
     scaled = [flat[k * n : (k + 1) * n] for k in range(basis.dimension)]
     blocks = _sign_sums(scaled, [0] * n, (-scale, 0, scale))
     signs = np.concatenate([np.sign(sums).astype(np.int8) for _, sums in blocks])
-    signs = signs[(signs != 0).sum(axis=1) <= max_support]
+    signs = signs[(signs != 0).sum(axis=1) <= cap]
     # Python's tuple order as fixed-width columns: positions ascending, a short
     # support padded after its end; a U that ends first sorts first, so -1 pads it.
     # The smallest signed type holding -(n + 1) holds both pads.
@@ -541,12 +550,7 @@ def verify_equal_star_partition(
     chi_E - chi_F is annihilated by the incidence matrix.
     """
     e_set, f_set = _check_disjoint(h._members, e_part, f_part, "hyperedges")
-    table = {}
-    for v in h.vertices:
-        star = h.star(v)
-        table[v] = (len(star & e_set), len(star & f_set))
-    ok = all(a == b for a, b in table.values())
-    return ok, table
+    return _equal_counts(h._stars.items(), e_set, f_set)
 
 
 # -- covering projections ------------------------------------------------------

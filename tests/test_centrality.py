@@ -24,7 +24,7 @@ from hyperlin.errors import (
     TooFewEdgesError,
     WeightDomainMismatchError,
 )
-from hyperlin.spectra import build_Q, unit_weights
+from hyperlin.spectra import WeightScheme, build_Q, unit_weights
 from hyperlin import centrality, fixtures as fx
 from conftest import random_hypergraph
 
@@ -202,7 +202,7 @@ def test_perron_constant_on_units():
     assert all(v > 0 for v in rep.values.values())
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True])
 def test_perron_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         perron_centrality(_path(), tol=tol)
@@ -218,3 +218,18 @@ def test_perron_rejects_mismatched_weight_domain():
     h = Hypergraph.from_members([("e1", ["a", "b"]), ("e2", ["b", "c"])])
     with pytest.raises(WeightDomainMismatchError):
         perron_centrality(h, edge_weights={"e1": Fraction(1)})
+
+
+@pytest.mark.parametrize(
+    "edge_weights, message",
+    [
+        ({"e1": 1, "e3": 1}, "edge weights must cover exactly the hyperedges"),
+        ({"e1": 1, "e2": 0}, "edge weights must be positive"),
+    ],
+)
+def test_perron_reads_the_edge_weight_rule_of_the_weighted_builders(edge_weights, message):
+    h = Hypergraph.from_members([("e1", ["a", "b"]), ("e2", ["b", "c"])])
+    w = WeightScheme("custom", {v: 1 for v in h.vertices}, edge_weights)
+    for run in (lambda: perron_centrality(h, edge_weights=edge_weights), lambda: build_Q(h, w)):
+        with pytest.raises(WeightDomainMismatchError, match=f"^{message}$"):
+            run()

@@ -35,6 +35,7 @@ from hyperlin.errors import (
     IsolatedVertexError,
     NotSymmetrizableError,
     SingletonEdgeError,
+    WeightDomainMismatchError,
 )
 from hyperlin.linalg import RationalMatrix, nullspace
 from hyperlin import spectra
@@ -69,6 +70,39 @@ def test_edgenorm_rejects_singleton_edges():
     h = fx.nested_chain(3)  # contains the singleton hyperedge {1}
     with pytest.raises(SingletonEdgeError):
         weight_scheme(h, "edgenorm")
+
+
+def test_weight_presets_are_one_table_of_named_builders():
+    h = fx.unit_blocks()
+    assert list(spectra.WEIGHT_PRESETS) == ["unit", "edgenorm", "fullnorm"]
+    for name, build in spectra.WEIGHT_PRESETS.items():
+        assert weight_scheme(h, name) == build(h)
+        assert build(h).name == name
+
+
+@pytest.mark.parametrize("name", ["bogus", "Unit", "", None, ["unit"], {"unit": 1}])
+def test_weight_scheme_rejects_an_unknown_or_unhashable_name(name):
+    with pytest.raises(ValueError, match="unknown weight preset"):
+        weight_scheme(fx.unit_blocks(), name)
+
+
+@pytest.mark.parametrize(
+    "vertex_weights, edge_weights, message",
+    [
+        ({"a": 1}, {"e": 1, "f": 1}, "vertex weights must cover exactly the vertices"),
+        ({"a": 1, "b": 0, "c": 1}, {"e": 1, "f": 1}, "vertex weights must be positive"),
+        ({"a": 1, "b": 1, "c": 1}, {"e": 1}, "edge weights must cover exactly the hyperedges"),
+        ({"a": 1, "b": 1, "c": 1}, {"e": 1, "f": -1}, "edge weights must be positive"),
+    ],
+)
+def test_weighted_builders_reject_weights_off_their_axis_domain(
+    vertex_weights, edge_weights, message
+):
+    h = Hypergraph.from_members([("e", ["a", "b"]), ("f", ["b", "c"])])
+    w = WeightScheme("custom", vertex_weights, edge_weights)
+    for build in (build_Q, build_A, build_D, build_K, build_L):
+        with pytest.raises(WeightDomainMismatchError, match=f"^{message}$"):
+            build(h, w)
 
 
 def test_fullnorm_rejects_isolated_vertices():
@@ -140,7 +174,7 @@ def test_eigenvalues_sym_rejects_unsymmetrizable_input():
         eigenvalues_sym(m)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True])
 def test_eigenvalues_sym_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         eigenvalues_sym(RationalMatrix.from_rows(["a", "b"], ["a", "b"], [[1, 0], [0, 1]]), tol=tol)

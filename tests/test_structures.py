@@ -32,7 +32,7 @@ from hyperlin.errors import (
     OverlapError,
     UnknownLabelError,
 )
-from hyperlin.hypergraph import incidence_graph_adjacency, incidence_matrix
+from hyperlin.hypergraph import dual, incidence_graph_adjacency, incidence_matrix
 from hyperlin.linalg import nullspace
 from hyperlin.randwalk import WalkPolicy, transition_matrix, verify_partition_transition
 from hyperlin.structures import (
@@ -277,6 +277,61 @@ def test_find_equal_edge_partitions_frozen_examples():
     assert find_equal_edge_partitions(fx.hub_cycle()) == [
         (frozenset({"1", "3"}), frozenset({"2", "4"}))
     ]
+
+
+@pytest.mark.parametrize("cap", [0, -1, float("nan"), 2.5, 4.0, True, False, "3", None])
+def test_find_equal_edge_partitions_rejects_a_cap_that_is_not_a_positive_integer(cap):
+    with pytest.raises(ValueError, match="max_support must be a positive integer, got "):
+        find_equal_edge_partitions(fx.hub_cycle(), max_support=cap)
+
+
+def test_find_equal_edge_partitions_takes_int_and_numpy_integer_caps():
+    import numpy as np
+
+    h = fx.hub_cycle()  # one pair, of support 4
+    assert len(find_equal_edge_partitions(h, max_support=4)) == 1
+    assert find_equal_edge_partitions(h, max_support=np.int64(4)) == find_equal_edge_partitions(h, 4)
+    assert find_equal_edge_partitions(h, max_support=np.uint8(3)) == []
+
+
+def _random_disjoint_pairs(rng, labels, count=20):
+    """``count`` pairs of disjoint label sets, each label in the first, the
+    second or neither with equal odds."""
+    pairs = []
+    for _ in range(count):
+        side = [rng.randrange(3) for _ in labels]
+        pairs.append(
+            ({x for x, s in zip(labels, side) if s == 1}, {x for x, s in zip(labels, side) if s == 2})
+        )
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(fx._FIXTURE_BUILDERS))
+def test_both_partition_verifiers_equal_a_direct_count(name):
+    h = fx._FIXTURE_BUILDERS[name]()
+    rng = random.Random(name)
+    axes = (
+        (
+            verify_equal_edge_partition,
+            h.vertices,
+            [(e, h.members(e)) for e in h.edge_labels],
+            find_equal_edge_partitions(h, max_support=max(h.n_vertices, 1)),
+        ),
+        (
+            verify_equal_star_partition,
+            h.edge_labels,
+            [(v, h.star(v)) for v in h.vertices],
+            # equal edge partitions of the dual are equal star partitions
+            find_equal_edge_partitions(dual(h), max_support=max(h.n_hyperedges, 1)),
+        ),
+    )
+    for verify, labels, sets, found in axes:
+        for a, b in found + _random_disjoint_pairs(rng, labels):
+            table = {key: (sum(x in s for x in a), sum(x in s for x in b)) for key, s in sets}
+            ok, got = verify(h, a, b)
+            assert list(got.items()) == list(table.items())
+            assert ok == all(x == y for x, y in table.values())
+        assert all(verify(h, a, b)[0] for a, b in found)
 
 
 def _sign_sums_directly(vectors, start, allowed):
