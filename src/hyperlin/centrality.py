@@ -16,7 +16,7 @@ from .errors import (
     TooSmallError,
     UnreachableError,
 )
-from .hypergraph import Hypergraph, _dot_quote
+from .hypergraph import Hypergraph, _dot
 from .linalg import _integer_solve, _known, rat
 from .randwalk import (
     TransitionMatrix,
@@ -86,13 +86,7 @@ class GraphProjection:
         return len(self.distances_from(self.nodes[0])) == len(self.nodes)
 
     def to_dot(self) -> str:
-        out = ["graph projection {"]
-        for n in self.nodes:
-            out.append(f"  {_dot_quote(n)} [shape=box];")
-        for a, b in self.edges:
-            out.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
-        out.append("}")
-        return "\n".join(out) + "\n"
+        return _dot("projection", [(n, None, "box") for n in self.nodes], self.edges)
 
 
 def graph_projection(h: Hypergraph) -> GraphProjection:
@@ -461,42 +455,31 @@ def perron_centrality(
     else:
         weights = {str(k): rat(v) for k, v in edge_weights.items()}
         _check_edge_weights(h, weights)
-    n = h.n_vertices
-    if n == 0:
-        # the empty matrix: no vertex to rank, and no eigenvalue above 0
-        return CentralityReport(
-            kind="perron",
-            values={},
-            parameters={
-                "tol": tol,
-                "iterations": 0,
-                "spectral_radius": 0.0,
-                "residual": 0.0,
-            },
-        )
-    import numpy as np  # on first use, so importing hyperlin does not load it
+    # the empty matrix has no vertex to rank and no eigenvalue above 0
+    iterations, rayleigh, residual, values = 0, 0.0, 0.0, {}
+    if h.n_vertices:
+        import numpy as np  # on first use, so importing hyperlin does not load it
 
-    rows, d = _coincidence(h, weights)
-    mat = np.array([[x / d for x in row] for row in rows], dtype=float)
-    x = np.ones(n, dtype=float)
-    iterations = 0
-    for iterations in range(1, PERRON_MAX_ITERATIONS + 1):
-        y = mat @ x
-        norm = float(np.max(np.abs(y)))
-        if norm == 0.0:
-            raise NoConvergenceError("iteration collapsed to the zero vector")
-        y = y / norm
-        if float(np.max(np.abs(y - x))) < tol:
+        rows, d = _coincidence(h, weights)
+        mat = np.array([[x / d for x in row] for row in rows], dtype=float)
+        x = np.ones(len(mat), dtype=float)
+        for iterations in range(1, PERRON_MAX_ITERATIONS + 1):
+            y = mat @ x
+            norm = float(np.max(np.abs(y)))
+            if norm == 0.0:
+                raise NoConvergenceError("iteration collapsed to the zero vector")
+            y = y / norm
+            if float(np.max(np.abs(y - x))) < tol:
+                x = y
+                break
             x = y
-            break
-        x = y
-    else:
-        raise NoConvergenceError("power iteration hit the iteration cap")
-    rayleigh = float(x @ (mat @ x)) / float(x @ x)
-    residual = float(np.max(np.abs(mat @ x - rayleigh * x)))
-    if residual >= 100.0 * tol:
-        raise NoConvergenceError(f"residual {residual} above 100 * tol")
-    values = {v: float(x[i]) for i, v in enumerate(h.vertices)}
+        else:
+            raise NoConvergenceError("power iteration hit the iteration cap")
+        rayleigh = float(x @ (mat @ x)) / float(x @ x)
+        residual = float(np.max(np.abs(mat @ x - rayleigh * x)))
+        if residual >= 100.0 * tol:
+            raise NoConvergenceError(f"residual {residual} above 100 * tol")
+        values = {v: float(x[i]) for i, v in enumerate(h.vertices)}
     return CentralityReport(
         kind="perron",
         values=values,

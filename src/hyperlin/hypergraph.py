@@ -293,6 +293,18 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot(
+    name: str, nodes: Iterable[tuple[str, str | None, str]], edges: Iterable[tuple[str, str]]
+) -> str:
+    """Graphviz text of an undirected graph: nodes are (id, label or None, shape)."""
+    out = [f"graph {name} {{"]
+    for node, label, shape in nodes:
+        shown = "" if label is None else f"label={_dot_quote(label)}, "
+        out.append(f"  {_dot_quote(node)} [{shown}shape={shape}];")
+    out += [f"  {_dot_quote(a)} -- {_dot_quote(b)};" for a, b in edges]
+    return "\n".join(out) + "\n}\n"
+
+
 @dataclass(frozen=True)
 class IncidenceGraph:
     """Bipartite incidence graph: vertices on the left, hyperedges on the right."""
@@ -311,25 +323,15 @@ class IncidenceGraph:
 
     def to_dot(self) -> str:
         """Graphviz rendering with circles for vertices and boxes for hyperedges."""
-        out = ["graph incidence {"]
-        for v in self.left:
-            out.append(f"  {_dot_quote('v_' + v)} [label={_dot_quote(v)}, shape=circle];")
-        for e in self.right:
-            out.append(f"  {_dot_quote('e_' + e)} [label={_dot_quote(e)}, shape=box];")
-        for v, e in self.edges:
-            out.append(f"  {_dot_quote('v_' + v)} -- {_dot_quote('e_' + e)};")
-        out.append("}")
-        return "\n".join(out) + "\n"
+        vertices = [("v_" + v, v, "circle") for v in self.left]
+        edges = [("e_" + e, e, "box") for e in self.right]
+        return _dot("incidence", vertices + edges, [("v_" + v, "e_" + e) for v, e in self.edges])
 
 
 def incidence_graph(h: Hypergraph) -> IncidenceGraph:
     """The bipartite graph joining each vertex to the hyperedges containing it."""
-    pairs = []
-    for label, members in h.hyperedges:
-        for v in h.vertices:
-            if v in members:
-                pairs.append((v, label))
-    return IncidenceGraph(left=h.vertices, right=h.edge_labels, edges=tuple(pairs))
+    pairs = tuple((v, label) for label, members in h.hyperedges for v in h.vertices if v in members)
+    return IncidenceGraph(left=h.vertices, right=h.edge_labels, edges=pairs)
 
 
 def incidence_graph_adjacency(h: Hypergraph) -> RationalMatrix:

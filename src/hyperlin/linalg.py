@@ -243,6 +243,11 @@ class RationalMatrix:
             value = data[field]
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{field!r} must be a nonnegative integer, got {value!r}")
+        for field in ("row_labels", "col_labels", "entries"):
+            if not isinstance(data[field], list):
+                raise ValueError(f"{field!r} must be a list, got {data[field]!r}")
+            if field != "entries" and not all(isinstance(x, str) for x in data[field]):
+                raise ValueError(f"{field!r} must be a list of strings")
         rows, cols = data["rows"], data["cols"]
         flat = [rat(x) for x in data["entries"]]
         if len(flat) != rows * cols:

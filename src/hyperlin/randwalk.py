@@ -141,13 +141,12 @@ def _uniform_rows(h: Hypergraph, lazy: bool) -> tuple[list[list[int]], int]:
     With k_e = |e| (lazy) or |e| - 1 (non-lazy) and L_u the lcm of k_e over
     star(u), row u gives L_u / k_e to each member of each e in star(u) (but
     nothing to u itself when non-lazy), so it sums to deg(u) * L_u: that is
-    P[u][v] = sum over shared e of 1/deg(u) * 1/k_e. Each row is reduced by
-    its gcd with that sum, D is the lcm of the reduced row denominators, and
-    every row is scaled to D: the canonical form of ``RationalMatrix``.
+    P[u][v] = sum over shared e of 1/deg(u) * 1/k_e. Every row is scaled to
+    the lcm D of those sums; ``RationalMatrix`` reduces the result.
     """
     index = {v: i for i, v in enumerate(h.vertices)}
     members = {e: [index[v] for v in ms] for e, ms in h.hyperedges}
-    rows, dens = [], []
+    rows = []
     for u in h.vertices:
         sizes = {e: len(members[e]) - (not lazy) for e in h.star(u)}
         for e, k in sizes.items():
@@ -163,12 +162,9 @@ def _uniform_rows(h: Hypergraph, lazy: bool) -> tuple[list[list[int]], int]:
                 row[i] += weight
         if not lazy:
             row[index[u]] = 0
-        den = len(sizes) * lcm
-        g = math.gcd(den, *row)
-        rows.append([x // g for x in row])
-        dens.append(den // g)
-    scale = math.lcm(*dens)
-    return [[x * (scale // d) for x in row] for row, d in zip(rows, dens)], scale
+        rows.append((row, len(sizes) * lcm))
+    scale = math.lcm(*(total for _, total in rows))
+    return [[x * (scale // total) for x in row] for row, total in rows], scale
 
 
 def _require_incident(h: Hypergraph) -> None:
@@ -533,14 +529,14 @@ def _bucket_table(
     bucket u >> (64 - K), and bisect_right on a row's thresholds counts
     those in earlier buckets plus those in u's bucket below u. Thresholds
     of 2^64 - 1 (the last and the padding) are below no draw and are not
-    counted. Cell row * 2^K + bucket keeps the bucket's one threshold as its
-    split (2^64 - 1 when it holds none) and the states below and above it;
-    a cell whose bucket holds two or more thresholds is marked for _choose.
+    counted. Slot row * 2^K + bucket keeps the bucket's one threshold as its
+    split (2^64 - 1 when it holds none), the states below and above it as
+    two picks, and whether the bucket holds two or more thresholds, which
+    marks it for _choose.
 
-    Returns (shift, row_bits, splits, picks, marked), indexed by slots: draw
-    u from state s reads slot (s << row_bits) + ((u >> shift) << 1), twice
-    its cell, and goes to picks[slot + (u > splits[slot])] unless
-    marked[slot].
+    Returns (shift, row_bits, splits, picks, marked): draw u from state s
+    reads slot (s << row_bits) + (u >> shift) and goes to
+    picks[(slot << 1) + (u > splits[slot])] unless marked[slot].
     """
     import numpy as np
 
@@ -548,17 +544,19 @@ def _bucket_table(
     bits = (4 * width - 1).bit_length()
     r, w = np.nonzero(thresholds != _MASK64)
     bounds = thresholds[r, w]
-    cells = (r << bits) + (bounds >> (64 - bits)).astype(np.intp)
-    counts = np.bincount(cells, minlength=rows << bits).reshape(rows, -1)
-    below = np.cumsum(counts, axis=1) - counts
-    row = np.arange(rows)[:, None]
-    picks = np.stack(
-        [targets[row, below], targets[row, np.minimum(below + 1, width - 1)]], axis=-1
-    )
-    splits = np.full((rows << bits, 2), _MASK64, dtype=np.uint64)
-    splits[cells] = bounds[:, None]
-    marked = np.repeat(counts.reshape(-1) > 1, 2)
-    return 64 - bits, bits + 1, splits.reshape(-1), picks.reshape(-1), marked
+    slots = (r << bits) + (bounds >> (64 - bits)).astype(np.intp)
+    counts = np.bincount(slots, minlength=rows << bits)
+    marked = counts > 1
+    below = np.cumsum(counts.reshape(rows, -1), axis=1)
+    below -= counts.reshape(rows, -1)
+    del counts  # this and the in-place updates of below keep a dense table's build peak low
+    picks = np.empty((rows, 1 << bits, 2), dtype=np.intp)
+    picks[..., 0] = np.take_along_axis(targets, below, axis=1)
+    np.minimum(below + 1, width - 1, out=below)
+    picks[..., 1] = np.take_along_axis(targets, below, axis=1)
+    splits = np.full(rows << bits, _MASK64, dtype=np.uint64)
+    splits[slots] = bounds
+    return 64 - bits, bits, splits, picks.reshape(-1), marked
 
 
 def simulate(
@@ -612,10 +610,10 @@ def simulate(
         for t0 in range(1, steps + 1, _CHUNK):
             ts = np.arange(t0, min(t0 + _CHUNK, steps + 1), dtype=np.uint64)
             draws = trajectory_seed(seeds, ts[:, None])
-            buckets = ((draws >> shift) << 1).astype(np.intp)
+            buckets = (draws >> shift).astype(np.intp)
             for k in range(len(ts)):
                 slot = (cur << row_bits) + buckets[k]
-                nxt = picks[slot + (draws[k] > splits[slot])]
+                nxt = picks[(slot << 1) + (draws[k] > splits[slot])]
                 if fallback:
                     many = marked[slot]
                     nxt[many] = _choose(draws[k, many], cur[many], *row_table)

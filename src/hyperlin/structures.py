@@ -27,11 +27,11 @@ from .errors import (
 )
 from .hypergraph import (
     Hypergraph,
-    _dot_quote,
+    _dot,
     incidence_graph_adjacency,
     incidence_matrix,
 )
-from .linalg import _integer_row, _known, nullspace, rat, vector_support
+from .linalg import RationalLike, _integer_row, _known, nullspace, rat, vector_support
 
 __all__ = [
     "CertificateKind",
@@ -109,9 +109,11 @@ class Certificate:
 
 
 def _certificate_from_vector(
-    kind: CertificateKind, coeffs: Mapping[str, Fraction], annihilated_by: str
+    kind: CertificateKind, ambient: Iterable[str],
+    values: Mapping[str, RationalLike], annihilated_by: str,
 ) -> Certificate:
-    coeffs = dict(coeffs)
+    """The certificate of ``values`` over ``ambient``, in its order: 0 where none is given."""
+    coeffs = {lab: values.get(lab, 0) for lab in ambient}
     return Certificate(
         kind=kind,
         support=vector_support(coeffs),
@@ -163,9 +165,7 @@ def is_dependent_set(h: Hypergraph, labels: Iterable[str], axis: str = "vertices
     basis = nullspace(sub)
     if not basis.vectors:
         return None
-    coeffs = {lab: Fraction(0) for lab in ambient}
-    coeffs.update(basis.vectors[0])
-    return _certificate_from_vector(kind, coeffs, annihilator)
+    return _certificate_from_vector(kind, ambient, basis.vectors[0], annihilator)
 
 
 def vertex_pair_certificate(h: Hypergraph, u: str, v: str) -> Certificate:
@@ -182,10 +182,9 @@ def vertex_pair_certificate(h: Hypergraph, u: str, v: str) -> Certificate:
     first, second = pair
     if h.star(first) != h.star(second):
         raise InvalidCertificateError(f"vertices {u!r} and {v!r} have different stars")
-    coeffs = {lab: Fraction(0) for lab in h.vertices}
-    coeffs[first] = Fraction(1)
-    coeffs[second] = Fraction(-1)
-    return _certificate_from_vector(CertificateKind.DEPENDENT_VERTICES, coeffs, VERTEX_AXIS)
+    return _certificate_from_vector(
+        CertificateKind.DEPENDENT_VERTICES, h.vertices, {first: 1, second: -1}, VERTEX_AXIS
+    )
 
 
 def partition_certificate(h: Hypergraph, u_part: Iterable[str], v_part: Iterable[str]) -> Certificate:
@@ -193,12 +192,10 @@ def partition_certificate(h: Hypergraph, u_part: Iterable[str], v_part: Iterable
     ok, _ = verify_equal_edge_partition(h, u_part, v_part)
     if not ok:
         raise InvalidCertificateError("the pair is not an equal partition")
-    coeffs = {lab: Fraction(0) for lab in h.vertices}
-    for x in u_part:
-        coeffs[str(x)] = Fraction(1)
-    for x in v_part:
-        coeffs[str(x)] = Fraction(-1)
-    return _certificate_from_vector(CertificateKind.EQUAL_EDGE_PARTITION, coeffs, VERTEX_AXIS)
+    coeffs = {str(x): 1 for x in u_part} | {str(x): -1 for x in v_part}
+    return _certificate_from_vector(
+        CertificateKind.EQUAL_EDGE_PARTITION, h.vertices, coeffs, VERTEX_AXIS
+    )
 
 
 # -- units ------------------------------------------------------------------
@@ -287,19 +284,11 @@ class ContractionMap:
 
     def to_dot(self) -> str:
         """Incidence rendering of the contraction, units drawn as boxes."""
-        out = ["graph contraction {"]
-        for u in self.decomposition.units:
-            out.append(
-                f"  {_dot_quote('u_' + u.label)} [label={_dot_quote(u.label)}, shape=box];"
-            )
-        for e in self.contracted.edge_labels:
-            out.append(f"  {_dot_quote('e_' + e)} [label={_dot_quote(e)}, shape=ellipse];")
-        for e, members in self.contracted.hyperedges:
-            for ulabel in self.contracted.vertices:
-                if ulabel in members:
-                    out.append(f"  {_dot_quote('u_' + ulabel)} -- {_dot_quote('e_' + e)};")
-        out.append("}")
-        return "\n".join(out) + "\n"
+        c = self.contracted
+        units = [("u_" + u, u, "box") for u in c.vertices]
+        edges = [("e_" + e, e, "ellipse") for e in c.edge_labels]
+        pairs = [("u_" + u, "e_" + e) for e, ms in c.hyperedges for u in c.vertices if u in ms]
+        return _dot("contraction", units + edges, pairs)
 
 
 def unit_contraction(h: Hypergraph) -> ContractionMap:
@@ -667,5 +656,5 @@ def pullback_dependent_set(
     if any(v != 0 for v in check.values()):
         raise NotInNullspaceError("the pulled-back vector left the source nullspace")
     return _certificate_from_vector(
-        CertificateKind.DEPENDENT_VERTICES, coeffs, VERTEX_AXIS
+        CertificateKind.DEPENDENT_VERTICES, source.vertices, coeffs, VERTEX_AXIS
     )

@@ -181,6 +181,18 @@ def test_perron_on_a_single_edge():
     assert abs(rep.values["a"] - rep.values["b"]) < 1e-12
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_perron_report_of_the_empty_hypergraph(tol):
+    rep = perron_centrality(Hypergraph((), ()), tol=tol)
+    assert rep.to_json_dict() == {
+        "kind": "perron",
+        "parameters": {"tol": tol, "iterations": 0, "spectral_radius": 0.0, "residual": 0.0},
+        "values": {},
+    }
+    assert list(rep.parameters) == ["tol", "iterations", "spectral_radius", "residual"]
+    assert [type(x) for x in rep.parameters.values()] == [float, int, float, float]
+
+
 def test_perron_matches_numpy_extreme_eigenvalue():
     h = fx.unit_blocks()
     rep = perron_centrality(h)

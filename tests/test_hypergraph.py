@@ -1,5 +1,6 @@
 """Hypergraph model: parsing, validation, incidence structures, duality."""
 
+import hashlib
 import json
 import sys
 
@@ -284,3 +285,65 @@ def test_dot_escapes_quotes_and_backslashes_in_labels(writer, names):
     dot = writer(QUOTED).to_dot()
     strings = {s for line in dot.splitlines() for s in _quoted_strings(line)}
     assert names <= strings
+
+
+#: sha256 of ``to_dot()`` for (incidence graph, unit projection, contraction),
+#: recorded before the three writers shared one DOT emitter.
+DOT_DIGESTS = {
+    "h_a": (
+        "1be6a50944bd477a8eb2e6765cbad21ef261aedabb9a516f1e9a18c95e234aca",
+        "b9790ca2f79c7e25768f3331b7be94aefa804685807b91db57959d6e488be75d",
+        "7619336ac36b94ff956e9a7f34cdadd8652534ed6867cb1150fd4abc3e250a1c",
+    ),
+    "h_tri_4": (
+        "5967b2efd80009418e0ea82c5f63164ae47700d688b00cf583580a392b4841a6",
+        "e5dddf51929c901a55f508087c7ce3823fdffd86016c18494f3c47f046675a78",
+        "affdb2e9a3ba63e63cf7cfa88bb9e3bd0bfa78328fac8096dbaae07d3dc4c1d9",
+    ),
+    "h_circ_4": (
+        "1ba0909925cfbef0807e25696db2c5456f920de8cedfcb3771fc3c1dab385f95",
+        "e5dddf51929c901a55f508087c7ce3823fdffd86016c18494f3c47f046675a78",
+        "d02bab4694ddeb47978df685e76513c592e73843df2b6bd52f0914d54fd27dbb",
+    ),
+    "h_units": (
+        "c5f4e21b8a472d8247f358281c1259b501a82610e1dea0897261e1440e33e6fa",
+        "4c04410034420eb1e7f2e145ceef47dd3ee565d5c0f9b1bbdf31844f3bf231cd",
+        "0488fe043d6a7a9ba4bc7d59ba1828e6b66431dc6812a5d12c5ca0e6b450af58",
+    ),
+    "h_eq": (
+        "b95d3c3f626d3910307fcb2ef7e141197c45c6720e342879e560bee8ede77ab4",
+        "7394ba3a8afbd64908a170159107f0b73ca9bf49fb39e58a6b86a2f7bf94bf0d",
+        "a312a39de09c1c0aff910190828731fb41be48e69773c289dc140eb98a1c6817",
+    ),
+    "h_cov_source": (
+        "98e49f9125a86b595f9e8ec5040421b80e1bdcb24bfb2db4c64fb5af8724ce29",
+        "aa5cd4cd7975e70fd7b7ab2bbd1c950ef6e56b6f3f4a2265cbe836d87fd17ce7",
+        "fb39482cb45d9a85e99499b3a365e1f42b929424cf3419513e95719d95d7e3d0",
+    ),
+    "h_cov_base": (
+        "7e5d106b8004402bf7ffceb28b1cfdbdd96ae38676a9439185bfa36acc4e2889",
+        "1dc8c6e1e0e823c5d334fffcc4ce9e031f2d2d3a2442717be0b50fe0122c2104",
+        "517184d6b65aaa3cf47888e0130f6498de130c620c4e456a5f98cd53ce4a909a",
+    ),
+    "quoted": (
+        "704b9043d7f9b6fdd70527ebf9685dc93f0d03ffc5194b71513b36e1db3b08c0",
+        "cb72d7e6eb2ac550f761aa49f07b83f63b32683e87d69b4193d7432579275ae2",
+        "60b3519d4d0cb09061f0c6163c54a0d8a781525f7ebe4899f407ee8dfb302231",
+    ),
+    "empty": (
+        "d8ee069e9edeaa06ee9f058b8317683e75cd3fc3f1909eef29878a6de084287c",
+        "b8dcb0194f7799006d15cae794ff18504915f74e4d3081d5399466d2fbd373ac",
+        "ef6411f0b50cc927a538c3364c6f6f0def3e8e0701a4fbbb5897d9e6bf4837fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DOT_DIGESTS))
+def test_dot_text_is_pinned(name):
+    builders = {**fx._FIXTURE_BUILDERS, "quoted": lambda: QUOTED, "empty": lambda: Hypergraph((), ())}
+    h = builders[name]()
+    digests = tuple(
+        hashlib.sha256(writer(h).to_dot().encode("utf-8")).hexdigest()
+        for writer in (incidence_graph, graph_projection, unit_contraction)
+    )
+    assert digests == DOT_DIGESTS[name]

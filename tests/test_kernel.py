@@ -674,6 +674,15 @@ def test_buckets_holding_two_bounds_fall_back_to_the_bisect(monkeypatch, tm, see
     assert sum(looked_up[1:]) > 0
 
 
+def test_the_bucket_table_keeps_one_split_per_bucket():
+    """Per bucket: one uint64 split, one mark and two intp picks, 25 bytes."""
+    thresholds, targets = randwalk._threshold_table([[1] * 1000] * 4, 1000)
+    shift, row_bits, *kept = randwalk._bucket_table(thresholds, targets)
+    buckets = 4 << row_bits
+    assert (64 - shift, row_bits) == (12, 12)
+    assert sum(a.nbytes for a in kept) <= 25 * buckets
+
+
 @pytest.mark.parametrize("past", [0, 1])
 def test_a_draw_on_a_bound_takes_the_next_state(past):
     """State k is drawn for u < bound_k: a draw one below the bound of "a"
@@ -695,9 +704,9 @@ def test_a_draw_on_a_bound_takes_the_next_state(past):
     thresholds, targets = randwalk._threshold_table(tm.matrix.numerators, tm.matrix.denominator)
     assert thresholds[0, 0] == second - past
     shift, _, splits, picks, marked = randwalk._bucket_table(thresholds, targets)
-    slot = (second >> shift) << 1
+    slot = second >> shift
     assert (splits[slot], marked[slot]) == (second - past, False)
-    assert picks[slot : slot + 2].tolist() == [0, 1]
+    assert picks[2 * slot : 2 * slot + 2].tolist() == [0, 1]
     picked, other = ("a", "b") if past == 0 else ("b", "a")
     for init in ({"a": init_a, "b": 1 - init_a}, picked):
         sim = simulate(tm, init, 1, 1, seed)

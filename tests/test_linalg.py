@@ -95,6 +95,24 @@ def test_json_shape_must_be_a_nonnegative_int(field, value):
         RationalMatrix.from_json_dict(data)
 
 
+@pytest.mark.parametrize("field", ["row_labels", "col_labels", "entries"])
+@pytest.mark.parametrize("value", ["abc", "1", None, {"a": 1}, ("a",)])
+def test_json_labels_and_entries_must_be_lists(field, value):
+    data = _m([[1]]).to_json_dict()
+    data[field] = value
+    with pytest.raises(ValueError, match=repr(field)):
+        RationalMatrix.from_json_dict(data)
+
+
+@pytest.mark.parametrize("field", ["row_labels", "col_labels"])
+@pytest.mark.parametrize("label", [1, None, 1.5, True, ["a"]])
+def test_json_labels_must_be_strings(field, label):
+    data = _m([[1]]).to_json_dict()
+    data[field] = [label]
+    with pytest.raises(ValueError, match=repr(field)):
+        RationalMatrix.from_json_dict(data)
+
+
 def test_positional_constructor_stores_canonical_python_ints():
     m = RationalMatrix(["a"], ["b", "c"], [[np.int64(-4), 6]], -10)
     assert m.numerators == ((2, -3),) and m.denominator == 5

@@ -99,6 +99,37 @@ def test_dependent_axes_certify_the_first_basis_vector(h):
         assert list(cert.coefficients.items()) == list(basis.vectors[0].items())
 
 
+def _fixture_certificates(h):
+    """Every certificate the constructors build on ``h``: each subset of at
+    most three labels on both axes, each vertex pair with one star, and each
+    found equal partition."""
+    for axis, labels in (("vertices", h.vertices), ("hyperedges", h.edge_labels)):
+        for k in range(1, 4):
+            for subset in itertools.combinations(labels, k):
+                cert = is_dependent_set(h, subset, axis)
+                if cert is not None:
+                    yield labels, cert
+    for u, v in itertools.combinations(h.vertices, 2):
+        if h.star(u) == h.star(v):
+            yield h.vertices, vertex_pair_certificate(h, u, v)
+    for u_part, v_part in find_equal_edge_partitions(h):
+        yield h.vertices, partition_certificate(h, u_part, v_part)
+
+
+@pytest.mark.parametrize("name", list(fx._FIXTURE_BUILDERS))
+def test_certificates_list_every_ambient_label_in_order(name):
+    h = fx._FIXTURE_BUILDERS[name]()
+    for ambient, cert in _fixture_certificates(h):
+        assert list(cert.coefficients) == list(ambient)
+        assert all(cert.coefficients[x] == 0 for x in ambient if x not in cert.support)
+
+
+def test_pullback_lists_every_source_vertex_in_order():
+    cover, base, proj = fx.double_cover()
+    lifted = pullback_dependent_set(cover, base, proj, dependent_vertices(base))
+    assert list(lifted.coefficients) == list(cover.vertices)
+
+
 def test_is_dependent_set_detects_only_real_supports():
     h = fx.hub_cycle()
     assert is_dependent_set(h, ["1", "2", "3", "4"]) is not None
