@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Callable, Mapping
@@ -16,7 +17,7 @@ from .errors import (
     TooSmallError,
     UnreachableError,
 )
-from .hypergraph import Hypergraph, _dot
+from .hypergraph import Hypergraph, _dot, _hops
 from .linalg import _integer_solve, _known, rat
 from .randwalk import (
     TransitionMatrix,
@@ -68,17 +69,7 @@ class GraphProjection:
     def distances_from(self, node: str) -> dict[str, int]:
         """Breadth-first hop counts; unreachable nodes are absent."""
         _known([node], self._adjacency, "projection nodes")
-        dist = {node: 0}
-        frontier = [node]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in self._adjacency[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        return dist
+        return _hops(node, self._adjacency.__getitem__)
 
     def is_connected(self) -> bool:
         if not self.nodes:
@@ -101,12 +92,7 @@ def graph_projection(h: Hypergraph) -> GraphProjection:
     pairs: set[tuple[str, str]] = set()
     for e in h.edge_labels:
         inside = [u.label for u in decomp.units if e in u.generator]
-        for i in range(len(inside)):
-            for j in range(i + 1, len(inside)):
-                a, b = inside[i], inside[j]
-                if order[a] > order[b]:
-                    a, b = b, a
-                pairs.add((a, b))
+        pairs.update(combinations(inside, 2))
     edges = tuple(sorted(pairs, key=lambda p: (order[p[0]], order[p[1]])))
     return GraphProjection(nodes=decomp.labels, edges=edges, decomposition=decomp)
 

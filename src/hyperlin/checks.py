@@ -9,7 +9,7 @@ incidence matrix, the ranks of I and A_GH, ker I^T, the unit decomposition,
 the equal partitions and their signed matrix, the non-lazy kernel and its
 one passage inverse) is computed once per run, except ker I^T:
 ``find_equal_edge_partitions`` takes no basis and computes it again
-(ROADMAP item 5 shares it). The kernel is built only when a walk check asks
+(ROADMAP item 2 shares it). The kernel is built only when a walk check asks
 for it. The pairs are checked together, one integer product per check.
 """
 

@@ -30,6 +30,7 @@ from .hypergraph import (
     Hypergraph,
     incidence_graph,
     incidence_matrix,
+    parse,
 )
 from .linalg import determinant, nullspace
 from .randwalk import (
@@ -114,10 +115,7 @@ def _report(args, h: Hypergraph, parameters: dict, results: dict) -> dict:
 
 def _load(args) -> Hypergraph:
     path = resolve_input_path(args.file)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        return Hypergraph.from_json(text)
-    return Hypergraph.from_lines(text)
+    return parse(path.read_text(encoding="utf-8"), "json" if path.suffix == ".json" else "lines")
 
 
 _POLICIES = {"nonlazy": WalkPolicy.uniform_nonlazy, "lazy": WalkPolicy.uniform_lazy}

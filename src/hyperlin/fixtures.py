@@ -49,11 +49,7 @@ def hub_cycle() -> Hypergraph:
 
 def nested_chain(n: int) -> Hypergraph:
     """Hyperedges {1}, {1,2}, ..., {1..n}: a nonsingular triangular family."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    verts = [str(i) for i in range(1, n + 1)]
-    edges = [(f"e{i}", [str(j) for j in range(1, i + 1)]) for i in range(1, n + 1)]
-    return Hypergraph.from_members(edges, vertices=verts)
+    return duplicated_nested(n)
 
 
 def leave_one_out(n: int) -> Hypergraph:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     DuplicateHyperedgeSetError,
@@ -130,16 +131,10 @@ class Hypergraph:
 
     def is_connected(self) -> bool:
         """True when every vertex is reachable through shared hyperedges."""
-        if self.n_vertices <= 1:
+        if not self.vertices:
             return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for e in self._stars[stack.pop()]:
-                fresh = self._members[e] - seen
-                seen |= fresh
-                stack.extend(fresh)
-        return len(seen) == self.n_vertices
+        links = self._stars | self._members  # G_H: vertex and edge labels never collide
+        return self._stars.keys() <= _hops(self.vertices[0], links.__getitem__).keys()
 
     # -- serialization -----------------------------------------------------
 
@@ -248,6 +243,19 @@ class Hypergraph:
             pairs.append((label, members))
         order = dict.fromkeys([*declared, *(m for _, members in pairs for m in members)])
         return cls(tuple(order), tuple(pairs))
+
+
+def _hops(start: Hashable, neighbours: Callable[[Hashable], Iterable[Hashable]]) -> dict:
+    """Breadth-first hop counts from ``start`` in discovery order; unreached nodes are absent."""
+    hops, queue = {start: 0}, deque([start])
+    while queue:
+        node = queue.popleft()
+        step = hops[node] + 1
+        for nxt in neighbours(node):
+            if nxt not in hops:
+                hops[nxt] = step
+                queue.append(nxt)
+    return hops
 
 
 def _repeated_member(members: list[str]) -> str | None:

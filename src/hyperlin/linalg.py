@@ -239,6 +239,9 @@ class RationalMatrix:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "RationalMatrix":
+        missing = [f for f in ("rows", "cols", "row_labels", "col_labels", "entries") if f not in data]
+        if missing:
+            raise ValueError(f"missing fields {missing}")
         for field in ("rows", "cols"):
             value = data[field]
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:

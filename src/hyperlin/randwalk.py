@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
@@ -30,7 +30,7 @@ from .errors import (
     UnknownLabelError,
     UnreachableError,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _hops
 from .linalg import RationalMatrix, _integer_row, _integer_solve, _known, rat
 from .structures import _check_disjoint
 
@@ -286,14 +286,9 @@ def step_distribution(
 
 def _require_reachable(tm: TransitionMatrix, target: str) -> None:
     """Raise UnreachableError naming the states from which ``target`` cannot be reached."""
-    m, t = tm.matrix.numerators, tm._index[target]
-    reached, frontier = {t}, [t]
-    while frontier:
-        frontier = [
-            u for u, row in enumerate(m)
-            if u not in reached and any(row[v] > 0 for v in frontier)
-        ]
-        reached.update(frontier)
+    cols, n = tm._columns, len(tm.states)
+    # search backwards: the states u with P[u][v] > 0 are one hop from v
+    reached = _hops(tm._index[target], lambda v: compress(range(n), cols[v]))
     missing = sorted(v for i, v in enumerate(tm.states) if i not in reached)
     if missing:
         raise UnreachableError(f"states cannot reach {target!r}: {missing}")
@@ -447,20 +442,18 @@ class SimulationResult:
 
     def first_hit_mean(self, v: str) -> float:
         """Mean first-arrival step over the trajectories that reached ``v``."""
-        hits = self.first_hits.get(v, {})
-        n = sum(hits.values())
+        n = self.hit_count(v)
         if n == 0:
             raise ZeroDivisionError(f"no trajectory reached {v!r}")
-        return sum(t * c for t, c in hits.items()) / n
+        return sum(t * c for t, c in self.first_hits[v].items()) / n
 
     def first_hit_stderr(self, v: str) -> float:
         """Standard error of the first-arrival mean (sample variance, ddof=1)."""
-        hits = self.first_hits.get(v, {})
-        n = sum(hits.values())
+        n = self.hit_count(v)
         if n < 2:
             raise ZeroDivisionError(f"need at least two hits at {v!r}")
         mean = self.first_hit_mean(v)
-        var = sum(c * (t - mean) ** 2 for t, c in hits.items()) / (n - 1)
+        var = sum(c * (t - mean) ** 2 for t, c in self.first_hits[v].items()) / (n - 1)
         return (var / n) ** 0.5
 
     def to_json_dict(self) -> dict:
@@ -472,8 +465,7 @@ class SimulationResult:
             "first_hit": {},
         }
         for v in self.visit_counts:
-            hits = self.first_hits.get(v, {})
-            n = sum(hits.values())
+            n = self.hit_count(v)
             entry = {"hits": n, "misses": self.trajectories - n}
             if n:
                 entry["mean"] = self.first_hit_mean(v)

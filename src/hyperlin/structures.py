@@ -189,6 +189,7 @@ def vertex_pair_certificate(h: Hypergraph, u: str, v: str) -> Certificate:
 
 def partition_certificate(h: Hypergraph, u_part: Iterable[str], v_part: Iterable[str]) -> Certificate:
     """Certificate chi_U - chi_V for a verified equal partition."""
+    u_part, v_part = list(u_part), list(v_part)
     ok, _ = verify_equal_edge_partition(h, u_part, v_part)
     if not ok:
         raise InvalidCertificateError("the pair is not an equal partition")
@@ -328,12 +329,8 @@ def verify_unit_maximality(h: Hypergraph, candidate: Iterable[str]) -> bool:
     if len(set(cand)) < 2:
         raise TooSmallError("a unit check needs at least two distinct vertices")
     _known(cand, h._stars, "vertices")
-    stars = {h.star(v) for v in cand}
-    if len(stars) != 1:
-        return False
-    star = stars.pop()
-    full_class = {v for v in h.vertices if h.star(v) == star}
-    return full_class == set(cand)
+    star = h.star(cand[0])
+    return {v for v in h.vertices if h.star(v) == star} == set(cand)
 
 
 def contraction_nullspace_lift(

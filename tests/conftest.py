@@ -36,3 +36,16 @@ def random_hypergraph(
     if not pairs:
         pairs = [("e1", [verts[0]])]
     return Hypergraph.from_members(pairs, vertices=verts)
+
+
+def search_draws() -> list[Hypergraph]:
+    """510 seeded random hypergraphs, 170 at each density 0.15, 0.3 and 0.5.
+
+    Sparse draws leave isolated vertices and split components, dense ones
+    give connected hypergraphs, so graph searches meet both answers.
+    """
+    return [
+        random_hypergraph(random.Random(seed), density=density)
+        for density in (0.15, 0.3, 0.5)
+        for seed in range(170)
+    ]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hyperlin.errors import (
 )
 from hyperlin.spectra import WeightScheme, build_Q, unit_weights
 from hyperlin import centrality, fixtures as fx
-from conftest import random_hypergraph
+from conftest import random_hypergraph, search_draws
 
 
 def _path():
@@ -57,6 +58,17 @@ def test_projection_adjacency_requires_a_common_hyperedge():
     # {1,2} and {8,9} never sit inside one hyperedge together
     assert ("{1,2}", "{8,9}") not in gp.edges
     assert ("{8,9}", "{1,2}") not in gp.edges
+
+
+def test_projection_edges_are_the_unit_pairs_inside_one_hyperedge():
+    for h in search_draws():
+        found = graph_projection(h)
+        pairs = tuple(
+            (a.label, b.label)
+            for a, b in combinations(found.decomposition.units, 2)
+            if any({*a.members, *b.members} <= members for _, members in h.hyperedges)
+        )
+        assert found.edges == pairs, h.to_json_dict()
 
 
 def _scan_distances(gp, node):

@@ -24,6 +24,7 @@ from hyperlin.errors import (
 )
 from hyperlin.hypergraph import dual, incidence_graph_adjacency
 from hyperlin import fixtures as fx
+from conftest import search_draws
 
 
 def test_from_members_appearance_order():
@@ -128,6 +129,48 @@ def test_is_connected():
     assert fx.hub_cycle().is_connected()
     split = Hypergraph.from_members([("e1", ["a", "b"]), ("e2", ["c", "d"])])
     assert not split.is_connected()
+
+
+def _union_find_connected(h):
+    """Connectivity by a union-find over the member lists."""
+    parent = {v: v for v in h.vertices}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for _, members in h.hyperedges:
+        first, *rest = members
+        for v in rest:
+            parent[root(v)] = root(first)
+    return len({root(v) for v in h.vertices}) <= 1
+
+
+def test_is_connected_equals_a_union_find_over_the_member_lists():
+    edge_cases = [
+        Hypergraph((), ()),
+        Hypergraph(("a",), ()),
+        Hypergraph.from_members([("e", ["b", "c"])], vertices=["a", "b", "c"]),
+    ]
+    answers = []
+    for h in edge_cases + search_draws():
+        assert h.is_connected() == _union_find_connected(h), h.to_json_dict()
+        answers.append(h.is_connected())
+    assert answers[:3] == [True, True, False]
+    assert 100 < answers.count(False) < len(answers) - 100
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nested_chain_is_the_family_its_docstring_names(n):
+    verts = [str(i) for i in range(1, n + 1)]
+    edges = [(f"e{i}", verts[:i]) for i in range(1, n + 1)]
+    assert fx.nested_chain(n) == Hypergraph.from_members(edges, vertices=verts)
+
+
+def test_nested_chain_needs_one_vertex():
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        fx.nested_chain(0)
 
 
 def test_json_roundtrip_preserves_everything():

@@ -1,7 +1,9 @@
 """Only ``linalg`` knows the layout of its fraction-free elimination, and only
 it reads a matrix's Fraction view ``entries``: every other module reads the
 integer rows. The unknown-label rule also lives there alone, in
-``linalg._known``, and every entry that takes labels goes through it."""
+``linalg._known``, and every entry that takes labels goes through it. One
+breadth-first search, ``hypergraph._hops``, answers every reachability
+question."""
 
 import ast
 from fractions import Fraction
@@ -75,6 +77,22 @@ def _unknown_label_messages_outside_linalg() -> list[str]:
 
 def test_only_linalg_writes_the_unknown_label_message():
     assert _unknown_label_messages_outside_linalg() == []
+
+
+def test_one_breadth_first_search_serves_connectivity_distances_and_reachability():
+    callers = set()
+    for path in sorted(Path(hyperlin.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                getattr(node, "id", None) == "_hops" for node in ast.walk(fn)
+            ):
+                callers.add(f"{path.name}:{fn.name}")
+    assert callers == {
+        "hypergraph.py:is_connected",
+        "centrality.py:distances_from",
+        "randwalk.py:_require_reachable",
+    }
 
 
 H = fx.balanced_overlap()

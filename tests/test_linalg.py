@@ -104,6 +104,14 @@ def test_json_labels_and_entries_must_be_lists(field, value):
         RationalMatrix.from_json_dict(data)
 
 
+def test_json_names_every_missing_field():
+    data = _m([[1]]).to_json_dict()
+    for field in ("rows", "col_labels", "entries"):
+        del data[field]
+    with pytest.raises(ValueError, match=r"^missing fields \['rows', 'col_labels', 'entries'\]$"):
+        RationalMatrix.from_json_dict(data)
+
+
 @pytest.mark.parametrize("field", ["row_labels", "col_labels"])
 @pytest.mark.parametrize("label", [1, None, 1.5, True, ["a"]])
 def test_json_labels_must_be_strings(field, label):

@@ -1,5 +1,6 @@
 """Walk policies, exact hitting times, first-hit laws, seeded simulation."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -264,6 +265,48 @@ def test_hitting_times_unreachable_target():
     tm = transition_matrix(h, WalkPolicy.uniform_nonlazy())
     with pytest.raises(UnreachableError):
         hitting_times(tm, "c")
+
+
+def _closure_message(states, rows, target):
+    """The UnreachableError message read off the transitive closure of the
+    kernel's support, or None when every state reaches ``target``."""
+    n = len(states)
+    reach = [[i == j or rows[i][j] != 0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    t = states.index(target)
+    missing = sorted(s for i, s in enumerate(states) if not reach[i][t])
+    return f"states cannot reach {target!r}: {missing}" if missing else None
+
+
+def test_unreachable_message_follows_the_closure_of_the_kernel_support():
+    rng = random.Random(22)
+    raised = 0
+    for _ in range(300):
+        states = rng.sample("abcdfghi", rng.randint(2, 7))  # "e" labels the one hyperedge
+        rows = []
+        for _ in states:
+            weights = [rng.choice((0, 0, 1, 2)) for _ in states]
+            if not any(weights):
+                weights[rng.randrange(len(states))] = 1
+            rows.append([Fraction(w, sum(weights)) for w in weights])
+        tm = TransitionMatrix(
+            source=Hypergraph.from_members([("e", states)], vertices=states),
+            policy=WalkPolicy.uniform_lazy(),
+            matrix=RationalMatrix.from_rows(states, states, rows),
+        )
+        for target in states:
+            expected = _closure_message(states, rows, target)
+            if expected is None:
+                hitting_times(tm, target)
+                continue
+            with pytest.raises(UnreachableError) as info:
+                hitting_times(tm, target)
+            assert str(info.value) == expected
+            raised += 1
+    assert raised > 100
 
 
 def test_first_hit_law_is_geometric_on_a_single_edge():

@@ -439,6 +439,14 @@ def test_partition_certificate_wraps_the_indicator():
     assert cert.coefficients["2"] == -1
 
 
+def test_partition_certificate_reads_one_shot_iterables_once():
+    h = fx.balanced_overlap()
+    u_part, v_part = find_equal_edge_partitions(h)[0]
+    from_sets = partition_certificate(h, u_part, v_part)
+    assert from_sets.support == frozenset({"1", "5"})
+    assert partition_certificate(h, iter(u_part), iter(v_part)) == from_sets
+
+
 def test_equal_star_partition_on_edge_sets():
     h = fx.hub_cycle()
     ok, table = verify_equal_star_partition(h, ["e1", "e3"], ["e2", "e4"])
