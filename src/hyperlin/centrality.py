@@ -10,6 +10,7 @@ from operator import mul
 from typing import Callable, Mapping
 
 from .errors import (
+    BadHorizonError,
     DisconnectedError,
     NoConvergenceError,
     SingularError,
@@ -18,10 +19,9 @@ from .errors import (
     UnreachableError,
 )
 from .hypergraph import Hypergraph, _dot, _hops
-from .linalg import _integer_solve, _known, rat
+from .linalg import _integer, _integer_solve, _known, rat
 from .randwalk import (
     TransitionMatrix,
-    _check_count,
     _check_self_time,
     _require_incident,
     _require_reachable,
@@ -291,7 +291,7 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
     grouped by row: row u is summed over the lcm L_u of its nonzero total
     masses, and then scaled once by common / L_u, where common = lcm(L_u).
     """
-    _check_count(horizon, "horizon", 1)
+    horizon = _integer(horizon, "horizon", 1, BadHorizonError)
     if _first_passage_pays(tm, horizon):
         values = _betweenness_by_first_passage(tm, horizon)
     else:
@@ -376,15 +376,22 @@ def _grouped_betweenness(
     return values
 
 
-def _unit_distances(h: Hypergraph) -> tuple[UnitDecomposition, dict[str, dict[str, int]]]:
-    """The units of ``h`` and the hop distances from each, keyed by unit label.
+def _unit_values(h: Hypergraph, value: Callable[[dict[str, int], dict[str, int]], object]) -> dict[str, object]:
+    """Each vertex's ``value(hops, sizes)``, in vertex order: the hop distances
+    from its unit and every unit's size, both keyed by unit label.
 
-    Raises DisconnectedError unless the graph projection is connected.
+    One search per unit. Raises DisconnectedError unless the first search,
+    and so the graph projection, reaches every unit.
     """
     proj = graph_projection(h)
-    if not proj.is_connected():
-        raise DisconnectedError("the graph projection is not connected")
-    return proj.decomposition, {lab: proj.distances_from(lab) for lab in proj.nodes}
+    sizes = {u.label: u.size for u in proj.decomposition.units}
+    values: dict[str, object] = {}
+    for unit in proj.decomposition.units:
+        hops = proj.distances_from(unit.label)
+        if len(hops) < len(sizes):
+            raise DisconnectedError("the graph projection is not connected")
+        values.update(dict.fromkeys(unit.members, value(hops, sizes)))
+    return {v: values[v] for v in h.vertices}
 
 
 def unit_closeness(h: Hypergraph) -> CentralityReport:
@@ -396,23 +403,13 @@ def unit_closeness(h: Hypergraph) -> CentralityReport:
     """
     if h.n_hyperedges < 2:
         raise TooFewEdgesError("unit closeness needs at least two hyperedges")
-    decomp, dist = _unit_distances(h)
-    sizes = {u.label: u.size for u in decomp.units}
-    values: dict[str, object] = {}
-    for unit in decomp.units:
-        total = sum(sizes[lab] * d for lab, d in dist[unit.label].items())
-        values.update(dict.fromkeys(unit.members, Fraction(1, total)))
-    values = {v: values[v] for v in h.vertices}
+    values = _unit_values(h, lambda hops, sizes: Fraction(1, sum(sizes[u] * d for u, d in hops.items())))
     return CentralityReport(kind="unit_closeness", values=values, parameters={})
 
 
 def unit_eccentricity(h: Hypergraph) -> CentralityReport:
     """Largest unit distance from each vertex; zero when only one unit exists."""
-    decomp, dist = _unit_distances(h)
-    values: dict[str, object] = {}
-    for unit in decomp.units:
-        values.update(dict.fromkeys(unit.members, max(dist[unit.label].values())))
-    values = {v: values[v] for v in h.vertices}
+    values = _unit_values(h, lambda hops, sizes: max(hops.values()))
     return CentralityReport(kind="unit_eccentricity", values=values, parameters={})
 
 

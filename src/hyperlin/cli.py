@@ -120,6 +120,12 @@ def _load(args) -> Hypergraph:
 
 _POLICIES = {"nonlazy": WalkPolicy.uniform_nonlazy, "lazy": WalkPolicy.uniform_lazy}
 
+
+def _kernel(args, h: Hypergraph):
+    """The walk kernel of ``--policy`` on ``h``."""
+    return transition_matrix(h, _POLICIES[args.policy]())
+
+
 #: --axis name -> (report name of the matrix, its builder); the builders look
 #: incidence_matrix up when called, so a wrapper bound later is the one used.
 _NULLSPACE_AXES = {
@@ -129,6 +135,19 @@ _NULLSPACE_AXES = {
 }
 
 _DOT = {"incidence": incidence_graph, "projection": graph_projection, "contraction": unit_contraction}
+
+#: --kind -> (the options its report echoes, its report); like the builders
+#: above, each call looks the library function up when it runs.
+_CENTRALITIES = {
+    "rw_closeness": (("policy", "self_time"), lambda a, h: rw_closeness(_kernel(a, h), a.self_time)),
+    "rw_betweenness": (("policy", "horizon"), lambda a, h: rw_betweenness(_kernel(a, h), a.horizon)),
+    "unit_closeness": ((), lambda a, h: unit_closeness(h)),
+    "unit_eccentricity": ((), lambda a, h: unit_eccentricity(h)),
+    "perron": (
+        ("weights", "tol"),
+        lambda a, h: perron_centrality(h, weight_scheme(h, a.weights).edge_weights, tol=a.tol),
+    ),
+}
 
 
 def _basis_payload(basis) -> list[dict]:
@@ -222,7 +241,7 @@ def cmd_spectra(args, h: Hypergraph) -> tuple[dict, dict]:
 
 
 def cmd_walk(args, h: Hypergraph) -> tuple[dict, dict]:
-    tm = transition_matrix(h, _POLICIES[args.policy]())
+    tm = _kernel(args, h)
     params = {"policy": args.policy}
     if args.start is None:
         rows = {u: dict(tm.matrix.row(u)) for u in h.vertices}
@@ -242,7 +261,7 @@ def cmd_walk(args, h: Hypergraph) -> tuple[dict, dict]:
 def cmd_hitting(args, h: Hypergraph) -> tuple[dict, dict]:
     if (args.start is None) != (args.horizon is None):
         raise ValueError("a first-hit law needs both --start and --horizon")
-    tm = transition_matrix(h, _POLICIES[args.policy]())
+    tm = _kernel(args, h)
     params = {
         "policy": args.policy,
         "target": args.target,
@@ -258,23 +277,9 @@ def cmd_hitting(args, h: Hypergraph) -> tuple[dict, dict]:
 
 
 def cmd_centrality(args, h: Hypergraph) -> tuple[dict, dict]:
-    params = {"kind": args.kind}
-    if args.kind == "rw_closeness":
-        params.update({"policy": args.policy, "self_time": args.self_time})
-        rep = rw_closeness(transition_matrix(h, _POLICIES[args.policy]()), args.self_time)
-    elif args.kind == "rw_betweenness":
-        params.update({"policy": args.policy, "horizon": args.horizon})
-        rep = rw_betweenness(transition_matrix(h, _POLICIES[args.policy]()), args.horizon)
-    elif args.kind == "unit_closeness":
-        rep = unit_closeness(h)
-    elif args.kind == "unit_eccentricity":
-        rep = unit_eccentricity(h)
-    else:
-        params.update({"weights": args.weights, "tol": args.tol})
-        rep = perron_centrality(
-            h, weight_scheme(h, args.weights).edge_weights, tol=args.tol
-        )
-    return params, rep.to_json_dict()
+    echoed, report = _CENTRALITIES[args.kind]
+    params = {"kind": args.kind, **{name: getattr(args, name) for name in echoed}}
+    return params, report(args, h).to_json_dict()
 
 
 def cmd_dot(args, h: Hypergraph) -> tuple[dict, dict]:
@@ -352,17 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None)
 
     p = add("centrality", "one centrality report", cmd_centrality)
-    p.add_argument(
-        "--kind",
-        choices=[
-            "rw_closeness",
-            "rw_betweenness",
-            "unit_closeness",
-            "unit_eccentricity",
-            "perron",
-        ],
-        required=True,
-    )
+    p.add_argument("--kind", choices=list(_CENTRALITIES), required=True)
     p.add_argument("--policy", choices=list(_POLICIES), default="nonlazy")
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--self-time", choices=list(SELF_TIMES), default="return")

@@ -20,7 +20,6 @@ from .errors import (
     EmptyHyperedgeError,
     EmptyStarError,
     HypergraphSyntaxError,
-    UnknownLabelError,
     UnknownVertexError,
 )
 from .linalg import RationalMatrix, _known
@@ -108,17 +107,17 @@ class Hypergraph:
         return tuple(label for label, _ in self.hyperedges)
 
     def members(self, edge_label: str) -> frozenset[str]:
-        try:
-            return self._members[edge_label]
-        except KeyError:
-            raise UnknownLabelError(f"no hyperedge labeled {edge_label!r}") from None
+        members = self._members.get(edge_label)
+        if members is None:
+            _known([edge_label], self._members, "hyperedges")
+        return members
 
     def star(self, v: str) -> frozenset[str]:
         """Labels of the hyperedges containing ``v``."""
-        try:
-            return self._stars[v]
-        except KeyError:
-            raise UnknownLabelError(f"no vertex labeled {v!r}") from None
+        star = self._stars.get(v)
+        if star is None:
+            _known([v], self._stars, "vertices")
+        return star
 
     def degree(self, v: str) -> int:
         return len(self.star(v))

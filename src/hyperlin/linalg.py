@@ -44,24 +44,36 @@ __all__ = [
 RationalLike = Union[int, str, Fraction]
 
 
+def _integer(value: object, name: str, least: int | None = None, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int, else ``error`` naming ``name``.
+
+    The one integer rule: any integer type but bool (``operator.index``),
+    and at least ``least`` (0 or 1) when that is given.
+    """
+    try:
+        out = None if isinstance(value, bool) else index(value)
+    except TypeError:
+        out = None
+    if out is not None and (least is None or out >= least):
+        return out
+    kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[least]
+    raise error(f"{name} must be {kind} integer, got {value!r}")
+
+
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, a 'p/q' string, or a Fraction to an exact Fraction.
+    """Coerce an integer, a 'p/q' string, or a Fraction to an exact Fraction.
 
     Floats are rejected on purpose: admitting them would silently launder
     rounding error into "exact" results.
     """
-    if isinstance(value, bool):
-        raise TypeError("booleans are not rational scalars")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
-    raise TypeError(f"not an exact rational: {value!r}")
+    return Fraction(_integer(value, "a rational that is not a Fraction or 'p/q' string", error=TypeError))
 
 
 def _unique(labels: Sequence[str], axis: str) -> tuple[str, ...]:
@@ -111,9 +123,9 @@ class RationalMatrix:
             raise ValueError("entry rows do not match row labels")
         if any(len(row) != len(self.col_labels) for row in rows):
             raise ValueError("entry row length does not match column labels")
-        d = self.denominator
-        if isinstance(d, bool) or not isinstance(d, int) or d == 0:
-            raise ValueError(f"the denominator must be a nonzero int, got {d!r}")
+        d = _integer(self.denominator, "the denominator")
+        if d == 0:
+            raise ValueError("the denominator must be nonzero, got 0")
         g = math.gcd(d, *(x for row in rows for x in row)) * (1 if d > 0 else -1)
         if g != 1:
             rows = tuple(tuple(x // g for x in row) for row in rows)
@@ -168,13 +180,15 @@ class RationalMatrix:
         try:
             return self.row_labels.index(label)
         except ValueError:
-            raise KeyError(f"no row labeled {label!r}") from None
+            _known([label], self.row_labels, "row labels")
+            raise
 
     def col_index(self, label: str) -> int:
         try:
             return self.col_labels.index(label)
         except ValueError:
-            raise KeyError(f"no column labeled {label!r}") from None
+            _known([label], self.col_labels, "column labels")
+            raise
 
     def entry(self, row_label: str, col_label: str) -> Fraction:
         return self[self.row_index(row_label), self.col_index(col_label)]
@@ -242,16 +256,12 @@ class RationalMatrix:
         missing = [f for f in ("rows", "cols", "row_labels", "col_labels", "entries") if f not in data]
         if missing:
             raise ValueError(f"missing fields {missing}")
-        for field in ("rows", "cols"):
-            value = data[field]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"{field!r} must be a nonnegative integer, got {value!r}")
+        rows, cols = (_integer(data[field], repr(field), 0) for field in ("rows", "cols"))
         for field in ("row_labels", "col_labels", "entries"):
             if not isinstance(data[field], list):
                 raise ValueError(f"{field!r} must be a list, got {data[field]!r}")
             if field != "entries" and not all(isinstance(x, str) for x in data[field]):
                 raise ValueError(f"{field!r} must be a list of strings")
-        rows, cols = data["rows"], data["cols"]
         flat = [rat(x) for x in data["entries"]]
         if len(flat) != rows * cols:
             raise ValueError("entry count does not match the declared shape")

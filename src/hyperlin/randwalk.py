@@ -31,7 +31,7 @@ from .errors import (
     UnreachableError,
 )
 from .hypergraph import Hypergraph, _hops
-from .linalg import RationalMatrix, _integer_row, _integer_solve, _known, rat
+from .linalg import RationalMatrix, _integer, _integer_row, _integer_solve, _known, rat
 from .structures import _check_disjoint
 
 if TYPE_CHECKING:
@@ -241,15 +241,6 @@ def _as_distribution(tm: TransitionMatrix, init: Union[str, Mapping[str, Fractio
     return {v: dist.get(v, Fraction(0)) for v in tm.states}
 
 
-def _check_count(value: object, name: str, least: int) -> None:
-    """The one check of step counts, horizons and trajectory counts: raise
-    BadHorizonError unless ``value`` is an int, not a bool, of at least
-    ``least`` (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        kind = "positive" if least else "nonnegative"
-        raise BadHorizonError(f"{name} must be a {kind} integer, got {value!r}")
-
-
 def _integer_walk(
     tm: TransitionMatrix,
     init: Union[str, Mapping[str, Fraction]],
@@ -279,7 +270,7 @@ def step_distribution(
     tm: TransitionMatrix, init: Union[str, Mapping[str, Fraction]], t: int
 ) -> dict[str, Fraction]:
     """Exact distribution after ``t`` steps from ``init`` (a state or a distribution)."""
-    _check_count(t, "step count", 0)
+    t = _integer(t, "step count", 0, BadHorizonError)
     masses, denom, _ = _integer_walk(tm, init, t)
     return {v: Fraction(x, denom) for v, x in zip(tm.states, masses)}
 
@@ -351,7 +342,7 @@ def first_hit_probabilities(
     so entry t is the probability that step t is the first visit (the first
     return, for mass starting on the target). The entries sum to at most 1.
     """
-    _check_count(horizon, "horizon", 1)
+    horizon = _integer(horizon, "horizon", 1, BadHorizonError)
     _known([target], tm._index, "states")
     return _integer_walk(tm, init, horizon, absorb=tm._index[target])[2]
 
@@ -574,10 +565,9 @@ def simulate(
     """
     import numpy as np
 
-    _check_count(steps, "steps", 0)
-    _check_count(trajectories, "trajectories", 1)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise TypeError(f"seed must be an int, got {seed!r}")
+    steps = _integer(steps, "steps", 0, BadHorizonError)
+    trajectories = _integer(trajectories, "trajectories", 1, BadHorizonError)
+    seed = _integer(seed, "seed", error=TypeError)
     masses, denom = _integer_row(list(_as_distribution(tm, init).values()))
     states = tm.states
     n = len(states)

@@ -9,7 +9,6 @@ hypergraphs.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .hypergraph import (
     incidence_graph_adjacency,
     incidence_matrix,
 )
-from .linalg import RationalLike, _integer_row, _known, nullspace, rat, vector_support
+from .linalg import RationalLike, _integer, _integer_row, _known, nullspace, rat, vector_support
 
 __all__ = [
     "CertificateKind",
@@ -228,7 +227,7 @@ class UnitDecomposition:
         for u in self.units:
             if v in u.members:
                 return u
-        raise UnknownLabelError(f"no unit contains {v!r}")
+        _known([v], (m for u in self.units for m in u.members), "vertices")  # raises
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -476,12 +475,7 @@ def find_equal_edge_partitions(
     """
     import numpy as np
 
-    try:
-        cap = operator.index(max_support)
-    except TypeError:
-        cap = 0
-    if isinstance(max_support, bool) or cap < 1:
-        raise ValueError(f"max_support must be a positive integer, got {max_support!r}")
+    cap = _integer(max_support, "max_support", 1)
     basis = nullspace(incidence_matrix(h).transpose())
     if basis.dimension == 0:
         return []

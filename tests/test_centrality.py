@@ -113,6 +113,22 @@ def test_projection_neighbors_and_unit_centralities_follow_the_edge_scan(h):
         ]
 
 
+@pytest.mark.parametrize("report", [unit_closeness, unit_eccentricity])
+@pytest.mark.parametrize("name", sorted(fx._FIXTURE_BUILDERS))
+def test_unit_centralities_search_once_from_each_unit(name, report, monkeypatch):
+    h = fx._FIXTURE_BUILDERS[name]()
+    calls = []
+    search = centrality.GraphProjection.distances_from
+
+    def counted(self, node):
+        calls.append(node)
+        return search(self, node)
+
+    monkeypatch.setattr(centrality.GraphProjection, "distances_from", counted)
+    report(h)
+    assert calls == list(units(h).labels)
+
+
 def test_unit_distance():
     h = fx.unit_blocks()
     assert unit_distance(h, "1", "2") == 0

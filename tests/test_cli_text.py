@@ -39,6 +39,7 @@ CASES = {
     "bad-centrality-self-time": (
         "centrality", "f.json", "--kind", "rw_closeness", "--self-time", "bogus"
     ),
+    "bad-centrality-kind": ("centrality", "f.json", "--kind", "bogus"),
     "bad-dot-which": ("dot", "f.json", "--which", "bogus"),
     "bad-nullspace-axis": ("nullspace", "f.json", "--axis", "bogus"),
 }
@@ -91,6 +92,7 @@ def test_each_subcommand_names_its_handler():
         ("hitting", "--self-time", SELF_TIMES),
         ("centrality", "--self-time", SELF_TIMES),
         ("dot", "--which", cli._DOT),
+        ("centrality", "--kind", cli._CENTRALITIES),
     ],
 )
 def test_each_option_offers_the_table_its_handler_reads(command, flag, table):

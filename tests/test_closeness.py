@@ -7,7 +7,9 @@ non-lazy and custom kernels, and check that chains which are not
 irreducible (the solve is singular, or a stationary weight is not
 positive) raise the first target's ``UnreachableError`` of the per-target
 solves, found by a reachability test and not by solving. None of the checks is an ``assert`` inside
-the library, so they also hold under ``python -O``.
+the library, so they also hold under ``python -O``. The pivot d of that
+Gauss-Jordan is pinned, and so is the fact that only the ratios of X, d
+and w matter, so a later solver may return any nonzero common denominator.
 """
 
 import random
@@ -18,8 +20,10 @@ from hypothesis import example, given, strategies as st
 
 import fraction_oracles as oracle
 from conftest import random_hypergraph
-from hyperlin import Hypergraph, WalkPolicy, centrality, hitting_times, randwalk, rw_closeness, transition_matrix
-from hyperlin.errors import TooSmallError, UnreachableError
+from hyperlin import Hypergraph, WalkPolicy, centrality, checks, hitting_times, randwalk, rw_closeness, transition_matrix
+from hyperlin.errors import SingletonEdgeNonLazyError, TooSmallError, UnreachableError
+from hyperlin.linalg import RationalMatrix, determinant
+from hyperlin.structures import Unit, UnitDecomposition, units
 from hyperlin import fixtures as fx
 from test_kernel import KERNEL, UNEQUAL_TM, kernels
 
@@ -177,3 +181,55 @@ def test_a_chain_that_is_not_irreducible_takes_one_solve(monkeypatch):
 def test_unknown_self_time_is_rejected():
     with pytest.raises(ValueError, match="self_time"):
         rw_closeness(UNEQUAL_TM, "never")
+
+
+def _uniform_fixture_kernels() -> dict:
+    """Both uniform kernels of every fixture that has them, by fixture and policy."""
+    out = {}
+    for name, build in sorted(fx._FIXTURE_BUILDERS.items()):
+        for policy in (WalkPolicy.uniform_nonlazy(), WalkPolicy.uniform_lazy()):
+            try:
+                out[f"{name}-{policy.kind}"] = transition_matrix(build(), policy)
+            except SingletonEdgeNonLazyError:
+                continue
+    return out
+
+
+UNIFORM_FIXTURE_KERNELS = _uniform_fixture_kernels()
+
+
+@pytest.mark.parametrize("tm", UNIFORM_FIXTURE_KERNELS.values(), ids=UNIFORM_FIXTURE_KERNELS)
+def test_the_passage_pivot_is_the_determinant_with_state_0_deleted(tm):
+    m, scale = tm.matrix.numerators, tm.matrix.denominator
+    n, rest = len(m), tm.states[1:]
+    deleted = [[scale * (i == j) - m[i][j] for j in range(1, n)] for i in range(1, n)]
+    _, d, _ = centrality._passage_inverse(tm)
+    assert abs(d) == determinant(RationalMatrix(rest, rest, deleted))
+
+
+@pytest.mark.parametrize("factor", [2, 7])
+def test_a_common_scale_of_the_passage_inverse_changes_no_report(monkeypatch, factor):
+    """Closeness and the walk symmetries read only ratios of X, d and w."""
+
+    def reports():
+        out = []
+        for tm in UNIFORM_FIXTURE_KERNELS.values():
+            h = tm.source
+            one_unit = UnitDecomposition((Unit(h.vertices, frozenset()),))
+            out.append([rw_closeness(tm, s).to_json_dict() for s in SELF_TIMES])
+            out.append([checks._walk_symmetries(dec, lambda: tm) for dec in (units(h), one_unit)])
+        return out
+
+    want = reports()
+    assert {"pass", "fail"} <= {c["status"] for row in want for c in row if "status" in c}
+    real, calls = centrality._passage_inverse, []
+
+    def scaled(tm):
+        calls.append(tm)
+        x, d, w = real(tm)
+        return [[factor * v for v in row] for row in x], factor * d, [factor * v for v in w]
+
+    monkeypatch.setattr(centrality, "_passage_inverse", scaled)
+    monkeypatch.setattr(checks, "_passage_inverse", scaled)
+    assert reports() == want
+    assert calls

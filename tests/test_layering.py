@@ -1,35 +1,46 @@
 """Only ``linalg`` knows the layout of its fraction-free elimination, and only
 it reads a matrix's Fraction view ``entries``: every other module reads the
 integer rows. The unknown-label rule also lives there alone, in
-``linalg._known``, and every entry that takes labels goes through it. One
-breadth-first search, ``hypergraph._hops``, answers every reachability
-question."""
+``linalg._known``, and every entry that takes labels goes through it; so
+does the integer rule, in ``linalg._integer``, which every counted argument
+goes through. One breadth-first search, ``hypergraph._hops``, answers every
+reachability question."""
 
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperlin
 from hyperlin import (
     Certificate,
     CertificateKind,
+    RationalMatrix,
     WalkPolicy,
     contraction_nullspace_lift,
+    find_equal_edge_partitions,
     first_hit_probabilities,
     graph_projection,
     hitting_times,
+    incidence_matrix,
     is_dependent_set,
     pullback_dependent_set,
+    rat,
+    rw_betweenness,
+    simulate,
     step_distribution,
     transition_matrix,
+    unit_distance,
+    units,
     verify_covering_projection,
     verify_star_partition,
     verify_unit_maximality,
 )
 from hyperlin import fixtures as fx
-from hyperlin.errors import UnknownLabelError
+from hyperlin.errors import BadHorizonError, UnknownLabelError
 from hyperlin.structures import VERTEX_AXIS
 
 
@@ -79,6 +90,61 @@ def test_only_linalg_writes_the_unknown_label_message():
     assert _unknown_label_messages_outside_linalg() == []
 
 
+def _functions_using(found) -> set[str]:
+    """``file:function`` of every function with a node for which ``found(node, aliases)``
+    holds, ``aliases`` being the names the file imports ``operator.index`` as."""
+    out = set()
+    for path in sorted(Path(hyperlin.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "operator"
+            for alias in node.names
+            if alias.name == "index"
+        }
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(found(n, aliases) for n in ast.walk(fn)):
+                out.add(f"{path.name}:{fn.name}")
+    return out
+
+
+def _is_bool_test(node, aliases) -> bool:
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(getattr(k, "id", None) == "bool" for k in kinds)
+
+
+def _is_operator_index(node, aliases) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "index" and getattr(node.value, "id", None) == "operator"
+    return isinstance(node, ast.Name) and node.id in aliases
+
+
+def test_only_the_integer_rule_and_the_tolerance_rule_test_for_bool():
+    assert _functions_using(_is_bool_test) == {"linalg.py:_integer", "spectra.py:_check_tol"}
+
+
+def test_only_the_integer_rule_and_the_numerator_pass_call_operator_index():
+    assert _functions_using(_is_operator_index) == {"linalg.py:_integer", "linalg.py:__post_init__"}
+
+
+def _unknown_label_raisers_outside_linalg() -> set[str]:
+    def raises_it(node, aliases) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "UnknownLabelError"
+
+    return {name for name in _functions_using(raises_it) if not name.startswith("linalg.py:")}
+
+
+def test_every_label_lookup_reports_a_miss_through_known():
+    # the two left check a whole mapping against a domain, not a lookup
+    assert _unknown_label_raisers_outside_linalg() == {
+        "randwalk.py:__post_init__",
+        "structures.py:_validate_vertex_map",
+    }
+
+
 def test_one_breadth_first_search_serves_connectivity_distances_and_reachability():
     callers = set()
     for path in sorted(Path(hyperlin.__file__).parent.glob("*.py")):
@@ -119,6 +185,14 @@ ZERO_CERT = Certificate(
         lambda: first_hit_probabilities(TM, "zz", 3, H.vertices[0]),
         lambda: graph_projection(H).neighbors("zz"),
         lambda: graph_projection(H).distances_from("zz"),
+        lambda: H.star("zz"),
+        lambda: H.members("zz"),
+        lambda: H.degree("zz"),
+        lambda: units(H).unit_of("zz"),
+        lambda: unit_distance(H, H.vertices[0], "zz"),
+        lambda: incidence_matrix(H).entry("zz", H.edge_labels[0]),
+        lambda: incidence_matrix(H).row("zz"),
+        lambda: incidence_matrix(H).submatrix([H.vertices[0]], ["zz"]),
     ],
     ids=[
         "vertex_order",
@@ -134,8 +208,63 @@ ZERO_CERT = Certificate(
         "first_hit_probabilities",
         "neighbors",
         "distances_from",
+        "star",
+        "members",
+        "degree",
+        "unit_of",
+        "unit_distance",
+        "entry",
+        "row",
+        "submatrix",
     ],
 )
 def test_every_labelled_entry_names_an_unknown_label(call):
     with pytest.raises(UnknownLabelError, match=r"^unknown [a-z ]+: \[.*'zz'.*\]$"):
         call()
+
+
+JSON_MATRIX = {"rows": 1, "cols": 2, "row_labels": ["r"], "col_labels": ["a", "b"], "entries": ["1", "1/2"]}
+SIMULATED = transition_matrix(fx.hub_cycle(), WalkPolicy.uniform_lazy())
+
+
+def _simulated(steps=4, trajectories=3, seed=5) -> str:
+    return json.dumps(simulate(SIMULATED, SIMULATED.states[0], steps, trajectories, seed).to_json_dict())
+
+
+#: caller -> (its report for one integer argument, an int it accepts, the
+#: error a non-integer gets); each report is a repr or JSON text, so an
+#: integer of another type leaking into it would show.
+INTEGER_CALLERS = {
+    "step count": (lambda t: repr(step_distribution(TM, H.vertices[0], t)), 3, BadHorizonError),
+    "first-hit horizon": (
+        lambda t: repr(first_hit_probabilities(TM, H.vertices[1], t, H.vertices[0])), 3, BadHorizonError
+    ),
+    "simulate steps": (lambda t: _simulated(steps=t), 4, BadHorizonError),
+    "simulate trajectories": (lambda t: _simulated(trajectories=t), 3, BadHorizonError),
+    "simulate seed": (lambda t: _simulated(seed=t), 5, TypeError),
+    "betweenness horizon": (lambda t: repr(rw_betweenness(TM, t).to_json_dict()), 2, BadHorizonError),
+    "max_support": (lambda t: repr(find_equal_edge_partitions(H, max_support=t)), 4, ValueError),
+    "denominator": (lambda t: repr(RationalMatrix(["r"], ["c"], [[2]], t)), 6, ValueError),
+    "json rows": (lambda t: repr(RationalMatrix.from_json_dict({**JSON_MATRIX, "rows": t})), 1, ValueError),
+    "json cols": (lambda t: repr(RationalMatrix.from_json_dict({**JSON_MATRIX, "cols": t})), 2, ValueError),
+    "rat": (lambda t: repr(rat(t)), 3, TypeError),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(INTEGER_CALLERS))
+def test_numpy_integers_count_as_the_int_they_equal(caller):
+    report, good, _ = INTEGER_CALLERS[caller]
+    want = report(good)
+    assert report(np.int64(good)) == want
+    assert report(np.uint8(good)) == want
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3", None], ids=repr)
+@pytest.mark.parametrize("caller", sorted(INTEGER_CALLERS))
+def test_what_is_not_an_integer_keeps_its_error_type(caller, bad):
+    report, _, error = INTEGER_CALLERS[caller]
+    if caller == "rat" and bad == "3":
+        assert report(bad) == repr(Fraction(3))  # a 'p/q' literal, not an integer
+        return
+    with pytest.raises(error, match=repr(bad) if caller == "rat" else rf"^.* must be .*, got {bad!r}$"):
+        report(bad)
