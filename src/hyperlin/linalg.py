@@ -118,7 +118,12 @@ class RationalMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "row_labels", _unique(self.row_labels, "row"))
         object.__setattr__(self, "col_labels", _unique(self.col_labels, "column"))
-        rows = tuple(tuple(map(index, row)) for row in self.numerators)  # ints, or TypeError
+        rows = tuple(map(tuple, self.numerators))
+        kinds = set(map(type, itertools.chain.from_iterable(rows)))
+        if bool in kinds:
+            raise TypeError("numerators must be integers, got a bool")
+        if kinds - {int}:  # numpy ints become ints, non-integers a TypeError
+            rows = tuple(tuple(map(index, row)) for row in rows)
         if len(rows) != len(self.row_labels):
             raise ValueError("entry rows do not match row labels")
         if any(len(row) != len(self.col_labels) for row in rows):
@@ -126,7 +131,7 @@ class RationalMatrix:
         d = _integer(self.denominator, "the denominator")
         if d == 0:
             raise ValueError("the denominator must be nonzero, got 0")
-        g = math.gcd(d, *(x for row in rows for x in row)) * (1 if d > 0 else -1)
+        g = math.gcd(d, *itertools.chain.from_iterable(rows)) * (1 if d > 0 else -1)
         if g != 1:
             rows = tuple(tuple(x // g for x in row) for row in rows)
         object.__setattr__(self, "numerators", rows)

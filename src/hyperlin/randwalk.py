@@ -4,12 +4,13 @@ A walk step from vertex u first picks a hyperedge e containing u (weight
 r(u, e)), then a vertex v in e (weight s(u, e, v)), so the transition
 kernel is P[u][v] = sum over shared hyperedges of r * s. Every kernel's
 ``matrix`` holds integer rows M over one denominator D (P = M / D), which
-the exact walk algebra reads. The uniform kernels are built in ints
-straight from the hypergraph's star index; custom policies go through
-Fractions. Every kernel is validated as stochastic on the ints.
-Monte-Carlo simulation draws 64-bit integers from a fully specified
-generator so runs are bit-reproducible, and steps blocks of trajectories
-together as numpy uint64 arrays.
+the exact walk algebra reads. The uniform kernels are the weighted A
+(non-lazy, ``fullnorm`` weights: vertex 1/deg(v), hyperedge 1/(|e| - 1))
+and Q (lazy, vertex 1/deg(v), hyperedge 1/|e|), built from the spectra's
+coincidence rows; custom policies go through Fractions. Every kernel is
+validated as stochastic on the ints. Monte-Carlo simulation draws 64-bit
+integers from a fully specified generator so runs are bit-reproducible,
+and steps blocks of trajectories together as numpy uint64 arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, _hops
 from .linalg import RationalMatrix, _integer, _integer_row, _integer_solve, _known, rat
+from .spectra import _coincidence
 from .structures import _check_disjoint
 
 if TYPE_CHECKING:
@@ -135,38 +137,6 @@ class TransitionMatrix:
         return self.matrix.row_labels
 
 
-def _uniform_rows(h: Hypergraph, lazy: bool) -> tuple[list[list[int]], int]:
-    """Integer rows M and denominator D of a uniform kernel, from the star index.
-
-    With k_e = |e| (lazy) or |e| - 1 (non-lazy) and L_u the lcm of k_e over
-    star(u), row u gives L_u / k_e to each member of each e in star(u) (but
-    nothing to u itself when non-lazy), so it sums to deg(u) * L_u: that is
-    P[u][v] = sum over shared e of 1/deg(u) * 1/k_e. Every row is scaled to
-    the lcm D of those sums; ``RationalMatrix`` reduces the result.
-    """
-    index = {v: i for i, v in enumerate(h.vertices)}
-    members = {e: [index[v] for v in ms] for e, ms in h.hyperedges}
-    rows = []
-    for u in h.vertices:
-        sizes = {e: len(members[e]) - (not lazy) for e in h.star(u)}
-        for e, k in sizes.items():
-            if not k:
-                raise SingletonEdgeNonLazyError(
-                    f"hyperedge {e!r} has one member; a non-lazy step cannot leave it"
-                )
-        lcm = math.lcm(*sizes.values())
-        row = [0] * len(index)
-        for e, k in sizes.items():
-            weight = lcm // k
-            for i in members[e]:
-                row[i] += weight
-        if not lazy:
-            row[index[u]] = 0
-        rows.append((row, len(sizes) * lcm))
-    scale = math.lcm(*(total for _, total in rows))
-    return [[x * (scale // total) for x in row] for row, total in rows], scale
-
-
 def _require_incident(h: Hypergraph) -> None:
     """Raise IsolatedVertexError naming the first vertex in no hyperedge."""
     for v in h.vertices:
@@ -177,15 +147,30 @@ def _require_incident(h: Hypergraph) -> None:
 def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
     """Build the exact transition kernel of a walk policy on ``h``.
 
-    Every vertex must lie in some hyperedge. Uniform kernels are built in
-    ints from the star index. For a custom policy the per-vertex edge choice
-    and per-edge vertex choice must each be probability distributions; this
-    is validated exactly and implies the rows sum to one.
+    Every vertex must lie in some hyperedge. The uniform kernels are built
+    in ints from the spectra's coincidence rows: the non-lazy kernel is A
+    under the ``fullnorm`` weights, the lazy one Q under vertex weights
+    1/deg(v) and hyperedge weights 1/|e|. For a custom policy the per-vertex
+    edge choice and per-edge vertex choice must each be probability
+    distributions; this is validated exactly and implies the rows sum to one.
     """
     _require_incident(h)
     if policy.is_uniform:
-        rows, denominator = _uniform_rows(h, policy.kind == UNIFORM_LAZY)
-        matrix = RationalMatrix(h.vertices, h.vertices, rows, denominator)
+        lazy = policy.kind == UNIFORM_LAZY
+        sizes = {e: len(ms) - (not lazy) for e, ms in h.hyperedges}
+        if 0 in sizes.values():  # name the singleton in the star of the first vertex with one
+            lone = next(e for u in h.vertices for e in h.star(u) if not sizes[e])
+            raise SingletonEdgeNonLazyError(
+                f"hyperedge {lone!r} has one member; a non-lazy step cannot leave it"
+            )
+        rows, d = _coincidence(h, {e: Fraction(1, k) for e, k in sizes.items()})
+        degrees = [h.degree(u) for u in h.vertices]
+        scale = math.lcm(*degrees)  # P[u][v] = C[u][v] / deg(u), C the coincidence rows
+        rows = [[x * (scale // k) for x in row] for k, row in zip(degrees, rows)]
+        if not lazy:
+            for i, row in enumerate(rows):
+                row[i] = 0
+        matrix = RationalMatrix(h.vertices, h.vertices, rows, d * scale)
         return TransitionMatrix(source=h, policy=policy, matrix=matrix)
     if policy.kind != CUSTOM:
         raise ValueError(f"unknown policy kind {policy.kind!r}")

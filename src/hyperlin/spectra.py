@@ -145,11 +145,18 @@ def _check_edge_weights(h: Hypergraph, weights: Mapping[str, Fraction]) -> None:
 
 def _coincidence(h: Hypergraph, edge_weights: Mapping[str, Fraction]) -> tuple[list, int]:
     """Int rows over one denominator: entry (u, v) is the total weight over
-    star(u) meet star(v), in vertex order."""
+    star(u) meet star(v), in vertex order, summed hyperedge by hyperedge.
+    The one builder of Q, A, L, K, D, Perron and both uniform walk kernels."""
     scaled, d = _integer_row([edge_weights[e] for e in h.edge_labels])
-    weight = dict(zip(h.edge_labels, scaled))
-    stars = [h.star(v) for v in h.vertices]
-    return [[sum(weight[e] for e in su & sv) for sv in stars] for su in stars], d
+    index = {v: i for i, v in enumerate(h.vertices)}
+    rows = [[0] * len(index) for _ in index]
+    for (_, members), weight in zip(h.hyperedges, scaled):
+        at = [index[v] for v in members]
+        for i in at:
+            row = rows[i]
+            for j in at:
+                row[j] += weight
+    return rows, d
 
 
 def _q_rows(h: Hypergraph, w: WeightScheme) -> tuple[list, int]:
@@ -181,8 +188,8 @@ def build_Q(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Signless product matrix D_V I D_E I^T.
 
     Entry (u, v) is the vertex weight of u times the total edge weight of
-    the hyperedges containing both u and v, read off the star index rather
-    than multiplied out. The diagonal carries the weighted degree.
+    the hyperedges containing both u and v, summed hyperedge by hyperedge
+    rather than multiplied out. The diagonal carries the weighted degree.
     """
     return RationalMatrix(h.vertices, h.vertices, *_q_rows(h, w))
 

@@ -11,6 +11,7 @@ the spectra are pinned instead, as the sha256 of their JSON.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,8 @@ COMMANDS = {
     ],
     "rw_betweenness-default": ["centrality", "--kind", "rw_betweenness"],
     "det-I": ["spectra", "--matrix", "I", "--det"],
+    "det-A_GH": ["spectra", "--matrix", "A_GH", "--det"],
+    "contract": ["contract"],
     "walk": ["walk"],
     "walk-lazy": ["walk", "--policy", "lazy"],
     "walk-start": ["walk", "--start", FIRST, "--steps", "50", "--trajectories", "200", "--seed", "7"],
@@ -63,7 +66,9 @@ COMMANDS = {
 #: zero-self-time closeness reports before closeness came from one
 #: factorization instead of one solve per target; the lazy and
 #: default-horizon betweenness reports before betweenness came from first
-#: passages instead of one deleted-kernel power sum per vertex.
+#: passages instead of one deleted-kernel power sum per vertex; the contract
+#: and A_GH determinant reports before the walk kernels and the spectra
+#: shared one coincidence builder.
 GOLDEN = {
     ("h_a", "check"): (0, "72cb3ef687576754b12dc5a4e11364232300058741156a01a8d927e4264196e0"),
     ("h_a", "det-I"): (0, "95ac89691c0d5ffbff00fb36c83e210600118bba8c45328d4b9921cfc7ac4ab4"),
@@ -191,6 +196,20 @@ GOLDEN = {
     ("h_eq", "rw_betweenness-default"): (0, "b151957fde01d4f1bf72d2ff66d4027b2aff61b0314a3b583c1ffa66a79df99d"),
     ("h_cov_source", "rw_betweenness-default"): (0, "4a88d57ba9990baee105385d484889891054019afa75b00b97611e3d5159c83e"),
     ("h_cov_base", "rw_betweenness-default"): (0, "9ff9a5725221b514d8513ee317c54dc4bb0e43d86551d9332936f69428e5cbde"),
+    ("h_a", "contract"): (0, "37bb3041932ffa81b5b0213bcba80ba75d7654e42f64f192feddf57b5ed75cd5"),
+    ("h_tri_4", "contract"): (0, "74995a3e4b5404b56c61982caeb8ddd46e28edd7e0857439b7ca9e37eb6a1b89"),
+    ("h_circ_4", "contract"): (0, "8bdf7d0576d258fa33343fd5acacee4bec1337a3ae78ceaa1f25485e955bcc21"),
+    ("h_units", "contract"): (0, "69f4d866f0d53455081c50d927764b4e15b10b9241315da3bd87b353b5878c03"),
+    ("h_eq", "contract"): (0, "b27da2de24e3711e2b47a0c03255cbaa13f89b77c571c4512a8a77cd92e90746"),
+    ("h_cov_source", "contract"): (0, "1b89cde4fad0e149a63ac9e787ada46e3ffb9fee19c5507b4480c5e378962ea1"),
+    ("h_cov_base", "contract"): (0, "7f95cb2ac1c2bb8ad363d07201cb779fbd486b43f4ea546b19ff23cf229b6dfb"),
+    ("h_a", "det-A_GH"): (0, "a03d59da4a1948fba79b641b2beacb424deaf1e722c783ed02af1777b183d3e2"),
+    ("h_tri_4", "det-A_GH"): (0, "479fcf91e6f436806e6808c8f3220565d9c22ead3bbf314d5bb06124f04bfa17"),
+    ("h_circ_4", "det-A_GH"): (0, "7dcb2ebfeec1548a5bd4ab79675216a32e101e6cdc469422cd683d9024ce909b"),
+    ("h_units", "det-A_GH"): (0, "d04a091b5e5a73b26498db6558534cc42c833ab67607c08e75045c217e0e0b77"),
+    ("h_eq", "det-A_GH"): (0, "09040689f702644ec6846358944a42c18f2b97f920524ad44e5b5a0a550daae9"),
+    ("h_cov_source", "det-A_GH"): (0, "1614a2577e242f6f57dc7c84c27f12bf972ca814697d9c9eee18fa2ed2ee6e0e"),
+    ("h_cov_base", "det-A_GH"): (0, "2047eb8e57160dba7f8b29c9757773249627679432f47ae2dd0f5182c26dd679"),
 }
 
 
@@ -209,6 +228,14 @@ def report_digest(pack, capsys, fixture: str, command: str) -> tuple[int, str]:
     code = cli.main(argv)
     out = capsys.readouterr().out.replace(path, fixture)
     return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_the_shipped_fixtures_are_the_written_pack(pack):
+    """The bench, the README and CI read fixtures/; the digests above read the pack."""
+    shipped = Path(__file__).resolve().parent.parent / "fixtures"
+    written = {p.name: p.read_bytes() for p in pack.iterdir()}
+    assert written == {p.name: p.read_bytes() for p in shipped.iterdir()}
+    assert len(written) == 8
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

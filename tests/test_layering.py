@@ -110,6 +110,8 @@ def _functions_using(found) -> set[str]:
 
 
 def _is_bool_test(node, aliases) -> bool:
+    if isinstance(node, ast.Compare):  # ``bool in kinds``, kinds a set of types
+        return getattr(node.left, "id", None) == "bool" and isinstance(node.ops[0], ast.In)
     if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
         return False
     kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
@@ -123,7 +125,12 @@ def _is_operator_index(node, aliases) -> bool:
 
 
 def test_only_the_integer_rule_and_the_tolerance_rule_test_for_bool():
-    assert _functions_using(_is_bool_test) == {"linalg.py:_integer", "spectra.py:_check_tol"}
+    # the numerator pass holds the integer rule for whole rows in one type scan
+    assert _functions_using(_is_bool_test) == {
+        "linalg.py:_integer",
+        "linalg.py:__post_init__",
+        "spectra.py:_check_tol",
+    }
 
 
 def test_only_the_integer_rule_and_the_numerator_pass_call_operator_index():

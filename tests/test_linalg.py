@@ -126,8 +126,19 @@ def test_positional_constructor_stores_canonical_python_ints():
     assert m.numerators == ((2, -3),) and m.denominator == 5
     assert all(type(x) is int for x in m.numerators[0])
     assert m == RationalMatrix.from_rows(["a"], ["b", "c"], [["2/5", "-3/5"]])
-    with pytest.raises(TypeError):
-        RationalMatrix(["a"], ["b"], [[Fraction(1, 2)]])
+    m = RationalMatrix(["a"], ["b", "c"], [[np.int32(2), np.uint8(4)]], 6)
+    assert m.numerators == ((1, 2),) and m.denominator == 3
+    assert all(type(x) is int for x in m.numerators[0])
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            RationalMatrix(["a"], ["b", "c"], [[2, bad]])
+    for bad in (Fraction(1, 2), 2.0, "1", None, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            RationalMatrix(["a"], ["b", "c"], [[2, bad]])
+    with pytest.raises(ValueError, match="row labels"):
+        RationalMatrix(["a", "z"], ["b"], [[1]])
+    with pytest.raises(ValueError, match="column labels"):
+        RationalMatrix(["a"], ["b"], [[1, 2]])
     for bad in (0, 2.0, True):
         with pytest.raises(ValueError, match="denominator"):
             RationalMatrix(["a"], ["b"], [[1]], bad)

@@ -30,6 +30,9 @@ from hyperlin.errors import (
 )
 from hyperlin.randwalk import SplitMix64, _threshold_table, trajectory_seed
 from hyperlin import fixtures as fx
+from hyperlin.fixtures import _FIXTURE_BUILDERS
+from hyperlin.spectra import WeightScheme, build_A, build_Q, fully_normalized_weights
+from conftest import random_hypergraph
 from fraction_oracles import _cumulative_table
 
 
@@ -115,12 +118,45 @@ def _raised(h, policy):
 
 
 def test_singleton_edge_message_names_the_first_vertex_s_edge():
-    # s2 lies in the star of a, which precedes c (and s1) in vertex order
-    h = Hypergraph.from_members([("e1", ["a", "b"]), ("s1", ["c"]), ("s2", ["a"])])
-    assert _raised(h, WalkPolicy.uniform_nonlazy()) == (
-        SingletonEdgeNonLazyError,
-        "hyperedge 's2' has one member; a non-lazy step cannot leave it",
-    )
+    # s2 (sa) lies in the star of a, which precedes c (and s1, sc) in vertex order
+    cases = [
+        (Hypergraph.from_members([("e1", ["a", "b"]), ("s1", ["c"]), ("s2", ["a"])]), "s2"),
+        (
+            Hypergraph.from_members(
+                [("sc", ["c"]), ("sa", ["a"]), ("e", ["a", "b", "c"])], vertices=["a", "b", "c"]
+            ),
+            "sa",
+        ),
+    ]
+    for h, lone in cases:
+        assert _raised(h, WalkPolicy.uniform_nonlazy()) == (
+            SingletonEdgeNonLazyError,
+            f"hyperedge {lone!r} has one member; a non-lazy step cannot leave it",
+        )
+
+
+def test_uniform_kernels_are_the_weighted_a_and_q():
+    """Non-lazy P is A under fullnorm weights; lazy P is Q under vertex
+    weights 1/deg(v) and hyperedge weights 1/|e|, wherever each builds."""
+    inputs = [build() for build in _FIXTURE_BUILDERS.values()]
+    inputs += [random_hypergraph(random.Random(seed)) for seed in range(400)]
+    built = {"lazy": 0, "nonlazy": 0}
+    for h in inputs:
+        if any(h.degree(v) == 0 for v in h.vertices):
+            continue
+        lazy = transition_matrix(h, WalkPolicy.uniform_lazy()).matrix
+        w = WeightScheme(
+            "walk",
+            {v: Fraction(1, h.degree(v)) for v in h.vertices},
+            {e: Fraction(1, len(ms)) for e, ms in h.hyperedges},
+        )
+        assert lazy == build_Q(h, w)
+        built["lazy"] += 1
+        if all(len(ms) > 1 for _, ms in h.hyperedges):
+            nonlazy = transition_matrix(h, WalkPolicy.uniform_nonlazy()).matrix
+            assert nonlazy == build_A(h, fully_normalized_weights(h))
+            built["nonlazy"] += 1
+    assert min(built.values()) >= 40
 
 
 def test_isolated_vertex_message_names_the_first_one_before_any_singleton():
