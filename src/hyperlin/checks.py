@@ -98,25 +98,18 @@ def _unit_soundness(h, dec) -> dict:
 
 def _q_annihilation(h, vertex_basis) -> dict:
     if vertex_basis.dimension == 0:
-        return _check(
-            "q_annihilation", "not-applicable", "nullity(I^T)=0, no certificates"
-        )
-    qs = []
+        return _check("q_annihilation", "not-applicable", "nullity(I^T)=0, no certificates")
+    basis_t = vertex_basis.matrix.transpose()
+    products = []
     for preset in WEIGHT_PRESETS:
         try:
             w = weight_scheme(h, preset)
         except (SingletonEdgeError, IsolatedVertexError):
             continue
-        qs.append(build_Q(h, w))
-    ok = not any(
-        x for q in qs for vec in vertex_basis.vectors for x in q.apply(vec).values()
-    )
-    return _check(
-        "q_annihilation",
-        _verdict(ok),
-        f"{vertex_basis.dimension} basis certificates under {len(qs)} "
-        f"weight presets",
-    )
+        products.append(build_Q(h, w) @ basis_t)
+    ok = not any(any(map(any, p.numerators)) for p in products)
+    witness = f"{vertex_basis.dimension} basis certificates under {len(products)} weight presets"
+    return _check("q_annihilation", _verdict(ok), witness)
 
 
 def _over_budget(name: str, vertex_nullity: int) -> dict:

@@ -267,6 +267,9 @@ class RationalMatrix:
                 raise ValueError(f"{field!r} must be a list, got {data[field]!r}")
             if field != "entries" and not all(isinstance(x, str) for x in data[field]):
                 raise ValueError(f"{field!r} must be a list of strings")
+        for field, labels, count in (("rows", "row_labels", rows), ("cols", "col_labels", cols)):
+            if len(data[labels]) != count:
+                raise ValueError(f"{field!r} is {count} but {labels!r} has {len(data[labels])} labels")
         flat = [rat(x) for x in data["entries"]]
         if len(flat) != rows * cols:
             raise ValueError("entry count does not match the declared shape")
@@ -290,18 +293,25 @@ class RrefResult:
 class NullspaceBasis:
     """A canonical basis for the right nullspace of a labeled matrix.
 
-    Each vector is a full mapping from ambient label to coefficient. The
-    basis follows the reduced-echelon free-variable pattern: vector k is
-    supported on its own free column plus pivot columns, and is scaled so
-    its first nonzero coordinate (in ambient order) equals +1.
+    ``matrix`` has one row per vector, labelled by its free column of the
+    reduced echelon form, and the ambient labels as columns. A vector is
+    +-1 on its free column and 0 on the other free columns, signed so its
+    first nonzero coordinate (in ambient order) is positive, not always 1.
     """
 
-    ambient_labels: tuple[str, ...]
-    vectors: tuple[dict, ...]
+    matrix: RationalMatrix
+
+    @property
+    def ambient_labels(self) -> tuple[str, ...]:
+        return self.matrix.col_labels
 
     @property
     def dimension(self) -> int:
-        return len(self.vectors)
+        return self.matrix.rows
+
+    @cached_property
+    def vectors(self) -> tuple[dict[str, Fraction], ...]:
+        return tuple(dict(zip(self.matrix.col_labels, row)) for row in self.matrix.entries)
 
 
 def _fraction_free_reduce(a: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -580,13 +590,14 @@ def rank(m: RationalMatrix) -> int:
 def nullspace(m: RationalMatrix) -> NullspaceBasis:
     """Canonical basis of the right nullspace of ``m``.
 
-    One basis vector per free column, constructed from the reduced echelon
-    form and sign-normalized so the leading nonzero coordinate is +1.
+    One basis vector per free column f of RREF(m) = N / d, as the integer
+    row with d on f and -N[r][f] on the r-th pivot column, over d, negated
+    when its first nonzero entry is negative (see ``NullspaceBasis``).
     """
     res = rref(m)
     a, d = res.matrix.numerators, res.matrix.denominator
     pivot_set = set(res.pivot_cols)
-    vectors: list[dict] = []
+    rows: dict[str, list[int]] = {}
     for f in (c for c in range(m.cols) if c not in pivot_set):
         coeffs = [0] * m.cols
         coeffs[f] = d
@@ -594,8 +605,8 @@ def nullspace(m: RationalMatrix) -> NullspaceBasis:
             coeffs[p] = -a[r][f]
         if next(x for x in coeffs if x) < 0:
             coeffs = [-x for x in coeffs]
-        vectors.append({lab: Fraction(x, d) for lab, x in zip(m.col_labels, coeffs)})
-    return NullspaceBasis(ambient_labels=m.col_labels, vectors=tuple(vectors))
+        rows[m.col_labels[f]] = coeffs
+    return NullspaceBasis(RationalMatrix(list(rows), m.col_labels, list(rows.values()), d))
 
 
 def determinant(m: RationalMatrix) -> Fraction:

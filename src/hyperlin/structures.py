@@ -30,7 +30,7 @@ from .hypergraph import (
     incidence_graph_adjacency,
     incidence_matrix,
 )
-from .linalg import RationalLike, _integer, _integer_row, _known, nullspace, rat, vector_support
+from .linalg import RationalLike, _integer, _known, nullspace, rat, vector_support
 
 __all__ = [
     "CertificateKind",
@@ -162,7 +162,7 @@ def is_dependent_set(h: Hypergraph, labels: Iterable[str], axis: str = "vertices
         return None
     sub = m.submatrix(m.row_labels, cols)
     basis = nullspace(sub)
-    if not basis.vectors:
+    if basis.dimension == 0:
         return None
     return _certificate_from_vector(kind, ambient, basis.vectors[0], annihilator)
 
@@ -328,6 +328,9 @@ def verify_unit_maximality(h: Hypergraph, candidate: Iterable[str]) -> bool:
     if len(set(cand)) < 2:
         raise TooSmallError("a unit check needs at least two distinct vertices")
     _known(cand, h._stars, "vertices")
+    if len(set(cand)) != len(cand):
+        repeated = sorted({v for v in cand if cand.count(v) > 1})
+        raise OverlapError(f"repeated vertices in the candidate: {repeated}")
     star = h.star(cand[0])
     return {v for v in h.vertices if h.star(v) == star} == set(cand)
 
@@ -461,9 +464,9 @@ def find_equal_edge_partitions(
     sign combinations of the canonical basis vectors are enumerated (cost
     grows as 3^nullity, not with the number of vertex subsets). Each basis
     vector is +-1 on its own free column and 0 on the others, so no other
-    coefficients can give a {-1, 0, 1} vector. The basis is scaled to ints
-    by the lcm D of its denominators and ``_sign_sums`` enumerates the
-    combinations in blocks, each one integer product, the enumerator that
+    coefficients can give a {-1, 0, 1} vector. The basis is integer rows
+    over one denominator D, and ``_sign_sums`` enumerates the combinations
+    of those rows in blocks, each one integer product, the enumerator that
     the exhaustive sweep of ``hyperlin check`` also uses, with the entries
     {-D, 0, D} allowed. A sum with no entry outside them is
     D (chi_U - chi_V) with I^T (chi_U - chi_V) = 0, which is
@@ -479,10 +482,8 @@ def find_equal_edge_partitions(
     basis = nullspace(incidence_matrix(h).transpose())
     if basis.dimension == 0:
         return []
-    n = h.n_vertices
-    flat, scale = _integer_row([x for vec in basis.vectors for x in vec.values()])
-    scaled = [flat[k * n : (k + 1) * n] for k in range(basis.dimension)]
-    blocks = _sign_sums(scaled, [0] * n, (-scale, 0, scale))
+    n, d = h.n_vertices, basis.matrix.denominator
+    blocks = _sign_sums(basis.matrix.numerators, [0] * n, (-d, 0, d))
     signs = np.concatenate([np.sign(sums).astype(np.int8) for _, sums in blocks])
     signs = signs[(signs != 0).sum(axis=1) <= cap]
     # Python's tuple order as fixed-width columns: positions ascending, a short

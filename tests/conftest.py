@@ -1,10 +1,21 @@
-"""Shared test helpers: seeded random hypergraph generation."""
+"""Shared test helpers: seeded random hypergraph generation, and the
+hypothesis profiles every ``@given`` test runs under.
+
+``suite`` (60 derandomized draws) is loaded here, so it holds whichever test
+files are collected; ``--hypothesis-profile=deep`` draws 300.
+"""
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import settings
+
 from hyperlin import Hypergraph
+
+settings.register_profile("suite", max_examples=60, derandomize=True, deadline=None)
+settings.register_profile("deep", max_examples=300, derandomize=True, deadline=None)
+settings.load_profile("suite")
 
 
 def random_hypergraph(

@@ -12,7 +12,7 @@ from hyperlin import fixtures as fx
 from hyperlin.checks import run_checks
 from hyperlin.errors import IsolatedVertexError, SingletonEdgeNonLazyError
 from hyperlin.hypergraph import incidence_matrix
-from hyperlin.linalg import RationalMatrix
+from hyperlin.linalg import NullspaceBasis, RationalMatrix, nullspace
 from hyperlin.structures import Unit, UnitDecomposition, verify_equal_edge_partition
 
 
@@ -34,6 +34,18 @@ def test_q_is_built_once_per_weight_preset(monkeypatch):
     assert q_check["status"] == "pass"
     assert "under 3 weight presets" in q_check["witness"]
     assert sorted(built) == ["edgenorm", "fullnorm", "unit"]
+
+
+def test_q_annihilation_fails_when_one_basis_entry_changes():
+    h = fx.double_cover()[0]
+    basis = nullspace(incidence_matrix(h).transpose())
+    good = checks._q_annihilation(h, basis)
+    assert good["status"] == "pass"
+    rows = [list(row) for row in basis.matrix.numerators]
+    rows[0][0] += 1  # adds e_v / d, and Q e_v != 0: v's diagonal entry is positive
+    m = basis.matrix
+    bad = checks._q_annihilation(h, NullspaceBasis(RationalMatrix(m.row_labels, m.col_labels, rows, m.denominator)))
+    assert bad == {**good, "status": "fail"}
 
 
 def _in_kernel_by_product(h, inc, signs) -> bool:

@@ -1,6 +1,7 @@
 """Only ``linalg`` knows the layout of its fraction-free elimination, and only
 it reads a matrix's Fraction view ``entries``: every other module reads the
-integer rows. The unknown-label rule also lives there alone, in
+integer rows, and only a certificate or report edge reads a nullspace basis's
+Fraction view ``vectors``. The unknown-label rule also lives there alone, in
 ``linalg._known``, and every entry that takes labels goes through it; so
 does the integer rule, in ``linalg._integer``, which every counted argument
 goes through. One breadth-first search, ``hypergraph._hops``, answers every
@@ -135,6 +136,16 @@ def test_only_the_integer_rule_and_the_tolerance_rule_test_for_bool():
 
 def test_only_the_integer_rule_and_the_numerator_pass_call_operator_index():
     assert _functions_using(_is_operator_index) == {"linalg.py:_integer", "linalg.py:__post_init__"}
+
+
+def test_only_the_certificate_and_report_edges_read_basis_vectors():
+    # a nullspace basis is integer rows over one denominator; its Fraction view
+    # is read only where a certificate or a report is built from it
+    readers = _functions_using(lambda node, _: isinstance(node, ast.Attribute) and node.attr == "vectors")
+    assert {name for name in readers if not name.startswith("linalg.py:")} == {
+        "structures.py:is_dependent_set",
+        "cli.py:_basis_payload",
+    }
 
 
 def _unknown_label_raisers_outside_linalg() -> set[str]:

@@ -104,6 +104,20 @@ def test_json_labels_and_entries_must_be_lists(field, value):
         RationalMatrix.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("cols", 5, r"^'cols' is 5 but 'col_labels' has 1 labels$"),
+        ("rows", 2, r"^'rows' is 2 but 'row_labels' has 0 labels$"),
+    ],
+)
+def test_json_declared_counts_must_match_the_labels_of_an_empty_matrix(field, value, message):
+    data = {"rows": 0, "cols": 1, "row_labels": [], "col_labels": ["a"], "entries": []}
+    data[field] = value
+    with pytest.raises(ValueError, match=message):
+        RationalMatrix.from_json_dict(data)
+
+
 def test_json_names_every_missing_field():
     data = _m([[1]]).to_json_dict()
     for field in ("rows", "col_labels", "entries"):
@@ -185,6 +199,14 @@ def test_nullspace_sign_convention_leading_plus_one():
     assert basis.dimension == 1
     vec = basis.vectors[0]
     assert vec["c0"] == 1 and vec["c1"] == -1
+
+
+def test_nullspace_basis_is_one_integer_matrix_over_one_denominator():
+    # ker of [[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]] is spanned by (1/2, 1/2, 1/2, -1)
+    basis = nullspace(_m([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]))
+    assert basis.matrix == RationalMatrix(["c3"], ["c0", "c1", "c2", "c3"], [[1, 1, 1, -2]], 2)
+    assert basis.ambient_labels == basis.matrix.col_labels and basis.dimension == 1
+    assert list(basis.vectors[0].values()) == [Fraction(1, 2)] * 3 + [-1]
 
 
 def test_nullspace_of_zero_matrix_is_canonical_basis():

@@ -30,6 +30,7 @@ from hyperlin.errors import (
     NotDisjointError,
     NotInNullspaceError,
     OverlapError,
+    TooSmallError,
     UnknownLabelError,
 )
 from hyperlin.hypergraph import dual, incidence_graph_adjacency, incidence_matrix
@@ -187,6 +188,14 @@ def test_verify_unit_maximality():
     assert not verify_unit_maximality(h, ["5", "6"])
     # mixed stars are not a unit at all
     assert not verify_unit_maximality(h, ["1", "3"])
+
+
+def test_verify_unit_maximality_rejects_a_repeated_vertex():
+    h = fx.unit_blocks()
+    with pytest.raises(OverlapError, match=r"\['1'\]"):
+        verify_unit_maximality(h, ["1", "1", "2"])
+    with pytest.raises(TooSmallError):
+        verify_unit_maximality(h, ["1", "1"])
 
 
 def test_vertex_pair_certificate_for_twins():
