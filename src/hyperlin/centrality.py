@@ -230,20 +230,31 @@ def _closeness_from_one_inverse(tm: TransitionMatrix, self_time: str) -> dict[st
     }
 
 
-def _integer_power_sums(m: list[list[int]], scale: int, horizon: int) -> list[list[int]]:
-    """scale^horizon (P^0 + ... + P^horizon) for P = M / scale, in ints.
+def _power_sum_row(
+    columns: list[tuple[int, ...]], scale: int, w: int, horizon: int, partials: list[list[int]] | None = None
+) -> list[int]:
+    """Row w of T_horizon = scale^horizon (P^0 + ... + P^horizon), P = M / scale, in ints.
 
-    Horner form: T_0 = Id and T_(k+1) = M T_k + scale^(k+1) Id.
+    ``columns`` are the columns of M. Right-multiplied Horner form: row w
+    of T_0 is e_w and row w of T_k is (row w of T_(k-1)) M + scale^k e_w, so
+    each row is its own recursion. Rows w of T_0 .. T_(horizon-1) are
+    appended to ``partials`` when it is given.
     """
-    n = len(m)
-    total = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, horizon + 1):
-        cols = list(zip(*total))
-        diag = scale**k
-        total = [[sum(map(mul, row, col)) for col in cols] for row in m]
-        for i in range(n):
-            total[i][i] += diag
-    return total
+    g = [int(v == w) for v in range(len(columns))]
+    diag = 1
+    for _ in range(horizon):
+        if partials is not None:
+            partials.append(g)
+        g = [sum(map(mul, g, col)) for col in columns]
+        diag *= scale
+        g[w] += diag
+    return g
+
+
+def _integer_power_sums(m: list[list[int]], scale: int, horizon: int) -> list[list[int]]:
+    """scale^horizon (P^0 + ... + P^horizon) for P = M / scale, in ints, row by row."""
+    columns = list(zip(*m))
+    return [_power_sum_row(columns, scale, w, horizon) for w in range(len(m))]
 
 
 #: First passage multiplies two ints of about horizon * bits(D) bits each;
@@ -252,6 +263,11 @@ def _integer_power_sums(m: list[list[int]], scale: int, horizon: int) -> list[li
 #: while horizon * bits(D) stays within this many bits per state. Measured in
 #: CPython 3.11 on a 2-core VM, on the fixtures and on random kernels of 5 to
 #: 20 states at horizons 100 to 400, the rule never picked the slower path.
+#: Measured again once first passage took its partial sums from the rows of
+#: full, on random kernels of 6 to 16 states (bits(D) 9 to 16, horizons 106
+#: to 409): the paths cross near 300 bits per state at 6 and 8 states but
+#: near 200 to 250 at 12 and 16, and at 192 first passage was the faster
+#: path at every size in a second sweep, so the value stays.
 _FIRST_PASSAGE_BITS_PER_STATE = 192
 
 
@@ -278,13 +294,17 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
 
     where F_s(u) is D^s times the probability that the walk from u first
     arrives at w at step s (F_1 = M[.][w] and F_(s+1) = M_w F_s, with M_w
-    the numerators with row and column w deleted), and G_k(w, .) is D^k
-    times row w of P^0 + ... + P^k (G_0 = e_w and
-    G_k = G_(k-1) M + D^k e_w). That costs O(n^2 h) per vertex instead of
-    the O(n^3 h) of a power sum on the deleted kernel, but its products
-    pair two ints of about h bits(D) bits each, where the power sum pairs
-    one such int with a kernel entry. So the deleted-row sums serve long
-    horizons: first passage is used while
+    the numerators with row and column w deleted), and G_k(w, .) is row w of
+    the Horner partial sum T_k = D^k (P^0 + ... + P^k). Multiplied on the
+    right, T_k = T_(k-1) M + D^k Id, so each row of T is its own recursion,
+    and the one pass that builds full = T_h row by row yields every
+    target's G_0 .. G_(h-1) on the way. Those h n^2 partial sums are kept
+    while they fit in _KEPT_PARTIAL_SUMS; past it, each target's rows are
+    recomputed by the same recursion. That costs O(n^2 h) per vertex
+    instead of the O(n^3 h) of a power sum on the deleted kernel, but its
+    products pair two ints of about h bits(D) bits each, where the power
+    sum pairs one such int with a kernel entry. So the deleted-row sums
+    serve long horizons: first passage is used while
     horizon * bits(D) <= _FIRST_PASSAGE_BITS_PER_STATE * n.
 
     Each vertex's ratios are summed as ints over one common denominator,
@@ -309,11 +329,21 @@ def _first_passage_pays(tm: TransitionMatrix, horizon: int) -> bool:
     return horizon * bits <= _FIRST_PASSAGE_BITS_PER_STATE * len(tm.states)
 
 
+#: Partial sums the first-passage path keeps from its one pass over the rows
+#: of T_horizon: rows w of T_0 .. T_(horizon-1) for every target w, horizon
+#: n^2 ints in all. At 12 states and horizon 10 that is 1440 ints, at 40
+#: states 16000; past this budget each target's rows are recomputed.
+_KEPT_PARTIAL_SUMS = 1 << 16
+
+
 def _betweenness_by_first_passage(tm: TransitionMatrix, horizon: int) -> dict[str, object]:
     """``rw_betweenness`` values, each target's walk masses through it by first passage."""
     m, scale = tm.matrix.numerators, tm.matrix.denominator
     n = len(m)
     columns = list(zip(*m))
+    keeps = horizon * n * n <= _KEPT_PARTIAL_SUMS
+    kept = [[] if keeps else None for _ in range(n)]
+    full = [_power_sum_row(columns, scale, w, horizon, kept[w]) for w in range(n)]
 
     def through(w: int, keep: list[int]) -> list[list[int]]:
         f = [m[u][w] for u in range(n)]
@@ -323,18 +353,16 @@ def _betweenness_by_first_passage(tm: TransitionMatrix, horizon: int) -> dict[st
             f = [sum(map(mul, row, f)) for row in m]
             f[w] = 0
             arrivals.append(f)
-        g = [int(v == w) for v in range(n)]
-        sums = [g]  # G_0 .. G_(h-1)
-        for k in range(1, horizon):
-            g = [sum(map(mul, g, col)) for col in columns]
-            g[w] += scale**k
-            sums.append(g)
+        sums = kept[w]  # G_0 .. G_(h-1): rows w of T_0 .. T_(h-1)
+        if sums is None:
+            sums = []
+            _power_sum_row(columns, scale, w, horizon, sums)
         by_start = list(zip(*arrivals))
         by_end = list(zip(*reversed(sums)))
         ends = [by_end[v] for v in keep]
         return [[sum(map(mul, by_start[u], e)) for e in ends] for u in keep]
 
-    return _grouped_betweenness(tm, _integer_power_sums(m, scale, horizon), through)
+    return _grouped_betweenness(tm, full, through)
 
 
 def _betweenness_by_deleted_rows(tm: TransitionMatrix, horizon: int) -> dict[str, object]:

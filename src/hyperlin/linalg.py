@@ -213,8 +213,11 @@ class RationalMatrix:
         return RationalMatrix(self.col_labels, self.row_labels, cols, self.denominator)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
+        if self.col_labels != other.row_labels:
+            raise ValueError(
+                f"inner labels do not match: columns {list(self.col_labels)} "
+                f"against rows {list(other.row_labels)}"
+            )
         bt = list(zip(*other.numerators)) or [()] * other.cols
         out = [[sum(map(mul, row, col)) for col in bt] for row in self.numerators]
         d = self.denominator * other.denominator

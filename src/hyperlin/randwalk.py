@@ -362,12 +362,27 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 
+def _u64(x: int | np.ndarray) -> int | np.ndarray:
+    """``x`` mod 2^64: an int masked, a numpy uint64 array as it is (its
+    arithmetic wraps by itself). Numpy integer scalars and 0-d arrays become
+    ints first, since their arithmetic warns on overflow."""
+    if getattr(x, "ndim", 0):
+        return x
+    return _integer(x, "a SplitMix64 seed or index", error=TypeError) & _MASK64
+
+
 def _mix64(z: int | np.ndarray) -> int | np.ndarray:
     """SplitMix64's output mix of an int below 2^64, or of each entry of a numpy
-    uint64 array (whose arithmetic wraps mod 2^64, so the masks change nothing)."""
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-    return z ^ (z >> 31)
+    uint64 array. Only an int needs masks; the first xor makes a new int or
+    array, which the rounds after it update in place."""
+    masked = isinstance(z, int)
+    z = z ^ (z >> 30)
+    for multiplier, shift in ((_MIX_A, 27), (_MIX_B, 31)):
+        z *= multiplier
+        if masked:
+            z &= _MASK64
+        z ^= z >> shift
+    return z
 
 
 class SplitMix64:
@@ -382,22 +397,24 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int | np.ndarray) -> None:
-        self._state = seed & _MASK64
+        self._state = _u64(seed)
 
     def next_u64(self) -> int | np.ndarray:
-        self._state = (self._state + _GAMMA) & _MASK64
+        self._state = _u64(self._state + _GAMMA)
         return _mix64(self._state)
 
 
 def trajectory_seed(seed: int | np.ndarray, index: int | np.ndarray) -> int | np.ndarray:
     """Seed for trajectory ``index``: output index+1 of SplitMix64(seed).
 
-    Equivalent closed form: mix64(seed + (index + 1) * gamma), for an int
-    seed and index, or broadcast over uint64 arrays of either. Seeding each
-    trajectory with a mixed output (rather than a raw offset) keeps the
-    per-trajectory streams from overlapping.
+    Equivalent closed form: mix64(seed + (index + 1) * gamma), an int for
+    integer seed and index (numpy scalars included), or broadcast over
+    uint64 arrays of either. Seeding each trajectory with a mixed output
+    (rather than a raw offset) keeps the per-trajectory streams from
+    overlapping.
     """
-    return _mix64(((seed & _MASK64) + (index + 1) * _GAMMA) & _MASK64)
+    offset = _u64((_u64(index) + 1) * _GAMMA)
+    return _mix64(_u64(_u64(seed) + offset))
 
 
 @dataclass
@@ -544,9 +561,18 @@ def simulate(
 
     Trajectories are stepped together in blocks, each generator a uint64
     array entry, with a chunk of steps' draws computed at once; each step
-    looks its draws up in a bucket table. The draws and the tables
-    (first-hit keys in order of first occurrence by trajectory) equal those
-    of one trajectory at a time.
+    looks its draws up in a bucket table. A walker carries its state as
+    the first of its bucket table's doubled slots, state << (row_bits + 1),
+    so a step adds the draw's doubled bucket, adds 1 when the draw passes
+    the slot's split and reads the next doubled slot from the pre-shifted
+    picks. First arrivals are recorded once per chunk: the cells of a
+    chunk's (trajectory, state) keys not yet hit are found in one test, and
+    filled step by step from the chunk's last step back, so the earliest
+    step wins (one step's keys are distinct). Each block's first-hit tables
+    come from one tally of the codes v * (steps + 1) + t in v-major order,
+    whose keys enter each table by first position, so in order of first
+    occurrence by trajectory. The draws and the tables equal those of one
+    trajectory at a time.
     """
     import numpy as np
 
@@ -559,9 +585,20 @@ def simulate(
     init_table = _threshold_table([masses], denom)
     row_table = _threshold_table(tm.matrix.numerators, tm.matrix.denominator)
     shift, row_bits, splits, picks, marked = _bucket_table(*row_table)
+    up = row_bits + 1  # a state s is carried as its first doubled slot, s << up
+    picks <<= up
+    splits = np.repeat(splits, 2)  # doubled slot (slot << 1) + b reads slot's split and mark
+    marked = np.repeat(marked, 2)
     fallback = bool(marked.any())
     visits = np.zeros(n, dtype=np.int64)
     first_hits: list[dict[int, int]] = [dict() for _ in states]
+    # first-hit codes v * (steps + 1) + t in the narrowest type that holds
+    # them, where the tally's stable sort is a radix sort below 2^16
+    code_type = np.min_scalar_type(n * (steps + 1))
+    offsets = np.arange(n, dtype=np.int64)[:, None] * (steps + 1)
+    # a chunk's doubled slots and its (trajectory, state) cells, step by step
+    path = np.empty((_CHUNK, min(_BLOCK, trajectories)), dtype=np.intp)
+    arrivals = np.empty_like(path)
     for start in range(0, trajectories, _BLOCK):
         size = min(_BLOCK, trajectories - start)
         seeds = trajectory_seed(seed, np.arange(start, start + size, dtype=np.uint64))
@@ -569,33 +606,39 @@ def simulate(
         # trajectory_seed(seeds[i], t): X_0 takes draw 1 and step t draw t + 1
         cur = _choose(trajectory_seed(seeds, 0), np.zeros(size, dtype=np.intp), *init_table)
         visits += np.bincount(cur, minlength=n)
+        cur <<= up
         # first[i, v]: the step trajectory i first reached v; 0 while it has not
         first = np.zeros((size, n), dtype=np.int64)
         cells = first.reshape(-1)
         base = np.arange(size) * n
-        path = np.empty((_CHUNK, size), dtype=np.intp)
         for t0 in range(1, steps + 1, _CHUNK):
             ts = np.arange(t0, min(t0 + _CHUNK, steps + 1), dtype=np.uint64)
             draws = trajectory_seed(seeds, ts[:, None])
-            buckets = (draws >> shift).astype(np.intp)
-            for k in range(len(ts)):
-                slot = (cur << row_bits) + buckets[k]
-                nxt = picks[(slot << 1) + (draws[k] > splits[slot])]
+            buckets = (draws >> shift).astype(np.intp) << 1
+            chunk = path[: len(ts), :size]
+            for step, drawn, bucket in zip(chunk, draws, buckets):
+                slot = cur + bucket
+                slot += drawn > splits.take(slot)
+                cur = picks.take(slot, out=step)
                 if fallback:
-                    many = marked[slot]
-                    nxt[many] = _choose(draws[k, many], cur[many], *row_table)
-                path[k] = cur = nxt
-                idx = base + cur
-                cells[idx[cells[idx] == 0]] = t0 + k
-            visits += np.bincount(path[: len(ts)].reshape(-1), minlength=n)
-        # keys enter each table in order of first occurrence by trajectory
-        for v in range(n):
-            col = first[:, v]
-            times, where, counts = np.unique(col[col > 0], return_index=True, return_counts=True)
+                    many = marked.take(slot)
+                    cur[many] = _choose(drawn[many], slot[many] >> up, *row_table) << up
+            keys = arrivals[: len(ts), :size]
+            np.right_shift(chunk, up, out=keys)
+            visits += np.bincount(keys.reshape(-1), minlength=n)
+            keys += base
+            fresh = cells[keys] == 0
+            for k in range(len(ts) - 1, -1, -1):
+                cells[keys[k, fresh[k]]] = t0 + k
+        # one tally per block: codes in v-major order, keys by first position
+        by_state = first.T
+        codes = (by_state + offsets)[by_state > 0].astype(code_type)
+        found, where, counts = np.unique(codes, return_index=True, return_counts=True)
+        order = np.argsort(where)
+        for code, count in zip(found[order].tolist(), counts[order].tolist()):
+            v, t = divmod(code, steps + 1)
             table = first_hits[v]
-            for j in np.argsort(where, kind="stable"):
-                t = int(times[j])
-                table[t] = table.get(t, 0) + int(counts[j])
+            table[t] = table.get(t, 0) + count
     return SimulationResult(
         trajectories=trajectories,
         steps=steps,

@@ -536,6 +536,9 @@ def test_rw_betweenness_matches_fraction_power_sums(tm, horizon):
     assert [rep.values[v] for v in tm.states] == expected
 
 
+LEAVE_ONE_OUT_TM = transition_matrix(fx.leave_one_out(12), WalkPolicy.uniform_nonlazy())
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(kernels(), st.one_of(st.integers(1, 6), st.integers(150, 400)))
 @example(ONE_STATE_TM, 1)
@@ -544,20 +547,69 @@ def test_rw_betweenness_matches_fraction_power_sums(tm, horizon):
 @example(SPLIT_TM, 1)
 @example(SPLIT_TM, 5)
 @example(SPLIT_TM, 300)
+@example(LEAVE_ONE_OUT_TM, 10)
 def test_rw_betweenness_paths_agree(tm, horizon):
-    """First passage and the deleted-row power sums give the same values in
-    the same key order, on both sides of the horizon at which
-    ``rw_betweenness`` switches between them."""
-    first = centrality._betweenness_by_first_passage(tm, horizon)
+    """First passage, with its partial sums all kept and all recomputed, and
+    the deleted-row power sums give the same values in the same key order,
+    on both sides of the horizon at which ``rw_betweenness`` switches
+    between them."""
     deleted = centrality._betweenness_by_deleted_rows(tm, horizon)
-    assert list(first.items()) == list(deleted.items())
-    assert list(first) == list(tm.states)
+    assert list(deleted) == list(tm.states)
+    for budget in (0, math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(centrality, "_KEPT_PARTIAL_SUMS", budget)
+            first = centrality._betweenness_by_first_passage(tm, horizon)
+        assert list(first.items()) == list(deleted.items())
+
+
+@pytest.mark.parametrize("budget", [0, math.inf], ids=["recomputed", "kept"])
+@pytest.mark.parametrize(
+    "tm, horizon",
+    [
+        (ONE_STATE_TM, 200),
+        (UNEQUAL_TM, 1),
+        (UNEQUAL_TM, 6),
+        (UNEQUAL_TM, 150),
+        (SPLIT_TM, 300),
+        (LEAVE_ONE_OUT_TM, 10),
+    ],
+    ids=["one-state-200", "unequal-1", "unequal-6", "unequal-150", "split-300", "leave-one-out-12-10"],
+)
+def test_first_passage_matches_fraction_power_sums(monkeypatch, budget, tm, horizon):
+    monkeypatch.setattr(centrality, "_KEPT_PARTIAL_SUMS", budget)
+    got = centrality._betweenness_by_first_passage(tm, horizon)
+    assert list(got) == list(tm.states)
+    assert list(got.values()) == oracle.rw_betweenness([list(r) for r in tm.matrix.entries], horizon)
+
+
+@pytest.mark.parametrize("spare", [-1, 0])
+def test_first_passage_keeps_partial_sums_only_within_the_budget(monkeypatch, spare):
+    """12 states at horizon 10 keep 10 * 12^2 = 1440 partial sums: a budget
+    of 1440 keeps them from the one pass over the rows, one less recomputes
+    each target's rows, and both give the same values."""
+    tm, horizon, n = LEAVE_ONE_OUT_TM, 10, 12
+    want = centrality._betweenness_by_deleted_rows(tm, horizon)
+    passes = []
+    row = centrality._power_sum_row
+
+    def counted(columns, scale, w, horizon, partials=None):
+        passes.append((w, partials is not None))
+        return row(columns, scale, w, horizon, partials)
+
+    monkeypatch.setattr(centrality, "_power_sum_row", counted)
+    monkeypatch.setattr(centrality, "_KEPT_PARTIAL_SUMS", horizon * n * n + spare)
+    got = centrality._betweenness_by_first_passage(tm, horizon)
+    assert list(got.items()) == list(want.items())
+    if spare < 0:
+        assert passes == [(w, False) for w in range(n)] + [(w, True) for w in range(n)]
+    else:
+        assert passes == [(w, True) for w in range(n)]
 
 
 @pytest.mark.parametrize(
     "tm, horizon, path",
     [
-        (transition_matrix(fx.leave_one_out(12), WalkPolicy.uniform_nonlazy()), 10, "first_passage"),
+        (LEAVE_ONE_OUT_TM, 10, "first_passage"),
         (transition_matrix(fx.hub_cycle(), WalkPolicy.uniform_nonlazy()), 1000, "deleted_rows"),
     ],
 )

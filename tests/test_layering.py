@@ -5,7 +5,8 @@ Fraction view ``vectors``. The unknown-label rule also lives there alone, in
 ``linalg._known``, and every entry that takes labels goes through it; so
 does the integer rule, in ``linalg._integer``, which every counted argument
 goes through. One breadth-first search, ``hypergraph._hops``, answers every
-reachability question."""
+reachability question, and one SplitMix64 mix, ``randwalk._mix64``, makes
+every draw."""
 
 import ast
 import json
@@ -177,6 +178,30 @@ def test_one_breadth_first_search_serves_connectivity_distances_and_reachability
         "centrality.py:distances_from",
         "randwalk.py:_require_reachable",
     }
+
+
+def test_one_splitmix64_mix_reads_the_multipliers():
+    """SplitMix64's two mix multipliers are read in ``randwalk._mix64`` alone,
+    and their values are written once, so scalar draws and uint64 blocks share
+    one mix."""
+    from hyperlin.randwalk import _MIX_A, _MIX_B
+
+    readers, reads, inside, written = set(), 0, 0, 0
+    for path in sorted(Path(hyperlin.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in ("_MIX_A", "_MIX_B") and isinstance(node.ctx, ast.Load):
+                reads += 1
+            written += isinstance(node, ast.Constant) and node.value in (_MIX_A, _MIX_B)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                names = [n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in ("_MIX_A", "_MIX_B")]
+                if names:
+                    readers.add(f"{path.name}:{fn.name}")
+                    inside += len(names)
+    assert readers == {"randwalk.py:_mix64"}
+    assert inside == reads == 2
+    assert written == 2
 
 
 H = fx.balanced_overlap()

@@ -72,6 +72,16 @@ def test_matmul_over_an_empty_inner_dimension_is_zero():
     assert prod.entries == ((Fraction(0),) * 3,) * 2
 
 
+@pytest.mark.parametrize("inner", [["b", "a"], ["a"], ["a", "b", "c"]], ids=["order", "fewer", "more"])
+def test_matmul_rejects_inner_labels_that_differ(inner):
+    """A product pairs the left factor's columns with the right factor's rows
+    by label: the same labels in another order, or other labels, raise."""
+    a = RationalMatrix(["r"], ["a", "b"], [[1, 0]])
+    b = RationalMatrix(inner, ["c"], [[1]] + [[0]] * (len(inner) - 1))
+    with pytest.raises(ValueError, match=r"^inner labels do not match: columns \['a', 'b'\] against rows "):
+        a @ b
+
+
 def test_apply_treats_missing_keys_as_zero():
     m = _m([[1, 1], [0, 2]])
     out = m.apply({"c1": Fraction(3)})

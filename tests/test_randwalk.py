@@ -1,6 +1,7 @@
 """Walk policies, exact hitting times, first-hit laws, seeded simulation."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -449,6 +450,32 @@ def test_trajectory_seeds_are_distinct():
 def test_trajectory_seed_is_the_reference_output(seed):
     rng = SplitMix64(seed)
     assert [trajectory_seed(seed, i) for i in range(3)] == [rng.next_u64() for _ in range(3)]
+
+
+@pytest.mark.parametrize(
+    "seed, index",
+    [
+        (np.uint64(3), np.uint64(5)),
+        (np.array(3, dtype=np.uint64), np.array(5, dtype=np.uint64)),
+        (np.int64(3), 5),
+        (3, np.uint8(5)),
+        (np.uint64(2**64 - 1), np.int64(9)),
+        (np.int64(-1), np.array(7, dtype=np.int64)),
+    ],
+    ids=["uint64", "0-d", "int64-seed", "uint8-index", "wrapping", "negative-0-d"],
+)
+def test_trajectory_seed_of_numpy_scalars_is_the_int_result(seed, index):
+    """Numpy integer scalars and 0-d arrays wrap mod 2^64 like ints, with no
+    overflow warning, and give the same int as int arguments."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = trajectory_seed(seed, index)
+        rng = SplitMix64(seed)
+        for _ in range(int(index) + 1):
+            draw = rng.next_u64()
+    want = trajectory_seed(int(seed), int(index))
+    assert type(got) is int and got == want
+    assert type(draw) is int and draw == want
 
 
 def test_cumulative_table_thresholds():
