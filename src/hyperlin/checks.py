@@ -7,10 +7,12 @@ equal partition <=> ker I^T correspondence, the walk balance of equal
 partitions, and the hitting-time symmetry of units. Every shared fact (the
 incidence matrix, the ranks of I and A_GH, ker I^T, the unit decomposition,
 the equal partitions and their signed matrix, the non-lazy kernel and its
-one passage inverse) is computed once per run, except ker I^T:
-``find_equal_edge_partitions`` takes no basis and computes it again
-(ROADMAP item 2 shares it). The kernel is built only when a walk check asks
-for it. The pairs are checked together, one integer product per check.
+one passage inverse) is computed once per run: ker I^T is eliminated once
+and handed to ``find_equal_edge_partitions``, so a run makes three
+eliminations, of I, I^T and A_GH. The search trusts that basis, but every
+pair it returns is counted again here, so the check does not. The kernel is
+built only when a walk check asks for it. The pairs are checked together,
+one integer product per check.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _partition_nullspace(h, inc, pairs, signed, vertex_nullity: int) -> dict:
         return _over_budget("partition_nullspace", vertex_nullity)
     # With I the stars' 0/1 table, I^T (chi_U - chi_V)[e] = |e meet U| - |e meet V|: a
     # counted pair lies in ker I^T, and the sweep over the stars sweeps the rows of I
-    table = tuple(tuple(int(e in h.star(v)) for e in h.edge_labels) for v in h.vertices)
+    table = tuple(tuple(int(e in star) for e in h.edge_labels) for star in map(h.star, h.vertices))
     labels = (inc.row_labels, inc.col_labels) == (h.vertices, h.edge_labels)
     ok = labels and inc.denominator == 1 and inc.numerators == table
     if signed is None or not _edge_balanced(signed, h, table).all():
@@ -253,7 +255,7 @@ def run_checks(h: Hypergraph) -> dict:
     dec = units(h)
     pairs = signed = None
     if 3 ** vertex_nullity <= ENUMERATION_BUDGET:
-        pairs = find_equal_edge_partitions(h, max_support=max(h.n_vertices, 1))
+        pairs = find_equal_edge_partitions(h, max_support=max(h.n_vertices, 1), basis=vertex_basis)
         signed = _signed_rows(h, pairs)
 
     @cache

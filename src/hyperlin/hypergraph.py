@@ -46,6 +46,8 @@ class Hypergraph:
 
     vertices: tuple[str, ...]
     hyperedges: tuple[tuple[str, frozenset[str]], ...]
+    #: Hyperedge labels in declaration order.
+    edge_labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     #: Indexes built once so ``star``, ``degree`` and ``members`` scan nothing.
     _stars: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     _members: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
@@ -89,6 +91,7 @@ class Hypergraph:
         stars = {v: frozenset(label for label, ms in edges if v in ms) for v in verts}
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "hyperedges", edges)
+        object.__setattr__(self, "edge_labels", tuple(members_of))
         object.__setattr__(self, "_stars", stars)
         object.__setattr__(self, "_members", members_of)
 
@@ -101,10 +104,6 @@ class Hypergraph:
     @property
     def n_hyperedges(self) -> int:
         return len(self.hyperedges)
-
-    @property
-    def edge_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.hyperedges)
 
     def members(self, edge_label: str) -> frozenset[str]:
         members = self._members.get(edge_label)
@@ -292,7 +291,7 @@ def parse(text: str, format: str = "json") -> Hypergraph:
 def incidence_matrix(h: Hypergraph) -> RationalMatrix:
     """0/1 incidence matrix: rows are vertices, columns are hyperedges."""
     rows = [[int(v in members) for _, members in h.hyperedges] for v in h.vertices]
-    return RationalMatrix(h.vertices, h.edge_labels, rows)
+    return RationalMatrix._trusted(h.vertices, h.edge_labels, rows)
 
 
 def _dot_quote(text: str) -> str:
@@ -353,7 +352,7 @@ def incidence_graph_adjacency(h: Hypergraph) -> RationalMatrix:
     n, m = h.n_vertices, h.n_hyperedges
     rows = [[0] * n + list(row) for row in inc]
     rows += [[row[j] for row in inc] + [0] * m for j in range(m)]
-    return RationalMatrix(labels, labels, rows)
+    return RationalMatrix._trusted(labels, labels, rows)
 
 def dual(h: Hypergraph) -> Hypergraph:
     """Dual hypergraph: vertices are hyperedge labels, hyperedges are stars.

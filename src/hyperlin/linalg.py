@@ -64,10 +64,14 @@ def rat(value: RationalLike) -> Fraction:
     """Coerce an integer, a 'p/q' string, or a Fraction to an exact Fraction.
 
     Floats are rejected on purpose: admitting them would silently launder
-    rounding error into "exact" results.
+    rounding error into "exact" results. A Fraction of numpy integers comes
+    back as one of Python ints, so no fixed-width integer reaches the exact
+    layer.
     """
     if isinstance(value, Fraction):
-        return value
+        if type(value.numerator) is int and type(value.denominator) is int:
+            return value
+        return Fraction(int(value.numerator), int(value.denominator))
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -100,6 +104,15 @@ def _known(keys: Iterable[str], labels: Iterable[str], what: str = "labels") -> 
         raise UnknownLabelError(f"unknown {what}: {sorted(unknown, key=str)}")
 
 
+def _lowest_terms(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The int ``rows`` over nonzero ``d`` as nested tuples, with the common
+    factor of d and every entry divided out, sign included, so d > 0."""
+    g = 1 if d == 1 else math.gcd(d, *itertools.chain.from_iterable(rows)) * (1 if d > 0 else -1)
+    if g != 1:
+        return tuple(tuple(x // g for x in row) for row in rows), d // g
+    return tuple(map(tuple, rows)), d
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
     """A dense labeled matrix of exact rationals: ``numerators / denominator``.
@@ -108,6 +121,14 @@ class RationalMatrix:
     to share. The denominator is positive and shares no factor with all the
     numerators, so equal matrices compare and hash equal. Labels are unique
     per axis. Build from rationals with ``from_rows``.
+
+    A matrix is validated once, where its labels or values enter the
+    library: the positional constructor, ``from_rows``, ``identity``,
+    ``diagonal``, ``submatrix`` and ``from_json_dict`` check label
+    uniqueness, integer cells, the shape and the denominator. The library's
+    own producers (``transpose``, ``@``, ``rref``, ``nullspace``, the
+    incidence and spectra builders and the uniform walk kernels) build
+    through ``_trusted``, which only reduces to lowest terms.
     """
 
     row_labels: tuple[str, ...]
@@ -131,11 +152,33 @@ class RationalMatrix:
         d = _integer(self.denominator, "the denominator")
         if d == 0:
             raise ValueError("the denominator must be nonzero, got 0")
-        g = math.gcd(d, *itertools.chain.from_iterable(rows)) * (1 if d > 0 else -1)
-        if g != 1:
-            rows = tuple(tuple(x // g for x in row) for row in rows)
+        rows, d = _lowest_terms(rows, d)
         object.__setattr__(self, "numerators", rows)
-        object.__setattr__(self, "denominator", d // g)
+        object.__setattr__(self, "denominator", d)
+
+    @classmethod
+    def _trusted(
+        cls,
+        row_labels: tuple[str, ...],
+        col_labels: tuple[str, ...],
+        rows: Sequence[Sequence[int]],
+        denominator: int = 1,
+    ) -> "RationalMatrix":
+        """The matrix ``rows / denominator``, built without validation.
+
+        For the library's own producers, whose output already meets the
+        contract: distinct ``str`` labels given as tuples, one row of Python
+        ``int``s per row label with one entry per column label, and a
+        nonzero ``int`` denominator. Only the reduction to lowest terms is
+        done, sign included, since a Bareiss last pivot can be negative.
+        """
+        m = object.__new__(cls)
+        rows, d = _lowest_terms(rows, denominator)
+        object.__setattr__(m, "row_labels", row_labels)
+        object.__setattr__(m, "col_labels", col_labels)
+        object.__setattr__(m, "numerators", rows)
+        object.__setattr__(m, "denominator", d)
+        return m
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -210,7 +253,7 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         cols = tuple(zip(*self.numerators)) or ((),) * self.cols
-        return RationalMatrix(self.col_labels, self.row_labels, cols, self.denominator)
+        return RationalMatrix._trusted(self.col_labels, self.row_labels, cols, self.denominator)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.col_labels != other.row_labels:
@@ -221,7 +264,7 @@ class RationalMatrix:
         bt = list(zip(*other.numerators)) or [()] * other.cols
         out = [[sum(map(mul, row, col)) for col in bt] for row in self.numerators]
         d = self.denominator * other.denominator
-        return RationalMatrix(self.row_labels, other.col_labels, out, d)
+        return RationalMatrix._trusted(self.row_labels, other.col_labels, out, d)
 
     def apply(self, x: Mapping[str, RationalLike]) -> dict[str, Fraction]:
         """Matrix-vector product M x with x indexed by column labels.
@@ -383,7 +426,7 @@ def rref(m: RationalMatrix) -> RrefResult:
     else:
         a = [list(row) for row in m.numerators]
         pivots, d, _ = _fraction_free_reduce(a, m.cols)
-    reduced = RationalMatrix(m.row_labels, m.col_labels, a, d)
+    reduced = RationalMatrix._trusted(m.row_labels, m.col_labels, a, d)
     return RrefResult(matrix=reduced, rank=len(pivots), pivot_cols=tuple(pivots))
 
 
@@ -609,7 +652,7 @@ def nullspace(m: RationalMatrix) -> NullspaceBasis:
         if next(x for x in coeffs if x) < 0:
             coeffs = [-x for x in coeffs]
         rows[m.col_labels[f]] = coeffs
-    return NullspaceBasis(RationalMatrix(list(rows), m.col_labels, list(rows.values()), d))
+    return NullspaceBasis(RationalMatrix._trusted(tuple(rows), m.col_labels, list(rows.values()), d))
 
 
 def determinant(m: RationalMatrix) -> Fraction:

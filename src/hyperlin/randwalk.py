@@ -170,7 +170,7 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
         if not lazy:
             for i, row in enumerate(rows):
                 row[i] = 0
-        matrix = RationalMatrix(h.vertices, h.vertices, rows, d * scale)
+        matrix = RationalMatrix._trusted(h.vertices, h.vertices, rows, d * scale)
         return TransitionMatrix(source=h, policy=policy, matrix=matrix)
     if policy.kind != CUSTOM:
         raise ValueError(f"unknown policy kind {policy.kind!r}")

@@ -191,32 +191,32 @@ def build_Q(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     the hyperedges containing both u and v, summed hyperedge by hyperedge
     rather than multiplied out. The diagonal carries the weighted degree.
     """
-    return RationalMatrix(h.vertices, h.vertices, *_q_rows(h, w))
+    return RationalMatrix._trusted(h.vertices, h.vertices, *_q_rows(h, w))
 
 
 def build_D(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Diagonal weighted-degree matrix: entry (v, v) is w_V(v) sum of w_E over star(v)."""
     q, d = _q_rows(h, w)
-    return RationalMatrix(h.vertices, h.vertices, _diagonal_part(q), d)
+    return RationalMatrix._trusted(h.vertices, h.vertices, _diagonal_part(q), d)
 
 
 def build_A(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Weighted adjacency: Q with the diagonal zeroed (equivalently Q - D)."""
     q, d = _q_rows(h, w)
-    return RationalMatrix(h.vertices, h.vertices, _adjacency_rows(q), d)
+    return RationalMatrix._trusted(h.vertices, h.vertices, _adjacency_rows(q), d)
 
 
 def build_K(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Diagonal row-sum matrix of the weighted adjacency."""
     q, d = _q_rows(h, w)
     rows = _diagonal_part(_laplacian_rows(_adjacency_rows(q)))
-    return RationalMatrix(h.vertices, h.vertices, rows, d)
+    return RationalMatrix._trusted(h.vertices, h.vertices, rows, d)
 
 
 def build_L(h: Hypergraph, w: WeightScheme) -> RationalMatrix:
     """Weighted Laplacian K - A."""
     q, d = _q_rows(h, w)
-    return RationalMatrix(h.vertices, h.vertices, _laplacian_rows(_adjacency_rows(q)), d)
+    return RationalMatrix._trusted(h.vertices, h.vertices, _laplacian_rows(_adjacency_rows(q)), d)
 
 
 def build_A_GH(h: Hypergraph) -> RationalMatrix:
@@ -422,7 +422,7 @@ def verify_A_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fr
     """
     q, d = _q_rows(h, w)
     degrees = {v: Fraction(row[i], d) for i, (v, row) in enumerate(zip(h.vertices, q))}
-    adjacency = RationalMatrix(h.vertices, h.vertices, _adjacency_rows(q), d)
+    adjacency = RationalMatrix._trusted(h.vertices, h.vertices, _adjacency_rows(q), d)
     return _eigen_check(h, cert, adjacency, degrees, sign=-1)
 
 
@@ -435,5 +435,5 @@ def verify_L_eigenvalue(h: Hypergraph, w: WeightScheme, cert: Certificate) -> Fr
     """
     q, d = _q_rows(h, w)
     constant = {v: Fraction(sum(row), d) for v, row in zip(h.vertices, q)}
-    laplacian = RationalMatrix(h.vertices, h.vertices, _laplacian_rows(_adjacency_rows(q)), d)
+    laplacian = RationalMatrix._trusted(h.vertices, h.vertices, _laplacian_rows(_adjacency_rows(q)), d)
     return _eigen_check(h, cert, laplacian, constant, sign=1)

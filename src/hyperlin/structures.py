@@ -30,7 +30,7 @@ from .hypergraph import (
     incidence_graph_adjacency,
     incidence_matrix,
 )
-from .linalg import RationalLike, _integer, _known, nullspace, rat, vector_support
+from .linalg import NullspaceBasis, RationalLike, _integer, _known, nullspace, rat, vector_support
 
 __all__ = [
     "CertificateKind",
@@ -455,7 +455,7 @@ def _oriented_pairs(labels, signs) -> list[tuple[frozenset[str], frozenset[str]]
 
 
 def find_equal_edge_partitions(
-    h: Hypergraph, max_support: int = 8
+    h: Hypergraph, max_support: int = 8, *, basis: NullspaceBasis | None = None
 ) -> list[tuple[frozenset[str], frozenset[str]]]:
     """All equal partitions (U, V) with combined support at most ``max_support``.
 
@@ -475,11 +475,22 @@ def find_equal_edge_partitions(
     first supported vertex into U, so U is never empty; V may be empty
     (isolated vertices make this legitimate). Pairs are ordered by support
     size, then support positions, then U positions in vertex order.
+
+    ``basis`` is ker I^T as ``nullspace(incidence_matrix(h).transpose())``
+    gives it, for a caller that has it already; by default it is computed
+    here. A basis over other labels than the vertices, in order, raises
+    ValueError. The search trusts a basis it is given, so a caller that
+    needs the pairs proved counts them itself, as ``hyperlin check`` does.
     """
     import numpy as np
 
     cap = _integer(max_support, "max_support", 1)
-    basis = nullspace(incidence_matrix(h).transpose())
+    if basis is None:
+        basis = nullspace(incidence_matrix(h).transpose())
+    elif basis.ambient_labels != h.vertices:
+        raise ValueError(
+            f"the basis is over {list(basis.ambient_labels)}, not the vertices {list(h.vertices)}"
+        )
     if basis.dimension == 0:
         return []
     n, d = h.n_vertices, basis.matrix.denominator

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_hypergraph
 
-from hyperlin import Hypergraph, centrality, checks, randwalk, spectra, structures
+from hyperlin import Hypergraph, centrality, checks, linalg, randwalk, spectra, structures
 from hyperlin import fixtures as fx
 from hyperlin.checks import run_checks
 from hyperlin.errors import IsolatedVertexError, SingletonEdgeNonLazyError
@@ -126,7 +126,7 @@ def test_partition_nullspace_fails_on_a_wrong_search_result(monkeypatch, tamper)
     monkeypatch.setattr(
         checks,
         "find_equal_edge_partitions",
-        lambda h, max_support: tamper(real(h, max_support=max_support)),
+        lambda h, max_support, basis=None: tamper(real(h, max_support=max_support, basis=basis)),
     )
     report = run_checks(fx.balanced_overlap())
     assert statuses(report)["partition_nullspace"] == "fail"
@@ -266,6 +266,32 @@ def test_the_check_pass_takes_one_integer_solve(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("build", [fx.balanced_overlap, lambda: _twins_with_hub(4)], ids=["h_eq", "twins-4"])
+def test_the_check_pass_eliminates_i_its_transpose_and_a_gh_once_each(monkeypatch, build):
+    """ker I^T is eliminated once and handed to the partition search."""
+    h = build()
+    reduced, searched = [], []
+    real_rref, real_search = linalg.rref, checks.find_equal_edge_partitions
+
+    def counting_rref(m):
+        reduced.append((m.row_labels, m.col_labels))
+        return real_rref(m)
+
+    def counting_search(*args, **kwargs):
+        searched.append(real_search(*args, **kwargs))
+        return searched[-1]
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(checks, "find_equal_edge_partitions", counting_search)
+    report = run_checks(h)
+    assert report["failed"] == 0
+    edges = h.edge_labels
+    assert sorted(reduced) == sorted(
+        [(h.vertices, edges), (edges, h.vertices), (h.vertices + edges, h.vertices + edges)]
+    )
+    assert len(searched) == 1 and searched[0]
+
+
 # -- the per-pair checks as products over all pairs at once ---------------------------
 
 
@@ -324,8 +350,8 @@ def test_batched_pair_checks_equal_the_per_pair_verifiers_on_random_inputs():
 def _with_last_pair(monkeypatch, change):
     real = checks.find_equal_edge_partitions
 
-    def tampered(h, max_support):
-        pairs = real(h, max_support=max_support)
+    def tampered(h, max_support, basis=None):
+        pairs = real(h, max_support=max_support, basis=basis)
         return pairs[:-1] + [change(*pairs[-1])]
 
     monkeypatch.setattr(checks, "find_equal_edge_partitions", tampered)

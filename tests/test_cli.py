@@ -116,7 +116,7 @@ def test_check_exit_three_when_a_theorem_fails(pack, capsys, monkeypatch):
     monkeypatch.setattr(
         checks,
         "find_equal_edge_partitions",
-        lambda h, max_support: real(h, max_support=max_support)
+        lambda h, max_support, basis=None: real(h, max_support=max_support, basis=basis)
         + [(frozenset({"1"}), frozenset({"2"}))],
     )
     code, out, err = run(capsys, "check", str(pack / "h_eq.json"))

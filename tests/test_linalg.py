@@ -24,6 +24,23 @@ def test_rat_accepts_exact_inputs():
     assert rat(Fraction(-7, 3)) == Fraction(-7, 3)
 
 
+def test_rat_gives_a_fraction_of_numpy_integers_python_int_parts():
+    x = rat(Fraction(np.int64(6), np.int64(4)))
+    assert x == Fraction(3, 2) and type(x.numerator) is int and type(x.denominator) is int
+    # so a trusted builder fed such weights still holds Python ints only
+    from hyperlin import fixtures
+    from hyperlin.spectra import WeightScheme, build_Q
+
+    h = fixtures.hub_cycle()
+    w = WeightScheme(
+        "numpy",
+        {v: Fraction(np.int64(2), np.int64(3)) for v in h.vertices},
+        {e: Fraction(np.int64(1)) for e in h.edge_labels},
+    )
+    q = build_Q(h, w)
+    assert all(type(x) is int for row in q.numerators for x in row) and type(q.denominator) is int
+
+
 def test_rat_rejects_floats_and_bools():
     with pytest.raises(TypeError):
         rat(0.5)

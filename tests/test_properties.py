@@ -1,6 +1,7 @@
 """Randomized laws: rank identities, nullity additivity, partitions, duality."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
@@ -16,9 +17,26 @@ from hyperlin import (
     verify_equal_edge_partition,
     verify_Q_annihilation,
 )
+from hyperlin.errors import IsolatedVertexError, SingletonEdgeError, SingletonEdgeNonLazyError
 from hyperlin.hypergraph import dual, incidence_graph_adjacency, incidence_matrix
-from hyperlin.linalg import determinant, nullspace, rref
-from hyperlin.spectra import weight_scheme
+from hyperlin.linalg import (
+    _MODULAR_MIN_CELLS,
+    RationalMatrix,
+    _fraction_free_reduce,
+    determinant,
+    nullspace,
+    rref,
+)
+from hyperlin.spectra import (
+    WEIGHT_PRESETS,
+    build_A,
+    build_A_GH,
+    build_D,
+    build_K,
+    build_L,
+    build_Q,
+    weight_scheme,
+)
 from hyperlin.structures import Certificate, CertificateKind, VERTEX_AXIS
 
 
@@ -191,3 +209,86 @@ def test_unit_pair_hitting_symmetry(h):
                 for w in h.vertices:
                     if w not in (a, b):
                         assert to_a[w] == to_b[w]
+
+
+# -- the library's own matrices need no validation --------------------------
+
+
+def _as_validated(*matrices):
+    """Each matrix is what the validating constructor builds from its own
+    fields, with every numerator and the denominator of exact type int."""
+    for m in matrices:
+        assert type(m.denominator) is int
+        assert all(type(x) is int for row in m.numerators for x in row)
+        assert RationalMatrix(m.row_labels, m.col_labels, m.numerators, m.denominator) == m
+
+
+def _eliminated(m):
+    """``m``, its RREF and its nullspace basis."""
+    return m, rref(m).matrix, nullspace(m).matrix
+
+
+@given(hypergraphs())
+def test_the_internal_producers_build_what_the_validating_constructor_builds(h):
+    inc = incidence_matrix(h)
+    built = [*_eliminated(inc), *_eliminated(inc.transpose()), *_eliminated(build_A_GH(h))]
+    built.append(inc @ inc.transpose())
+    for preset in WEIGHT_PRESETS:
+        try:
+            w = weight_scheme(h, preset)
+        except (SingletonEdgeError, IsolatedVertexError):
+            continue
+        q = build_Q(h, w)
+        built += [q, build_A(h, w), build_K(h, w), build_D(h, w), q @ inc, *_eliminated(build_L(h, w))]
+    for policy in (WalkPolicy.uniform_lazy(), WalkPolicy.uniform_nonlazy()):
+        try:
+            built.append(transition_matrix(h, policy).matrix)
+        except (IsolatedVertexError, SingletonEdgeNonLazyError):
+            pass
+    _as_validated(*built)
+
+
+@st.composite
+def large_hypergraphs(draw):
+    """20 to 24 vertices and 1.5 times as many distinct hyperedges of 4, so I,
+    I^T and A_GH all reach the multimodular RREF."""
+    n = draw(st.integers(min_value=20, max_value=24))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    verts = [str(i) for i in range(1, n + 1)]
+    edges = set()
+    while len(edges) < 3 * n // 2:
+        edges.add(frozenset(rng.sample(verts, 4)))
+    pairs = [(f"e{i}", sorted(ms, key=int)) for i, ms in enumerate(sorted(edges, key=sorted), start=1)]
+    return Hypergraph.from_members(pairs, vertices=verts)
+
+
+@given(large_hypergraphs())
+def test_the_multimodular_rref_builds_what_the_validating_constructor_builds(h):
+    inc, a_gh = incidence_matrix(h), build_A_GH(h)
+    assert inc.rows * inc.cols >= _MODULAR_MIN_CELLS and a_gh.rows * a_gh.cols >= _MODULAR_MIN_CELLS
+    _as_validated(*_eliminated(inc), *_eliminated(inc.transpose()), *_eliminated(a_gh))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small labelled int matrices over a denominator of either sign."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    c = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=-4, max_value=4), min_size=c, max_size=c)
+    rows = draw(st.lists(row, min_size=r, max_size=r))
+    d = draw(st.integers(min_value=-6, max_value=6).filter(bool))
+    return RationalMatrix([f"r{i}" for i in range(r)], [f"c{j}" for j in range(c)], rows, d)
+
+
+_NEGATIVE_PIVOT = [[1, 2, 1], [3, 4, 0]]
+
+
+def test_the_example_matrix_ends_on_a_negative_bareiss_pivot():
+    assert _fraction_free_reduce([list(row) for row in _NEGATIVE_PIVOT], 3)[1] == -2
+
+
+@example(RationalMatrix(["r0", "r1"], ["c0", "c1", "c2"], _NEGATIVE_PIVOT))
+@given(integer_matrices())
+def test_transpose_product_and_bareiss_build_what_the_validating_constructor_builds(m):
+    t = m.transpose()
+    _as_validated(t, m @ t, t @ m, *_eliminated(m), *_eliminated(t))

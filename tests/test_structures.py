@@ -334,6 +334,27 @@ def test_find_equal_edge_partitions_takes_int_and_numpy_integer_caps():
     assert find_equal_edge_partitions(h, max_support=np.uint8(3)) == []
 
 
+@pytest.mark.parametrize("name", sorted(fx._FIXTURE_BUILDERS))
+def test_find_equal_edge_partitions_gives_the_same_pairs_from_a_given_basis(name):
+    h = fx._FIXTURE_BUILDERS[name]()
+    basis = nullspace(incidence_matrix(h).transpose())
+    for cap in (2, max(h.n_vertices, 1)):
+        found = find_equal_edge_partitions(h, max_support=cap)
+        assert find_equal_edge_partitions(h, max_support=cap, basis=basis) == found
+
+
+def test_find_equal_edge_partitions_rejects_a_basis_over_other_labels():
+    h = fx.balanced_overlap()
+    reordered = Hypergraph(h.vertices[::-1], h.hyperedges)
+    for basis in (
+        nullspace(incidence_matrix(h)),  # ker I, over the hyperedges
+        nullspace(incidence_matrix(reordered).transpose()),  # the vertices in another order
+        nullspace(incidence_matrix(fx.nested_chain(4)).transpose()),  # vertices 1 to 4 of 5
+    ):
+        with pytest.raises(ValueError, match="the basis is over .*, not the vertices"):
+            find_equal_edge_partitions(h, basis=basis)
+
+
 def _random_disjoint_pairs(rng, labels, count=20):
     """``count`` pairs of disjoint label sets, each label in the first, the
     second or neither with equal odds."""
