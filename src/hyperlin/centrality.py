@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     BadHorizonError,
@@ -23,6 +23,7 @@ from .linalg import _integer, _integer_solve, _known, rat
 from .randwalk import (
     TransitionMatrix,
     _check_self_time,
+    _first_arrivals,
     _require_incident,
     _require_reachable,
 )
@@ -231,7 +232,7 @@ def _closeness_from_one_inverse(tm: TransitionMatrix, self_time: str) -> dict[st
 
 
 def _power_sum_row(
-    columns: list[tuple[int, ...]], scale: int, w: int, horizon: int, partials: list[list[int]] | None = None
+    columns: Sequence[Sequence[int]], scale: int, w: int, horizon: int, partials: list[list[int]] | None = None
 ) -> list[int]:
     """Row w of T_horizon = scale^horizon (P^0 + ... + P^horizon), P = M / scale, in ints.
 
@@ -251,10 +252,9 @@ def _power_sum_row(
     return g
 
 
-def _integer_power_sums(m: list[list[int]], scale: int, horizon: int) -> list[list[int]]:
-    """scale^horizon (P^0 + ... + P^horizon) for P = M / scale, in ints, row by row."""
-    columns = list(zip(*m))
-    return [_power_sum_row(columns, scale, w, horizon) for w in range(len(m))]
+def _integer_power_sums(columns: Sequence[Sequence[int]], scale: int, horizon: int) -> list[list[int]]:
+    """scale^horizon (P^0 + ... + P^horizon) for P = M / scale, in ints, row by row, from M's columns."""
+    return [_power_sum_row(columns, scale, w, horizon) for w in range(len(columns))]
 
 
 #: First passage multiplies two ints of about horizon * bits(D) bits each;
@@ -293,8 +293,9 @@ def rw_betweenness(tm: TransitionMatrix, horizon: int) -> CentralityReport:
         (full - avoided_w)[u][v] = sum_(s=1..h) F_s(u) G_(h-s)(w, v),
 
     where F_s(u) is D^s times the probability that the walk from u first
-    arrives at w at step s (F_1 = M[.][w] and F_(s+1) = M_w F_s, with M_w
-    the numerators with row and column w deleted), and G_k(w, .) is row w of
+    arrives at w at step s, from the walk layer's ``_first_arrivals`` (F_1 is
+    column w of M and F_(s+1) = M F_s', F_s' being F_s zeroed at w; F_s(w),
+    the first return, is not read here), and G_k(w, .) is row w of
     the Horner partial sum T_k = D^k (P^0 + ... + P^k). Multiplied on the
     right, T_k = T_(k-1) M + D^k Id, so each row of T is its own recursion,
     and the one pass that builds full = T_h row by row yields every
@@ -338,26 +339,18 @@ _KEPT_PARTIAL_SUMS = 1 << 16
 
 def _betweenness_by_first_passage(tm: TransitionMatrix, horizon: int) -> dict[str, object]:
     """``rw_betweenness`` values, each target's walk masses through it by first passage."""
-    m, scale = tm.matrix.numerators, tm.matrix.denominator
+    m, columns, scale = tm.matrix.numerators, tm._columns, tm.matrix.denominator
     n = len(m)
-    columns = list(zip(*m))
     keeps = horizon * n * n <= _KEPT_PARTIAL_SUMS
     kept = [[] if keeps else None for _ in range(n)]
     full = [_power_sum_row(columns, scale, w, horizon, kept[w]) for w in range(n)]
 
     def through(w: int, keep: list[int]) -> list[list[int]]:
-        f = [m[u][w] for u in range(n)]
-        f[w] = 0
-        arrivals = [f]  # F_1 .. F_h, zero at w
-        for _ in range(1, horizon):
-            f = [sum(map(mul, row, f)) for row in m]
-            f[w] = 0
-            arrivals.append(f)
         sums = kept[w]  # G_0 .. G_(h-1): rows w of T_0 .. T_(h-1)
         if sums is None:
             sums = []
             _power_sum_row(columns, scale, w, horizon, sums)
-        by_start = list(zip(*arrivals))
+        by_start = list(zip(*_first_arrivals(m, w, horizon)))
         by_end = list(zip(*reversed(sums)))
         ends = [by_end[v] for v in keep]
         return [[sum(map(mul, by_start[u], e)) for e in ends] for u in keep]
@@ -368,11 +361,11 @@ def _betweenness_by_first_passage(tm: TransitionMatrix, horizon: int) -> dict[st
 def _betweenness_by_deleted_rows(tm: TransitionMatrix, horizon: int) -> dict[str, object]:
     """``rw_betweenness`` values, each target's walk masses through it as full
     minus avoided power sums."""
-    m, scale = tm.matrix.numerators, tm.matrix.denominator
-    full = _integer_power_sums(m, scale, horizon)
+    columns, scale = tm._columns, tm.matrix.denominator
+    full = _integer_power_sums(columns, scale, horizon)
 
     def through(w: int, keep: list[int]) -> list[list[int]]:
-        avoided = _integer_power_sums([[m[i][j] for j in keep] for i in keep], scale, horizon)
+        avoided = _integer_power_sums([[columns[j][i] for i in keep] for j in keep], scale, horizon)
         return [[full[i][j] - x for j, x in zip(keep, row)] for i, row in zip(keep, avoided)]
 
     return _grouped_betweenness(tm, full, through)

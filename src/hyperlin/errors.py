@@ -121,7 +121,7 @@ class NoConvergenceError(HyperlinError):
 
 
 class BadDistributionError(HyperlinError):
-    """Initial distributions must be nonnegative and sum to one."""
+    """Probability vectors must be nonnegative and sum to one."""
 
 
 class BadHorizonError(HyperlinError):

@@ -207,7 +207,10 @@ class RationalMatrix:
 
     @classmethod
     def diagonal(cls, labels: Sequence[str], values: Mapping[str, RationalLike]) -> "RationalMatrix":
-        rows = [[values[a] if a == b else 0 for b in labels] for a in labels]
+        """The diagonal matrix of ``values``; a missing label counts as zero,
+        a key that is not a label raises UnknownLabelError."""
+        _known(values, labels)
+        rows = [[values.get(a, 0) if a == b else 0 for b in labels] for a in labels]
         return cls.from_rows(labels, labels, rows)
 
     # -- shape and access -----------------------------------------------
@@ -316,7 +319,12 @@ class RationalMatrix:
         for field, labels, count in (("rows", "row_labels", rows), ("cols", "col_labels", cols)):
             if len(data[labels]) != count:
                 raise ValueError(f"{field!r} is {count} but {labels!r} has {len(data[labels])} labels")
-        flat = [rat(x) for x in data["entries"]]
+        flat = []
+        for i, x in enumerate(data["entries"]):
+            try:
+                flat.append(rat(x))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"'entries' item {i} is not an integer or a 'p/q' string: {x!r}") from exc
         if len(flat) != rows * cols:
             raise ValueError("entry count does not match the declared shape")
         return cls.from_rows(
@@ -565,27 +573,36 @@ def _reconstruct(residues: np.ndarray, modulus: int) -> tuple[np.ndarray, int] |
 def _certified(a: np.ndarray, n: np.ndarray, d: int, pivots: Sequence[int]) -> bool:
     """True when d A = A[:, P] N holds exactly, P being ``pivots``.
 
-    The product runs in int64 when a bound proves that no sum overflows,
-    max|A| max(max|N| r, d) < 2^63, and in Python ints otherwise.
+    The pivot block N[:, P] must be d Id: r nonzero entries, each d on the
+    diagonal. Then A[:, P] N[:, P] = d A[:, P] holds by itself, so only the
+    free columns F are multiplied, A[:, P] N[:, F] == d A[:, F]; with no free
+    column the block is the whole check. The product runs in int64 when a
+    bound proves that no sum on either side overflows,
+    max|A| max(max|N[:, F]| r, d) < 2^63, and in Python ints otherwise.
 
     Why this proves N / d = rref(A) for a candidate from ``_modular_rref``:
     N / d has the reduced echelon shape of the RREF of A mod p, with pivot
-    columns P, because reconstruction keeps each residue 0 as 0 and each
-    pivot 1 as d. The product writes every row of A as a combination of
-    the r rows of N, so the row space of A lies in that of N, which has
-    dimension at most r. A nonzero r x r minor mod p is nonzero over the
-    integers, so rank_Q(A) >= rank_p(A) = r. Hence the two row spaces are
-    equal, and N / d, being in reduced echelon form, is the unique RREF of
-    that row space.
+    columns P, because its pivot block is checked and reconstruction keeps
+    each residue 0, so each entry left of a pivot, as 0. The equation writes
+    every row of A as a combination of the r rows of N, so the row space of
+    A lies in that of N, which has dimension at most r. A nonzero r x r
+    minor mod p is nonzero over the integers, so rank_Q(A) >= rank_p(A) = r.
+    Hence the two row spaces are equal, and N / d, being in reduced echelon
+    form, is the unique RREF of that row space.
     """
     import numpy as np
 
     r = len(pivots)
-    a_max = int(abs(a).max())
-    n_max = int(abs(n).max()) if n.size else 0
+    block = n[:, pivots]
+    if np.count_nonzero(block) != r or (block.diagonal() != d).any():
+        return False
+    free = sorted(set(range(a.shape[1])).difference(pivots))
+    tail = n[:, free]
+    a_max = max(int(a.max()), -int(a.min()))  # abs(-2^63) wraps in int64
+    n_max = max(int(tail.max()), -int(tail.min())) if tail.size else 0
     dtype = np.int64 if a_max * max(n_max * r, d) < 2**63 else object
-    a, n = a.astype(dtype), n.astype(dtype)
-    return bool((a[:, pivots] @ n == d * a).all())
+    product = a[:, pivots].astype(dtype) @ tail.astype(dtype)
+    return bool((product == d * a[:, free].astype(dtype)).all())
 
 
 def _modular_rref(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int, list[int]]:

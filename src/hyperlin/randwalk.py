@@ -7,8 +7,10 @@ kernel is P[u][v] = sum over shared hyperedges of r * s. Every kernel's
 the exact walk algebra reads. The uniform kernels are the weighted A
 (non-lazy, ``fullnorm`` weights: vertex 1/deg(v), hyperedge 1/(|e| - 1))
 and Q (lazy, vertex 1/deg(v), hyperedge 1/|e|), built from the spectra's
-coincidence rows; custom policies go through Fractions. Every kernel is
-validated as stochastic on the ints. Monte-Carlo simulation draws 64-bit
+coincidence rows; custom policies go through Fractions. One rule checks
+every probability vector on ints (kernel rows, custom choices, initial
+masses), and one recursion gives the first-arrival masses that first-hit
+laws and first-passage betweenness read. Monte-Carlo simulation draws 64-bit
 integers from a fully specified generator so runs are bit-reproducible,
 and steps blocks of trajectories together as numpy uint64 arrays.
 """
@@ -120,21 +122,25 @@ class TransitionMatrix:
                 f"transition matrix rows {list(m.row_labels)} and columns "
                 f"{list(m.col_labels)} are not the vertices {list(verts)} in order"
             )
-        d = m.denominator
         for lab, row in zip(verts, m.numerators):
-            for v, x in zip(verts, row):
-                if x < 0:
-                    raise BadDistributionError(
-                        f"row {lab!r} has entry {Fraction(x, d)} at {v!r}, below 0"
-                    )
-            if sum(row) != d:
-                raise BadDistributionError(f"row {lab!r} sums to {Fraction(sum(row), d)}, not 1")
+            _require_distribution(f"row {lab!r}", verts, row, m.denominator)
         object.__setattr__(self, "_columns", tuple(zip(*m.numerators)))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(verts)})
 
     @property
     def states(self) -> tuple[str, ...]:
         return self.matrix.row_labels
+
+
+def _require_distribution(what: str, labels: Sequence[str], masses: Sequence[int], d: int = 1) -> None:
+    """The one probability rule: the int ``masses`` over ``d`` > 0, one per
+    label, are each at least 0 and sum to 1, else BadDistributionError."""
+    for label, x in zip(labels, masses):
+        if x < 0:
+            raise BadDistributionError(f"{what} has entry {Fraction(x, d)} at {label!r}, below 0")
+    total = sum(masses)
+    if total != d:
+        raise BadDistributionError(f"{what} sums to {Fraction(total, d)}, not 1")
 
 
 def _require_incident(h: Hypergraph) -> None:
@@ -180,75 +186,29 @@ def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:
     index = {v: i for i, v in enumerate(vstates)}
     rows = [[Fraction(0)] * len(vstates) for _ in vstates]
     for u in vstates:
-        star_u = h.star(u)
-        star = [e for e in h.edge_labels if e in star_u]
-        edge_mass = Fraction(0)
-        for e in star:
-            r = rat(policy.edge_rule(u, e))
-            if r < 0:
-                raise BadDistributionError(f"negative edge weight at ({u!r}, {e!r})")
-            edge_mass += r
-            members = h.members(e)
-            vertex_mass = Fraction(0)
-            for v in h.vertices:
-                if v not in members:
-                    continue
-                s = rat(policy.vertex_rule(u, e, v))
-                if s < 0:
-                    raise BadDistributionError(
-                        f"negative vertex weight at ({u!r}, {e!r}, {v!r})"
-                    )
-                vertex_mass += s
+        star = [e for e in h.edge_labels if e in h.star(u)]
+        edge_choice = [rat(policy.edge_rule(u, e)) for e in star]
+        _require_distribution(f"edge choice from {u!r}", star, *_integer_row(edge_choice))
+        for e, r in zip(star, edge_choice):
+            members = [v for v in vstates if v in h.members(e)]
+            choice = [rat(policy.vertex_rule(u, e, v)) for v in members]
+            _require_distribution(f"vertex choice within {e!r} from {u!r}", members, *_integer_row(choice))
+            for v, s in zip(members, choice):
                 rows[index[u]][index[v]] += r * s
-            if vertex_mass != 1:
-                raise BadDistributionError(
-                    f"vertex choice within {e!r} from {u!r} sums to {vertex_mass}, not 1"
-                )
-        if edge_mass != 1:
-            raise BadDistributionError(
-                f"edge choice from {u!r} sums to {edge_mass}, not 1"
-            )
     matrix = RationalMatrix.from_rows(vstates, vstates, rows)
     return TransitionMatrix(source=h, policy=policy, matrix=matrix)
 
 
-def _as_distribution(tm: TransitionMatrix, init: Union[str, Mapping[str, Fraction]]) -> dict[str, Fraction]:
+def _initial_masses(tm: TransitionMatrix, init: Union[str, Mapping[str, Fraction]]) -> tuple[list[int], int]:
+    """``init`` (a state or a distribution) as int masses in state order over one denominator."""
     if isinstance(init, str):
         _known([init], tm._index, "states")
-        return {v: Fraction(int(v == init)) for v in tm.states}
+        return [int(v == init) for v in tm.states], 1
     dist = {str(k): rat(v) for k, v in init.items()}
     _known(dist, tm._index, "states")
-    if any(v < 0 for v in dist.values()):
-        raise BadDistributionError("probabilities must be nonnegative")
-    total = sum(dist.values(), Fraction(0))
-    if total != 1:
-        raise BadDistributionError(f"initial distribution sums to {total}, not 1")
-    return {v: dist.get(v, Fraction(0)) for v in tm.states}
-
-
-def _integer_walk(
-    tm: TransitionMatrix,
-    init: Union[str, Mapping[str, Fraction]],
-    steps: int,
-    absorb: int | None = None,
-) -> tuple[list[int], int, list[Fraction]]:
-    """Step ``init`` ``steps`` times as integer masses over one denominator.
-
-    With P = M / D a step multiplies the masses by M and the denominator by
-    D. Returns the final masses in state order, their denominator, and, when
-    ``absorb`` is a state index, the mass entering that state at each step,
-    which is then removed from the walk.
-    """
-    masses, denom = _integer_row(list(_as_distribution(tm, init).values()))
-    cols = tm._columns
-    absorbed: list[Fraction] = []
-    for _ in range(steps):
-        masses = [sum(map(mul, masses, col)) for col in cols]
-        denom *= tm.matrix.denominator
-        if absorb is not None:
-            absorbed.append(Fraction(masses[absorb], denom))
-            masses[absorb] = 0
-    return masses, denom, absorbed
+    masses, d = _integer_row([dist.get(v, Fraction(0)) for v in tm.states])
+    _require_distribution("initial distribution", tm.states, masses, d)
+    return masses, d
 
 
 def step_distribution(
@@ -256,8 +216,11 @@ def step_distribution(
 ) -> dict[str, Fraction]:
     """Exact distribution after ``t`` steps from ``init`` (a state or a distribution)."""
     t = _integer(t, "step count", 0, BadHorizonError)
-    masses, denom, _ = _integer_walk(tm, init, t)
-    return {v: Fraction(x, denom) for v, x in zip(tm.states, masses)}
+    masses, d = _initial_masses(tm, init)
+    for _ in range(t):
+        masses = [sum(map(mul, masses, col)) for col in tm._columns]
+    d *= tm.matrix.denominator**t
+    return {v: Fraction(x, d) for v, x in zip(tm.states, masses)}
 
 
 def _require_reachable(tm: TransitionMatrix, target: str) -> None:
@@ -323,13 +286,32 @@ def first_hit_probabilities(
 ) -> list[Fraction]:
     """Exact probability of first reaching ``target`` at each step 1..horizon.
 
-    The walk starts from ``init``; mass that reaches the target is absorbed,
-    so entry t is the probability that step t is the first visit (the first
-    return, for mass starting on the target). The entries sum to at most 1.
+    Entry t is the probability that step t is the first visit (the first
+    return, for mass starting on the target), so the entries sum to at most
+    1. With the initial masses mu over d and the first-arrival masses F_t of
+    ``_first_arrivals``, entry t is sum_u mu_u F_t[u] / (d D^t).
     """
     horizon = _integer(horizon, "horizon", 1, BadHorizonError)
     _known([target], tm._index, "states")
-    return _integer_walk(tm, init, horizon, absorb=tm._index[target])[2]
+    masses, d = _initial_masses(tm, init)
+    arrivals = _first_arrivals(tm.matrix.numerators, tm._index[target], horizon)
+    scale = tm.matrix.denominator
+    return [Fraction(sum(map(mul, masses, f)), d * scale**s) for s, f in enumerate(arrivals, 1)]
+
+
+def _first_arrivals(m: Sequence[Sequence[int]], w: int, horizon: int) -> list[list[int]]:
+    """F_1 .. F_horizon: with P = M / D (``m`` the rows of M), F_s[u] is D^s times the
+    probability that the walk from u first reaches state index w at step s (a
+    first return for u = w). F_1 is column w of M; F_(s+1) = M F_s', F_s' being
+    F_s zeroed at w."""
+    f = [row[w] for row in m]
+    arrivals = [f]
+    for _ in range(1, horizon):
+        before = f.copy()
+        before[w] = 0  # the walks that arrived at step s stop
+        f = [sum(map(mul, row, before)) for row in m]
+        arrivals.append(f)
+    return arrivals
 
 
 def verify_partition_transition(
@@ -579,7 +561,7 @@ def simulate(
     steps = _integer(steps, "steps", 0, BadHorizonError)
     trajectories = _integer(trajectories, "trajectories", 1, BadHorizonError)
     seed = _integer(seed, "seed", error=TypeError)
-    masses, denom = _integer_row(list(_as_distribution(tm, init).values()))
+    masses, denom = _initial_masses(tm, init)
     states = tm.states
     n = len(states)
     init_table = _threshold_table([masses], denom)

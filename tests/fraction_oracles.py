@@ -23,7 +23,7 @@ import numpy as np
 from hyperlin.randwalk import (
     SimulationResult,
     SplitMix64,
-    _as_distribution,
+    _initial_masses,
     trajectory_seed,
 )
 
@@ -284,8 +284,9 @@ def _cumulative_table(
 def simulate(tm, init, steps: int, trajectories: int, seed: int) -> SimulationResult:
     """Seeded trajectories one at a time: one SplitMix64 draw and one
     bisection of the cumulative table per step."""
-    dist = _as_distribution(tm, init)
     states = tm.states
+    masses, d = _initial_masses(tm, init)
+    dist = {v: Fraction(x, d) for v, x in zip(states, masses)}
     init_bounds, init_states = _cumulative_table(states, dist)
     row_tables = [_cumulative_table(states, tm.matrix.row(u)) for u in states]
     visits = [0] * len(states)

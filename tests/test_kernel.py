@@ -298,6 +298,54 @@ def test_the_certificate_takes_python_ints_above_the_int64_bound():
     assert not linalg._certified(a, np.array([[1, 1 - 2**63]], dtype=np.int64), 1, [0])
 
 
+def _certificate_input(scale: int):
+    """A = scale A0 with its exact RREF N / d and pivots, for ``_certified``:
+    int64 arrays at scale 1, object arrays past the int64 bound at 2^62."""
+    rows = [[0, 2, 1, 3, 1], [0, 4, 2, 1, 5], [0, 1, 3, 2, 2]]
+    res = rref(_matrix([[Fraction(x) for x in row] for row in rows], 5))
+    dtype = np.int64 if scale == 1 else object
+    a = np.array([[scale * x for x in row] for row in rows], dtype=dtype)
+    n = np.array(res.matrix.numerators[: res.rank], dtype=dtype)
+    return a, n, res.matrix.denominator, list(res.pivot_cols)
+
+
+@pytest.mark.parametrize("scale", [1, 2**62])
+@pytest.mark.parametrize("tamper", ["none", "off-diagonal pivot entry", "pivot entry not d", "one free entry"])
+def test_the_certificate_checks_the_pivot_block_and_multiplies_the_free_columns(scale, tamper):
+    a, n, d, pivots = _certificate_input(scale)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    assert pivots == [1, 2, 3] and free == [0, 4] and d > 1
+    n = n.copy()
+    if tamper == "off-diagonal pivot entry":
+        n[0, pivots[1]] = 1
+    elif tamper == "pivot entry not d":
+        n[1, pivots[1]] = d + 1
+    elif tamper == "one free entry":
+        n[2, free[1]] += 1
+    assert linalg._certified(a, n, d, pivots) == (tamper == "none")
+
+
+@pytest.mark.parametrize("scale", [1, 2**62])
+def test_the_certificate_rejects_a_rank_that_only_holds_mod_p(scale):
+    """A = [[p]] (times 2^62, past the int64 bound) has rank 0 mod p: the
+    empty candidate fails, as its empty product cannot give d A; the rank-1
+    candidate over a second prime holds with no free column to multiply."""
+    p = next(linalg._primes())
+    dtype = np.int64 if scale == 1 else object
+    a = np.array([[scale * p]], dtype=dtype)
+    assert not linalg._certified(a, np.zeros((0, 1), dtype=dtype), 1, [])
+    assert linalg._certified(a, np.array([[1]], dtype=dtype), 1, [0])
+
+
+def test_the_int64_bound_reads_the_magnitude_of_minus_2_to_the_63():
+    """abs(-2^63) wraps to -2^63 in int64, which would put the bound under
+    2^63; read from min and max, it sends this product to Python ints,
+    where -2^63 * 2 = -2^64, which int64 wraps to 0, is not 0."""
+    a = np.array([[-(2**63), 0]], dtype=np.int64)
+    assert linalg._certified(a, np.array([[1, 0]], dtype=np.int64), 1, [0])
+    assert not linalg._certified(a, np.array([[1, 2]], dtype=np.int64), 1, [0])
+
+
 def test_word_primes_are_the_primes_below_2_to_the_31_in_descending_order():
     by_trial = [
         p for p in range(2**31 - 1, 2**31 - 400, -2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))

@@ -6,7 +6,9 @@ Fraction view ``vectors``. The unknown-label rule also lives there alone, in
 does the integer rule, in ``linalg._integer``, which every counted argument
 goes through. One breadth-first search, ``hypergraph._hops``, answers every
 reachability question, and one SplitMix64 mix, ``randwalk._mix64``, makes
-every draw."""
+every draw. One probability rule, ``randwalk._require_distribution``, raises
+every BadDistributionError, and one first-arrival recursion,
+``randwalk._first_arrivals``, serves first-hit laws and betweenness."""
 
 import ast
 import json
@@ -178,6 +180,37 @@ def test_one_breadth_first_search_serves_connectivity_distances_and_reachability
         "centrality.py:distances_from",
         "randwalk.py:_require_reachable",
     }
+
+
+def _calls_to(name: str) -> set[str]:
+    def calls(node, _) -> bool:
+        return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    return _functions_using(calls)
+
+
+def test_one_probability_rule_raises_bad_distribution_errors():
+    """Kernel rows, custom edge and vertex choices and initial distributions
+    are all checked by ``randwalk._require_distribution``."""
+    assert _calls_to("BadDistributionError") == {"randwalk.py:_require_distribution"}
+
+
+def test_one_first_arrival_recursion_serves_first_hits_and_betweenness():
+    """``randwalk._first_arrivals`` is the one first-arrival recursion: no
+    absorbing walk or second initial-mass builder is left beside it."""
+    assert _calls_to("_first_arrivals") == {
+        "randwalk.py:first_hit_probabilities",
+        "centrality.py:_betweenness_by_first_passage",
+        "centrality.py:through",
+    }
+    functions = [
+        node
+        for path in sorted(Path(hyperlin.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert not {fn.name for fn in functions} & {"_integer_walk", "_as_distribution"}
+    assert not [fn.name for fn in functions if "absorb" in {a.arg for a in fn.args.args + fn.args.kwonlyargs}]
 
 
 def test_one_splitmix64_mix_reads_the_multipliers():

@@ -113,6 +113,14 @@ def test_apply_and_solve_reject_keys_that_are_not_labels():
         solve(m, {"a": 1, "bb": 5})
 
 
+def test_diagonal_counts_a_missing_label_as_zero_and_rejects_an_unknown_one():
+    assert RationalMatrix.diagonal(["a", "b"], {"b": 2}) == RationalMatrix.from_rows(
+        ["a", "b"], ["a", "b"], [[0, 0], [0, 2]]
+    )
+    with pytest.raises(UnknownLabelError, match="'zzz'"):
+        RationalMatrix.diagonal(["a"], {"a": 1, "zzz": 5})
+
+
 @pytest.mark.parametrize("field", ["rows", "cols"])
 @pytest.mark.parametrize("value", [1.9, True, -1, "1"])
 def test_json_shape_must_be_a_nonnegative_int(field, value):
@@ -128,6 +136,14 @@ def test_json_labels_and_entries_must_be_lists(field, value):
     data = _m([[1]]).to_json_dict()
     data[field] = value
     with pytest.raises(ValueError, match=repr(field)):
+        RationalMatrix.from_json_dict(data)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, None, ["1"], "abc", "1/0"])
+def test_json_entries_must_be_rationals_named_by_position(bad):
+    data = _m([[1, 2]]).to_json_dict()
+    data["entries"][1] = bad
+    with pytest.raises(ValueError, match=r"^'entries' item 1 "):
         RationalMatrix.from_json_dict(data)
 
 

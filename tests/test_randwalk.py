@@ -178,11 +178,11 @@ HALF = Fraction(1, 2)
 CUSTOM_POLICY_ERRORS = [
     (
         _rules(lambda u, e: -1 if (u, e) == ("b", "f") else 1, lambda u, e, v: HALF),
-        "negative edge weight at ('b', 'f')",
+        "edge choice from 'b' has entry -1 at 'f', below 0",
     ),
     (
         _rules(lambda u, e: 1, lambda u, e, v: -HALF if v == "c" else HALF),
-        "negative vertex weight at ('a', 'e', 'c')",
+        "vertex choice within 'e' from 'a' has entry -1/2 at 'c', below 0",
     ),
     (
         _rules(lambda u, e: 1, lambda u, e, v: Fraction(1, 3)),
@@ -201,6 +201,49 @@ def test_custom_policy_error_messages(policy, message):
         [("e", ["a", "c"]), ("f", ["b", "c"])], vertices=["a", "b", "c"]
     )
     assert _raised(h, policy) == (BadDistributionError, message)
+
+
+def test_a_custom_policy_calls_every_edge_rule_of_a_vertex_before_its_vertex_rules():
+    h = Hypergraph.from_members([("e", ["a", "b"]), ("f", ["a", "c"])])
+    calls = []
+
+    def edge(u, e):
+        calls.append(("edge", u, e))
+        return Fraction(1, h.degree(u))
+
+    def vertex(u, e, v):
+        calls.append(("vertex", u, e, v))
+        return HALF
+
+    transition_matrix(h, _rules(edge, vertex))
+    assert calls[:6] == [
+        ("edge", "a", "e"),
+        ("edge", "a", "f"),
+        ("vertex", "a", "e", "a"),
+        ("vertex", "a", "e", "b"),
+        ("vertex", "a", "f", "a"),
+        ("vertex", "a", "f", "c"),
+    ]
+
+
+INITIAL_DISTRIBUTION_ERRORS = [
+    ({"a": Fraction(3, 2), "c": -HALF}, "initial distribution has entry -1/2 at 'c', below 0"),
+    ({"a": HALF, "b": Fraction(1, 3)}, "initial distribution sums to 5/6, not 1"),
+]
+
+
+@pytest.mark.parametrize("init, message", INITIAL_DISTRIBUTION_ERRORS)
+def test_every_walk_function_names_a_bad_initial_distribution(init, message):
+    tm = transition_matrix(_triangle(), WalkPolicy.uniform_nonlazy())
+    calls = [
+        lambda: step_distribution(tm, init, 2),
+        lambda: first_hit_probabilities(tm, "c", 3, init),
+        lambda: simulate(tm, init, 2, 10, 1),
+    ]
+    for call in calls:
+        with pytest.raises(BadDistributionError) as info:
+            call()
+        assert str(info.value) == message
 
 
 PAIR = Hypergraph.from_members([("e", ["a", "b"])])
