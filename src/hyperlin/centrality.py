@@ -18,16 +18,15 @@ from .errors import (
     TooSmallError,
     UnreachableError,
 )
-from .hypergraph import Hypergraph, _dot, _hops
+from .hypergraph import Hypergraph, _dot, _hops, _require_incident
 from .linalg import _integer, _integer_solve, _known, rat
 from .randwalk import (
     TransitionMatrix,
     _check_self_time,
     _first_arrivals,
-    _require_incident,
     _require_reachable,
 )
-from .spectra import _check_edge_weights, _check_tol, _coincidence
+from .spectra import _check_tol, _check_weights, _coincidence
 from .structures import UnitDecomposition, units
 
 __all__ = [
@@ -458,7 +457,7 @@ def perron_centrality(
         weights = {e: Fraction(1) for e in h.edge_labels}
     else:
         weights = {str(k): rat(v) for k, v in edge_weights.items()}
-        _check_edge_weights(h, weights)
+        _check_weights(weights, h.edge_labels, "edge", "hyperedges")
     # the empty matrix has no vertex to rank and no eigenvalue above 0
     iterations, rayleigh, residual, values = 0, 0.0, 0.0, {}
     if h.n_vertices:

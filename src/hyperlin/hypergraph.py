@@ -20,6 +20,7 @@ from .errors import (
     EmptyHyperedgeError,
     EmptyStarError,
     HypergraphSyntaxError,
+    IsolatedVertexError,
     UnknownVertexError,
 )
 from .linalg import RationalMatrix, _known
@@ -254,6 +255,13 @@ def _hops(start: Hashable, neighbours: Callable[[Hashable], Iterable[Hashable]])
                 hops[nxt] = step
                 queue.append(nxt)
     return hops
+
+
+def _require_incident(h: Hypergraph) -> None:
+    """The one isolated-vertex rule: IsolatedVertexError names the first vertex in no hyperedge."""
+    for v in h.vertices:
+        if h.degree(v) == 0:
+            raise IsolatedVertexError(f"vertex {v!r} has no incident hyperedge")
 
 
 def _repeated_member(members: list[str]) -> str | None:

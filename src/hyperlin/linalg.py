@@ -104,6 +104,15 @@ def _known(keys: Iterable[str], labels: Iterable[str], what: str = "labels") -> 
         raise UnknownLabelError(f"unknown {what}: {sorted(unknown, key=str)}")
 
 
+def _position(labels: tuple[str, ...], label: str, what: str) -> int:
+    """The index of ``label`` in ``labels``; a miss raises through ``_known``, naming ``what``."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        _known([label], labels, what)
+        raise
+
+
 def _lowest_terms(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The int ``rows`` over nonzero ``d`` as nested tuples, with the common
     factor of d and every entry divided out, sign included, so d > 0."""
@@ -228,18 +237,10 @@ class RationalMatrix:
         return self.rows == self.cols
 
     def row_index(self, label: str) -> int:
-        try:
-            return self.row_labels.index(label)
-        except ValueError:
-            _known([label], self.row_labels, "row labels")
-            raise
+        return _position(self.row_labels, label, "row labels")
 
     def col_index(self, label: str) -> int:
-        try:
-            return self.col_labels.index(label)
-        except ValueError:
-            _known([label], self.col_labels, "column labels")
-            raise
+        return _position(self.col_labels, label, "column labels")
 
     def entry(self, row_label: str, col_label: str) -> Fraction:
         return self[self.row_index(row_label), self.col_index(col_label)]
@@ -282,10 +283,7 @@ class RationalMatrix:
         return {lab: Fraction(sum(map(mul, row, vec)), d) for lab, row in rows}
 
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        m = self.numerators
-        return all(m[i][j] == m[j][i] for i in range(self.rows) for j in range(i + 1, self.rows))
+        return self.is_square and tuple(zip(*self.numerators)) == self.numerators
 
     def submatrix(self, row_labels: Sequence[str], col_labels: Sequence[str]) -> "RationalMatrix":
         ri = [self.row_index(l) for l in row_labels]

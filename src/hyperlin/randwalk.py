@@ -27,13 +27,12 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 from .errors import (
     BadDistributionError,
     BadHorizonError,
-    IsolatedVertexError,
     NotUniformPolicyError,
     SingletonEdgeNonLazyError,
     UnknownLabelError,
     UnreachableError,
 )
-from .hypergraph import Hypergraph, _hops
+from .hypergraph import Hypergraph, _hops, _require_incident
 from .linalg import RationalMatrix, _integer, _integer_row, _integer_solve, _known, rat
 from .spectra import _coincidence
 from .structures import _check_disjoint
@@ -141,13 +140,6 @@ def _require_distribution(what: str, labels: Sequence[str], masses: Sequence[int
     total = sum(masses)
     if total != d:
         raise BadDistributionError(f"{what} sums to {Fraction(total, d)}, not 1")
-
-
-def _require_incident(h: Hypergraph) -> None:
-    """Raise IsolatedVertexError naming the first vertex in no hyperedge."""
-    for v in h.vertices:
-        if h.degree(v) == 0:
-            raise IsolatedVertexError(f"vertex {v!r} has no incident hyperedge")
 
 
 def transition_matrix(h: Hypergraph, policy: WalkPolicy) -> TransitionMatrix:

@@ -14,13 +14,12 @@ from typing import Mapping, Sequence
 
 from .errors import (
     InvalidCertificateError,
-    IsolatedVertexError,
     NotSquareError,
     NotSymmetrizableError,
     SingletonEdgeError,
     WeightDomainMismatchError,
 )
-from .hypergraph import Hypergraph, incidence_graph_adjacency, incidence_matrix
+from .hypergraph import Hypergraph, _require_incident, incidence_graph_adjacency, incidence_matrix
 from .linalg import RationalMatrix, _integer_row, rat
 from .structures import Certificate, CertificateKind, _require_vertex_certificate
 
@@ -100,16 +99,13 @@ def edge_normalized_weights(h: Hypergraph) -> WeightScheme:
 def fully_normalized_weights(h: Hypergraph) -> WeightScheme:
     """Vertex weight 1/|star(v)|, hyperedge weight 1/(|e| - 1).
 
-    Requires every star to be nonempty and every hyperedge to have at
-    least two members.
+    A hyperedge of one member raises SingletonEdgeError first, through
+    edge_normalized_weights; then a vertex in no hyperedge raises
+    IsolatedVertexError, through the one isolated-vertex rule.
     """
     base = edge_normalized_weights(h)
-    vweights = {}
-    for v in h.vertices:
-        deg = h.degree(v)
-        if deg == 0:
-            raise IsolatedVertexError(f"vertex {v!r} has an empty star")
-        vweights[v] = Fraction(1, deg)
+    _require_incident(h)
+    vweights = {v: Fraction(1, h.degree(v)) for v in h.vertices}
     return WeightScheme(name="fullnorm", vertex_weights=vweights, edge_weights=base.edge_weights)
 
 
@@ -129,18 +125,13 @@ def weight_scheme(h: Hypergraph, name: str) -> WeightScheme:
     return build(h)
 
 
-def _check_vertex_weights(h: Hypergraph, weights: Mapping[str, Fraction]) -> None:
-    if set(weights) != set(h.vertices):
-        raise WeightDomainMismatchError("vertex weights must cover exactly the vertices")
+def _check_weights(weights: Mapping[str, Fraction], labels: Sequence[str], kind: str, domain: str) -> None:
+    """The one weight-domain rule: the ``kind`` weights cover exactly the
+    ``labels`` of their ``domain`` and are positive, else WeightDomainMismatchError."""
+    if set(weights) != set(labels):
+        raise WeightDomainMismatchError(f"{kind} weights must cover exactly the {domain}")
     if any(x <= 0 for x in weights.values()):
-        raise WeightDomainMismatchError("vertex weights must be positive")
-
-
-def _check_edge_weights(h: Hypergraph, weights: Mapping[str, Fraction]) -> None:
-    if set(weights) != set(h.edge_labels):
-        raise WeightDomainMismatchError("edge weights must cover exactly the hyperedges")
-    if any(x <= 0 for x in weights.values()):
-        raise WeightDomainMismatchError("edge weights must be positive")
+        raise WeightDomainMismatchError(f"{kind} weights must be positive")
 
 
 def _coincidence(h: Hypergraph, edge_weights: Mapping[str, Fraction]) -> tuple[list, int]:
@@ -162,8 +153,8 @@ def _coincidence(h: Hypergraph, edge_weights: Mapping[str, Fraction]) -> tuple[l
 def _q_rows(h: Hypergraph, w: WeightScheme) -> tuple[list, int]:
     """Int rows of Q in vertex order and their denominator; every weighted
     matrix is read off this table."""
-    _check_vertex_weights(h, w.vertex_weights)
-    _check_edge_weights(h, w.edge_weights)
+    _check_weights(w.vertex_weights, h.vertices, "vertex", "vertices")
+    _check_weights(w.edge_weights, h.edge_labels, "edge", "hyperedges")
     scaled, vd = _integer_row([w.vertex_weights[u] for u in h.vertices])
     rows, d = _coincidence(h, w.edge_weights)
     return [[s * x for x in row] for s, row in zip(scaled, rows)], d * vd
@@ -316,16 +307,12 @@ def eigenvalues_sym(
         if any(x <= 0 for x in d.values()):
             raise NotSymmetrizableError("similarity diagonal must be positive")
         dv, _ = _integer_row([d[lab] for lab in m.row_labels])
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] * dv[j] != rows[j][i] * dv[i]:
-                    raise NotSymmetrizableError(
-                        "matrix is not symmetric under the declared diagonal"
-                    )
         arr = np.zeros((n, n), dtype=float)
         for i in range(n):
             arr[i, i] = rows[i][i] / den
             for j in range(i + 1, n):
+                if rows[i][j] * dv[j] != rows[j][i] * dv[i]:
+                    raise NotSymmetrizableError("matrix is not symmetric under the declared diagonal")
                 val = math.sqrt(rows[i][j] * rows[j][i] / (den * den))
                 arr[i, j] = arr[j, i] = -val if rows[i][j] < 0 else val
     else:

@@ -8,7 +8,10 @@ goes through. One breadth-first search, ``hypergraph._hops``, answers every
 reachability question, and one SplitMix64 mix, ``randwalk._mix64``, makes
 every draw. One probability rule, ``randwalk._require_distribution``, raises
 every BadDistributionError, and one first-arrival recursion,
-``randwalk._first_arrivals``, serves first-hit laws and betweenness."""
+``randwalk._first_arrivals``, serves first-hit laws and betweenness. One
+isolated-vertex rule, ``hypergraph._require_incident``, raises every
+IsolatedVertexError, and one weight-domain rule, ``spectra._check_weights``,
+every WeightDomainMismatchError."""
 
 import ast
 import json
@@ -193,6 +196,24 @@ def test_one_probability_rule_raises_bad_distribution_errors():
     """Kernel rows, custom edge and vertex choices and initial distributions
     are all checked by ``randwalk._require_distribution``."""
     assert _calls_to("BadDistributionError") == {"randwalk.py:_require_distribution"}
+
+
+def test_one_isolated_vertex_rule_raises_isolated_vertex_errors():
+    """Walk kernels, Perron centrality and the ``fullnorm`` weights all reject
+    a vertex in no hyperedge through ``hypergraph._require_incident``."""
+    assert _calls_to("IsolatedVertexError") == {"hypergraph.py:_require_incident"}
+    assert _calls_to("_require_incident") == {
+        "randwalk.py:transition_matrix",
+        "centrality.py:perron_centrality",
+        "spectra.py:fully_normalized_weights",
+    }
+
+
+def test_one_weight_domain_rule_raises_weight_domain_mismatch_errors():
+    """Vertex and hyperedge weights of the weighted builders and Perron's
+    edge weights are checked by ``spectra._check_weights``."""
+    assert _calls_to("WeightDomainMismatchError") == {"spectra.py:_check_weights"}
+    assert _calls_to("_check_weights") == {"spectra.py:_q_rows", "centrality.py:perron_centrality"}
 
 
 def test_one_first_arrival_recursion_serves_first_hits_and_betweenness():

@@ -318,3 +318,19 @@ def test_solve_raises_on_singular():
 
 def test_vector_support():
     assert vector_support({"a": Fraction(0), "b": Fraction(2)}) == frozenset({"b"})
+
+
+def test_is_symmetric_is_the_elementwise_definition():
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        labels = [f"v{i}" for i in range(n)]
+        m = RationalMatrix(labels, labels, rows, rng.randint(1, 3))
+        assert m.is_symmetric() is all(m[i, j] == m[j, i] for i in range(n) for j in range(n))
+    assert RationalMatrix((), (), []).is_symmetric() is True
+    # the empty rows of a 0 x 3 matrix equal their transpose; only squareness rules it out
+    assert RationalMatrix((), ("a", "b", "c"), []).is_symmetric() is False
+    assert RationalMatrix(("a", "b", "c"), (), [[], [], []]).is_symmetric() is False

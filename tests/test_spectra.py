@@ -107,7 +107,13 @@ def test_weighted_builders_reject_weights_off_their_axis_domain(
 
 def test_fullnorm_rejects_isolated_vertices():
     h = Hypergraph.from_members([("e", ["a", "b"])], vertices=["a", "b", "c"])
-    with pytest.raises(IsolatedVertexError):
+    with pytest.raises(IsolatedVertexError, match="^vertex 'c' has no incident hyperedge$"):
+        weight_scheme(h, "fullnorm")
+
+
+def test_fullnorm_names_a_singleton_edge_before_an_isolated_vertex():
+    h = Hypergraph.from_members([("e", ["a", "b"]), ("f", ["b"])], vertices=["a", "b", "c"])
+    with pytest.raises(SingletonEdgeError, match="^hyperedge 'f' has a single member"):
         weight_scheme(h, "fullnorm")
 
 
@@ -172,6 +178,43 @@ def test_eigenvalues_sym_rejects_unsymmetrizable_input():
     m = RationalMatrix.from_rows(["a", "b"], ["a", "b"], [[0, 1], [0, 0]])
     with pytest.raises(NotSymmetrizableError):
         eigenvalues_sym(m)
+
+
+def _similar(n=5, seed=3):
+    """M = S D^-1 for a symmetric S with nonzero entries and distinct positive
+    diagonal D: M is not symmetric, but M D is, so D is a similarity for M."""
+    rng = random.Random(seed)
+    labels = [f"v{i}" for i in range(n)]
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s[i][j] = s[j][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+    d = [Fraction(i + 1, 2) for i in range(n)]
+    return labels, [[Fraction(s[i][j]) / d[j] for j in range(n)] for i in range(n)], d
+
+
+def test_eigenvalues_sym_rejects_a_similarity_diagonal_that_misses_a_label():
+    labels, rows, d = _similar()
+    m = RationalMatrix.from_rows(labels, labels, rows)
+    with pytest.raises(NotSymmetrizableError, match="^similarity diagonal must cover the matrix labels$"):
+        eigenvalues_sym(m, similarity=dict(zip(labels[:-1], d)))
+
+
+@pytest.mark.parametrize("bad", [0, -1, Fraction(-1, 3)])
+def test_eigenvalues_sym_rejects_a_similarity_diagonal_entry_that_is_not_positive(bad):
+    labels, rows, d = _similar()
+    m = RationalMatrix.from_rows(labels, labels, rows)
+    with pytest.raises(NotSymmetrizableError, match="^similarity diagonal must be positive$"):
+        eigenvalues_sym(m, similarity={**dict(zip(labels, d)), labels[2]: bad})
+
+
+def test_eigenvalues_sym_scans_every_pair_for_the_similarity():
+    # only the last pair, (n - 2, n - 1), breaks M D == (M D)^T
+    labels, rows, d = _similar()
+    rows[-2][-1] += 1
+    m = RationalMatrix.from_rows(labels, labels, rows)
+    with pytest.raises(NotSymmetrizableError, match="^matrix is not symmetric under the declared diagonal$"):
+        eigenvalues_sym(m, similarity=dict(zip(labels, d)))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True])
