@@ -23,7 +23,7 @@ from itertools import combinations
 from .centrality import _passage_inverse
 from .errors import IsolatedVertexError, SingletonEdgeError, SingletonEdgeNonLazyError
 from .hypergraph import Hypergraph, incidence_matrix
-from .linalg import determinant, nullspace, rank
+from .linalg import _int_array, determinant, nullspace, rank
 from .randwalk import WalkPolicy, transition_matrix
 from .spectra import WEIGHT_PRESETS, build_A_GH, build_Q, weight_scheme
 from .structures import _oriented_pairs, _sign_sums, find_equal_edge_partitions, units
@@ -164,14 +164,10 @@ def _edge_balanced(signed, h, table):
 
 def _walk_balanced(signed, tm):
     """Per pair, whether each state w outside U and V enters both equally:
-    (S M^T)[p, w], row w of the kernel's numerators M over U minus over V."""
-    import numpy as np
-
-    # each row of M sums to D, so D bounds every |(S M^T)[p, w]|
-    dtype = np.int64 if tm.matrix.denominator < 2**63 else object
-    s = signed.astype(dtype)
-    flow = s @ np.array(tm.matrix.numerators, dtype=dtype).T
-    return ~((flow != 0) & (s == 0)).any(axis=1)
+    (S M^T)[p, w], row w of the kernel's numerators M over U minus over V.
+    S is in {-1, 0, 1}, so each entry sums n terms of M: ``_int_array`` at weight n."""
+    flow = signed @ _int_array(tm.matrix.numerators, tm.matrix.cols).T
+    return ~((flow != 0) & (signed == 0)).any(axis=1)
 
 
 def _partition_nullspace(h, inc, pairs, signed, vertex_nullity: int) -> dict:

@@ -76,8 +76,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(str(x) for x in obj)
     return obj
 
 

@@ -122,6 +122,29 @@ def _lowest_terms(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[tuple[in
     return tuple(map(tuple, rows)), d
 
 
+def _magnitude(a: np.ndarray) -> int:
+    """max|a| as an int, 0 if empty, read from max and min: abs(-2^63) wraps in int64."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _int_array(rows, weight: int = 0) -> np.ndarray:
+    """Integer ``rows`` (nested ints, or an int64 or object array) as int64 when
+    they fit and weight * max|rows| < 2^63, else as Python ints in an object
+    array: the one int64-or-Python-int rule of the exact kernel.
+
+    A caller's weight w says that each value it computes from the array is
+    at most w max|rows| in magnitude. The default, 0, asks only that the
+    entries fit and reads no magnitude.
+    """
+    import numpy as np
+
+    try:
+        a = np.asarray(rows, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64
+        return np.array(rows, dtype=object)
+    return a.astype(object) if weight and weight * _magnitude(a) >= 2**63 else a
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
     """A dense labeled matrix of exact rationals: ``numerators / denominator``.
@@ -458,26 +481,12 @@ _WORD_PRIMES: list[int] = []
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on bases 2, 3, 5 and 7, which is exact below 3 215 031 751."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for base in (2, 3, 5, 7):
-        x = pow(base, odd, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and by the odd numbers up to sqrt(n), in one numpy remainder."""
+    import numpy as np
+
+    if n < 4:
+        return n > 1
+    return bool(n % 2 and np.all(n % np.arange(3, math.isqrt(n) + 1, 2)))
 
 
 def _primes() -> Iterator[int]:
@@ -574,9 +583,8 @@ def _certified(a: np.ndarray, n: np.ndarray, d: int, pivots: Sequence[int]) -> b
     The pivot block N[:, P] must be d Id: r nonzero entries, each d on the
     diagonal. Then A[:, P] N[:, P] = d A[:, P] holds by itself, so only the
     free columns F are multiplied, A[:, P] N[:, F] == d A[:, F]; with no free
-    column the block is the whole check. The product runs in int64 when a
-    bound proves that no sum on either side overflows,
-    max|A| max(max|N[:, F]| r, d) < 2^63, and in Python ints otherwise.
+    column the block is the whole check. ``_int_array`` decides whether the
+    product runs in int64, at weight max(r max|N[:, F]|, d).
 
     Why this proves N / d = rref(A) for a candidate from ``_modular_rref``:
     N / d has the reduced echelon shape of the RREF of A mod p, with pivot
@@ -595,12 +603,9 @@ def _certified(a: np.ndarray, n: np.ndarray, d: int, pivots: Sequence[int]) -> b
     if np.count_nonzero(block) != r or (block.diagonal() != d).any():
         return False
     free = sorted(set(range(a.shape[1])).difference(pivots))
-    tail = n[:, free]
-    a_max = max(int(a.max()), -int(a.min()))  # abs(-2^63) wraps in int64
-    n_max = max(int(tail.max()), -int(tail.min())) if tail.size else 0
-    dtype = np.int64 if a_max * max(n_max * r, d) < 2**63 else object
-    product = a[:, pivots].astype(dtype) @ tail.astype(dtype)
-    return bool((product == d * a[:, free].astype(dtype)).all())
+    tail = _int_array(n[:, free])
+    a = _int_array(a, max(r * _magnitude(tail), d))
+    return bool((a[:, pivots] @ tail == d * a[:, free]).all())
 
 
 def _modular_rref(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int, list[int]]:
@@ -619,10 +624,7 @@ def _modular_rref(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[
     nrows = len(rows)
     if not nrows or not ncols:
         return [list(row) for row in rows], 1, []
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:  # numerators beyond int64: residues by Python's %
-        a = np.array(rows, dtype=object)
+    a = _int_array(rows)  # numerators beyond int64 take their residues by Python's %
     best = None
     for p in _primes():
         res = (a % p).astype(np.int64)

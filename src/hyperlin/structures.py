@@ -30,7 +30,7 @@ from .hypergraph import (
     incidence_graph_adjacency,
     incidence_matrix,
 )
-from .linalg import NullspaceBasis, RationalLike, _integer, _known, nullspace, rat, vector_support
+from .linalg import NullspaceBasis, RationalLike, _int_array, _integer, _known, nullspace, rat, vector_support
 
 __all__ = [
     "CertificateKind",
@@ -418,25 +418,23 @@ def _sign_sums(vectors, start, allowed):
     The 3^b partial sums of the first b digits are built once, b the most
     that keeps a block within ``_BLOCK_CELLS``, row r holding digit j at
     r // 3^j % 3 - 1; each assignment of the other digits shifts them, and
-    one vectorized test keeps the rows in range. The sums are int64 when
-    max|start| + sum_j max|vectors[j]| < 2^63, with every allowed value below
-    it, proves that none overflows; else Python ints.
+    one vectorized test keeps the rows in range. Every sum is at most
+    max|start| + k max|vectors|, so ``_int_array`` takes the vectors, and
+    the start with the allowed values, at weight k + 1.
     """
     import numpy as np
 
     k, width = len(vectors), len(start)
-    bound = max(map(abs, (*start, *allowed)), default=0)
-    bound += sum(max(map(abs, v), default=0) for v in vectors)
-    dtype = np.int64 if bound < 2**63 else object
-    vecs = np.array(vectors, dtype=dtype).reshape(k, width)
+    vecs = _int_array(vectors, k + 1).reshape(k, width)
+    ends = _int_array([*start, *allowed], k + 1)
     b = k
     while b and 3**b * max(width, 1) > _BLOCK_CELLS:
         b -= 1
-    part = np.array([start], dtype=dtype)
+    part, allowed = ends[None, :width], ends[width:]
     for v in vecs[:b]:
         part = (np.multiply.outer((-1, 0, 1), v)[:, None] + part).reshape(3 * len(part), width)
     for high in product((-1, 0, 1), repeat=k - b):
-        sums = part + np.array(high, dtype=dtype) @ vecs[b:]
+        sums = part + np.array(high, dtype=vecs.dtype) @ vecs[b:]
         rows = np.flatnonzero(np.logical_or.reduce([sums == a for a in allowed]).all(axis=1))
         if len(rows):
             c = np.empty((len(rows), k), dtype=np.int8)

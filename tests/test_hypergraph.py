@@ -8,6 +8,7 @@ import pytest
 
 from hyperlin import (
     Hypergraph,
+    cli,
     graph_projection,
     incidence_graph,
     incidence_matrix,
@@ -211,6 +212,56 @@ def test_from_lines_without_header_uses_appearance_order():
 def test_from_lines_rejects_garbage():
     with pytest.raises(HypergraphSyntaxError):
         Hypergraph.from_lines("no colon here")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('["a"]', "^top level must be an object$"),
+        ('{"vertices": ["a"]}', "^need 'vertices' and 'hyperedges' keys$"),
+        ('{"vertices": ["a", 1], "hyperedges": {}}', "^'vertices' must be a list of strings$"),
+        ('{"vertices": ["a"], "hyperedges": [["a"]]}', "^'hyperedges' must be an object$"),
+        ('{"vertices": ["a"], "hyperedges": {"e": "a"}}', "^members of 'e' must be a list of strings$"),
+    ],
+    ids=["top level", "keys", "vertices", "hyperedges", "members"],
+)
+def test_from_json_names_each_shape_error(text, message):
+    with pytest.raises(HypergraphSyntaxError, match=message):
+        Hypergraph.from_json(text)
+
+
+#: (file name, text, error type, message) of each parse error of ``hyperlin check``.
+PARSE_ERRORS = [
+    ("twice.txt", "#vertices: a b a\ne: a b\n", HypergraphSyntaxError, "line 1: vertex 'a' declared twice"),
+    ("colon.txt", "e: a b\nf a b\n", HypergraphSyntaxError, "line 2: expected 'label: members'"),
+    ("label.txt", "e: a b\nmy edge: a b\n", HypergraphSyntaxError, "line 2: bad hyperedge label 'my edge'"),
+    ("nolabel.txt", ": a b\n", HypergraphSyntaxError, "line 1: bad hyperedge label ''"),
+    ("empty.txt", "e: a b\n\nf:\n", EmptyHyperedgeError, "line 3: hyperedge 'f' is empty"),
+    ("dup.json", '{"vertices": ["a", "b", "a"], "hyperedges": {}}', HypergraphSyntaxError, "duplicate vertex labels"),
+]
+PARSE_IDS = ["declared twice", "no colon", "label with a space", "no label", "empty hyperedge", "duplicate vertex"]
+
+
+@pytest.mark.parametrize("name, text, error, message", PARSE_ERRORS, ids=PARSE_IDS)
+def test_parse_names_each_error(name, text, error, message):
+    with pytest.raises(error) as raised:
+        parse(text, "json" if name.endswith(".json") else "lines")
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("name, text, error, message", PARSE_ERRORS, ids=PARSE_IDS)
+def test_check_exits_one_on_each_parse_error(name, text, error, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {error.__name__}: {message}\n"
+
+
+def test_parse_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        parse("e: a b", "xml")
 
 
 def test_parse_dispatches_on_format():

@@ -346,6 +346,48 @@ def test_the_int64_bound_reads_the_magnitude_of_minus_2_to_the_63():
     assert not linalg._certified(a, np.array([[1, 2]], dtype=np.int64), 1, [0])
 
 
+def test_a_certificate_tampered_past_2_to_the_63_still_fails():
+    """N[0, 1] = 1 + 2^63 is past int64, and 2 (1 + 2^63) = 2 + 2^64 wraps to
+    2 = d A[0, 1] in int64; the product must run in Python ints to reject it."""
+    a = np.array([[2, 2]], dtype=np.int64)
+    assert not linalg._certified(a, np.array([[1, 1 + 2**63]], dtype=object), 1, [0])
+    assert linalg._certified(a, np.array([[1, 1]], dtype=object), 1, [0])
+
+
+@pytest.mark.parametrize(
+    "rows, weight, python_ints",
+    [
+        ([[2**63 - 1, 0]], 1, False),
+        ([[2**62, 1]], 2, True),
+        ([[7, -3]], (2**63 - 1) // 7, False),
+        ([[7, -3]], (2**63 - 1) // 7 + 1, True),
+        (np.array([[-(2**63), 5]], dtype=np.int64), 1, True),
+        ([[2**63, 0]], 0, True),
+        (np.array([[-(2**63), 5]], dtype=np.int64), 0, False),
+        (np.zeros((0, 3), dtype=np.int64), 2**70, False),
+    ],
+    ids=["2^63-1", "2^63", "7w=2^63-1", "7w=2^63", "-2^63 read as 2^63", "past int64", "no weight", "empty"],
+)
+def test_the_int_array_rule_takes_python_ints_from_weight_times_max_at_2_to_the_63(rows, weight, python_ints):
+    got = linalg._int_array(rows, weight)
+    assert got.dtype == (object if python_ints else np.int64)
+    assert got.tolist() == np.asarray(rows, dtype=object).tolist()
+    if python_ints:
+        assert all(type(x) is int for x in got.flat)
+
+
+def test_the_int_array_rule_gives_an_object_array_that_fits_back_as_int64():
+    """The CRT path reconstructs object arrays of small ints."""
+    got = linalg._int_array(np.array([[1, -2], [3, 2**40]], dtype=object), 2**20)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[1, -2], [3, 2**40]]
+
+
+def test_trial_division_is_the_definition_of_a_prime():
+    definition = [n >= 2 and all(n % q for q in range(2, n)) for n in range(5001)]
+    assert [linalg._is_prime(n) for n in range(5001)] == definition
+
+
 def test_word_primes_are_the_primes_below_2_to_the_31_in_descending_order():
     by_trial = [
         p for p in range(2**31 - 1, 2**31 - 400, -2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))

@@ -11,7 +11,8 @@ every BadDistributionError, and one first-arrival recursion,
 ``randwalk._first_arrivals``, serves first-hit laws and betweenness. One
 isolated-vertex rule, ``hypergraph._require_incident``, raises every
 IsolatedVertexError, and one weight-domain rule, ``spectra._check_weights``,
-every WeightDomainMismatchError."""
+every WeightDomainMismatchError. One int64-or-Python-int rule,
+``linalg._int_array``, decides how every exact numpy product holds its ints."""
 
 import ast
 import json
@@ -365,3 +366,29 @@ def test_what_is_not_an_integer_keeps_its_error_type(caller, bad):
         return
     with pytest.raises(error, match=repr(bad) if caller == "rat" else rf"^.* must be .*, got {bad!r}$"):
         report(bad)
+
+
+def test_one_int64_rule_serves_the_exact_kernel():
+    """``linalg._int_array`` alone writes the int64 bound and handles an
+    OverflowError; the four exact numpy products state only their weights."""
+
+    def writes_2_to_the_63(node, _) -> bool:
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and (getattr(node.left, "value", None), getattr(node.right, "value", None)) == (2, 63)
+        )
+
+    def handles_overflow(node, _) -> bool:
+        return isinstance(node, ast.ExceptHandler) and "OverflowError" in ast.dump(node.type)
+
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in Path(hyperlin.__file__).parent.glob("*.py")]
+    assert sum(writes_2_to_the_63(node, None) for tree in trees for node in ast.walk(tree)) == 1
+    assert _functions_using(writes_2_to_the_63) == {"linalg.py:_int_array"}
+    assert _functions_using(handles_overflow) == {"linalg.py:_int_array"}
+    assert _calls_to("_int_array") == {
+        "linalg.py:_certified",
+        "linalg.py:_modular_rref",
+        "checks.py:_walk_balanced",
+        "structures.py:_sign_sums",
+    }

@@ -310,6 +310,17 @@ def test_solve_round_trips():
         assert m.apply(x) == b
 
 
+def test_solve_requires_square():
+    with pytest.raises(NotSquareError, match="^solve needs a square matrix, got 2x3$"):
+        solve(_m([[1, 2, 3], [4, 5, 6]]), [1, 2])
+
+
+@pytest.mark.parametrize("b", [[1], [1, 2, 3]])
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length(b):
+    with pytest.raises(ValueError, match="^right hand side length does not match$"):
+        solve(_m([[1, 0], [0, 1]]), b)
+
+
 def test_solve_raises_on_singular():
     m = _m([[1, 1], [1, 1]])
     with pytest.raises(SingularError):

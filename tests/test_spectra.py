@@ -302,6 +302,36 @@ def test_eigen_checks_reject_wrong_axis():
         verify_A_eigenvalue(h, unit_weights(h), cert)
 
 
+@pytest.mark.parametrize("verify", [verify_A_eigenvalue, verify_L_eigenvalue], ids=["A", "L"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("kind", "^certificate kind must be DependentVertices$"),
+        ("zero", "^the zero vector is not an eigenvector$"),
+        ("not in ker", "^certificate is not a dependence certificate$"),
+        ("identity", "^eigenvalue identity fails although the constancy condition holds$"),
+    ],
+)
+def test_eigen_checks_name_each_invalid_certificate(verify, case, message, monkeypatch):
+    h = fx.unit_blocks()
+    pair = vertex_pair_certificate(h, "1", "2")
+    coefficients = {
+        "kind": pair.coefficients,
+        "zero": dict.fromkeys(h.vertices, 0),
+        "not in ker": {v: int(v == "1") for v in h.vertices},
+        "identity": pair.coefficients,
+    }[case]
+    kind = CertificateKind.EQUAL_EDGE_PARTITION if case == "kind" else CertificateKind.DEPENDENT_VERTICES
+    support = frozenset(v for v, x in coefficients.items() if x)
+    cert = Certificate(kind, support, coefficients, VERTEX_AXIS)
+    if case == "identity":  # one more on the diagonal of A, so of L too, breaks both identities
+        rows = spectra._adjacency_rows
+        shifted = lambda q: [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows(q))]
+        monkeypatch.setattr(spectra, "_adjacency_rows", shifted)
+    with pytest.raises(InvalidCertificateError, match=message):
+        verify(h, unit_weights(h), cert)
+
+
 @pytest.mark.parametrize("fixture", sorted(_FIXTURE_BUILDERS))
 def test_float_bridge_hands_numpy_the_fraction_oracle_array(monkeypatch, fixture):
     """Every array eigvalsh receives equals the one built from Fraction rows."""

@@ -535,8 +535,23 @@ def test_non_projection_is_rejected():
     broken = dict(proj)
     broken["u1"] = "2"  # no longer maps stars onto stars
     got = verify_covering_projection(cover, base, broken)
-    assert got is not ProjectionClass.CARDINALITY_PRESERVING_COVERING
-    assert got is not ProjectionClass.COVERING
+    assert got is ProjectionClass.NOT_HOMOMORPHISM
+
+
+def test_a_star_that_collapses_is_a_homomorphism_but_not_a_covering():
+    path = Hypergraph.from_members([("e1", "ab"), ("e2", "bc")])
+    edge = Hypergraph.from_members([("f", "xy")])
+    # both hyperedges go onto f, so b's star of two maps onto y's star of one
+    got = verify_covering_projection(path, edge, {"a": "x", "b": "y", "c": "x"})
+    assert got is ProjectionClass.HOMOMORPHISM
+
+
+def test_a_homomorphism_that_misses_a_vertex_is_not_a_covering():
+    edge = Hypergraph.from_members([("e", "ab")])
+    path = Hypergraph.from_members([("f1", "xy"), ("f2", "yz")])
+    # e goes onto f1, but no vertex goes to z
+    got = verify_covering_projection(edge, path, {"a": "x", "b": "y"})
+    assert got is ProjectionClass.HOMOMORPHISM
 
 
 def test_pullback_lifts_certificates_exactly():
