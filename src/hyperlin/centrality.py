@@ -137,8 +137,9 @@ def rw_closeness(tm: TransitionMatrix, self_time: str = "return") -> CentralityR
     time by default, or zero under self_time="zero"), and the centrality is
     |V| divided by that sum. Values are exact positive rationals.
 
-    Every target's sum comes from one integer Gauss-Jordan. With P = M / D,
-    deleting a reference state r leaves Id - P', and its inverse padded
+    Every target's sum comes from one integer solve, ``linalg._integer_solve``
+    (Dixon lifting from its size threshold). With P = M / D, deleting a
+    reference state r leaves Id - P', and its inverse padded
     with a zero row and column at r is a generalized inverse G of Id - P.
     The mean first-passage identity for such a G (Kemeny and Snell, *Finite
     Markov Chains*, 1960; Hunter, *Linear Algebra Appl.* 45, 1982) reads
@@ -175,13 +176,13 @@ def rw_closeness(tm: TransitionMatrix, self_time: str = "return") -> CentralityR
 def _passage_inverse(tm: TransitionMatrix) -> tuple[list[list[int]], int, list[int]] | None:
     """The X, d and w that give every mean first-passage time.
 
-    The reference state r is state 0. Gauss-Jordan on [D Id - M' | Id]
-    gives X over the last pivot d, so (Id - P')^-1 = D X / d, and the
-    stationary weights w are d at r and M[r] X elsewhere (pi = w / W with
-    W their sum). The chain is irreducible exactly when the solve is
-    regular and every weight has the sign of d; otherwise this returns
-    None. X comes padded by zeros at r; with R its row sums, the identity
-    in ``rw_closeness`` reads, for u != v,
+    The reference state r is state 0. The integer solve of
+    (D Id - M') X = d Id gives X over its least positive common denominator
+    d, so (Id - P')^-1 = D X / d, and the stationary weights w are d at r
+    and M[r] X elsewhere (pi = w / W with W their sum). The chain is
+    irreducible exactly when the solve is regular and every weight is
+    positive; otherwise this returns None. X comes padded by zeros at r;
+    with R its row sums, the identity in ``rw_closeness`` reads, for u != v,
 
         E_u^v = D e(u, v) / (d w_v),  e(u, v) = (R_u - R_v) w_v + (X[v][v] - X[u][v]) W.
     """
@@ -196,7 +197,7 @@ def _passage_inverse(tm: TransitionMatrix) -> tuple[list[list[int]], int, list[i
     except SingularError:
         return None
     weights = [d] + [sum(map(mul, m[0][1:], col)) for col in zip(*x)]
-    if any(w * d <= 0 for w in weights):
+    if any(w <= 0 for w in weights):
         return None
     return [[0] * n] + [[0, *row] for row in x], d, weights
 

@@ -210,9 +210,10 @@ def _walk_symmetries(dec, kernel) -> dict:
     tm = kernel()
     if isinstance(tm, str):
         return _check("walk_symmetries", "not-applicable", tm)
-    inverse = _passage_inverse(tm)
+    # with no isolated vertex and no singleton edge, the chain is irreducible
+    # exactly when h is connected, so one search rules out the solve
+    inverse = _passage_inverse(tm) if tm.source.is_connected() else None
     if inverse is None:
-        # symmetric support: a reducible chain leaves the first target unreachable
         return _check("walk_symmetries", "not-applicable", "UnreachableError")
     x, _, w = inverse
     r = [sum(row) for row in x]

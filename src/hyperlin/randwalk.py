@@ -242,7 +242,8 @@ def hitting_times(
 
     Solves the linear system (Id - P') h = 1 over the non-target states,
     where P' deletes the target row and column, in integers as
-    (D Id - M') h = D 1. The target's own entry is
+    (D Id - M') h = D 1, by ``linalg._integer_solve`` (Dixon lifting from
+    its size threshold, certified exact). The target's own entry is
     the expected first-return time 1 + sum_u P[target][u] h[u] by default;
     pass self_time="zero" for the convention that the target is already hit.
 
@@ -539,13 +540,12 @@ def simulate(
     the first of its bucket table's doubled slots, state << (row_bits + 1),
     so a step adds the draw's doubled bucket, adds 1 when the draw passes
     the slot's split and reads the next doubled slot from the pre-shifted
-    picks. First arrivals are recorded once per chunk: the cells of a
-    chunk's (trajectory, state) keys not yet hit are found in one test, and
-    filled step by step from the chunk's last step back, so the earliest
-    step wins (one step's keys are distinct). Each block's first-hit tables
-    come from one tally of the codes v * (steps + 1) + t in v-major order,
-    whose keys enter each table by first position, so in order of first
-    occurrence by trajectory. The draws and the tables equal those of one
+    picks. First arrivals are recorded once per chunk, by one scatter of
+    the least step into the chunk's (trajectory, state) cells, which hold
+    steps + 1 until hit. Each block's first-hit tables come from one tally
+    of the codes v * (steps + 1) + t: their counts, and the first
+    trajectory of each, which orders a state's keys as one trajectory at a
+    time meets them. The draws and the tables equal those of one
     trajectory at a time.
     """
     import numpy as np
@@ -566,10 +566,6 @@ def simulate(
     fallback = bool(marked.any())
     visits = np.zeros(n, dtype=np.int64)
     first_hits: list[dict[int, int]] = [dict() for _ in states]
-    # first-hit codes v * (steps + 1) + t in the narrowest type that holds
-    # them, where the tally's stable sort is a radix sort below 2^16
-    code_type = np.min_scalar_type(n * (steps + 1))
-    offsets = np.arange(n, dtype=np.int64)[:, None] * (steps + 1)
     # a chunk's doubled slots and its (trajectory, state) cells, step by step
     path = np.empty((_CHUNK, min(_BLOCK, trajectories)), dtype=np.intp)
     arrivals = np.empty_like(path)
@@ -581,8 +577,8 @@ def simulate(
         cur = _choose(trajectory_seed(seeds, 0), np.zeros(size, dtype=np.intp), *init_table)
         visits += np.bincount(cur, minlength=n)
         cur <<= up
-        # first[i, v]: the step trajectory i first reached v; 0 while it has not
-        first = np.zeros((size, n), dtype=np.int64)
+        # first[i, v]: the step trajectory i first reached v; steps + 1 while it has not
+        first = np.full((size, n), steps + 1, dtype=np.int64)
         cells = first.reshape(-1)
         base = np.arange(size) * n
         for t0 in range(1, steps + 1, _CHUNK):
@@ -601,18 +597,27 @@ def simulate(
             np.right_shift(chunk, up, out=keys)
             visits += np.bincount(keys.reshape(-1), minlength=n)
             keys += base
-            fresh = cells[keys] == 0
-            for k in range(len(ts) - 1, -1, -1):
-                cells[keys[k, fresh[k]]] = t0 + k
-        # one tally per block: codes in v-major order, keys by first position
-        by_state = first.T
-        codes = (by_state + offsets)[by_state > 0].astype(code_type)
-        found, where, counts = np.unique(codes, return_index=True, return_counts=True)
-        order = np.argsort(where)
-        for code, count in zip(found[order].tolist(), counts[order].tolist()):
-            v, t = divmod(code, steps + 1)
-            table = first_hits[v]
-            table[t] = table.get(t, 0) + count
+            np.minimum.at(cells, keys.reshape(-1), np.repeat(ts.astype(np.int64), size))
+        # one tally per block: the codes' counts and first trajectories, in
+        # state order and, within a state, by first trajectory. Its bins are
+        # every code while they are no more than the block's cells, else the
+        # codes met, so its memory stays within that of ``first``.
+        hit, v = np.nonzero(first <= steps)
+        codes = v * (steps + 1) + first[hit, v]
+        if steps < size:
+            bins = np.arange(n * (steps + 1))
+        else:
+            bins, codes = np.unique(codes, return_inverse=True)
+        counts = np.bincount(codes, minlength=bins.size)
+        lead = np.full(bins.size, size)
+        np.minimum.at(lead, codes, hit)
+        found = np.flatnonzero(counts)
+        v, t = np.divmod(bins[found], steps + 1)
+        order = np.lexsort((lead[found], v))
+        ends = np.bincount(v, minlength=n).cumsum().tolist()
+        times, counts = t[order].tolist(), counts[found[order]].tolist()
+        for table, a, b in zip(first_hits, [0, *ends], ends):
+            table.update({t: table.get(t, 0) + c for t, c in zip(times[a:b], counts[a:b])})
     return SimulationResult(
         trajectories=trajectories,
         steps=steps,

@@ -251,6 +251,25 @@ def test_walk_symmetries_are_not_applicable_on_a_chain_that_is_not_irreducible()
     }
 
 
+def test_a_disconnected_input_is_decided_by_search_before_the_solve(monkeypatch):
+    """{a, b} and {x, y} are units of two members in two components. With no
+    isolated vertex and no singleton edge, the non-lazy chain is irreducible
+    exactly when the input is connected, so one search gives the witness and
+    the passage inverse is never computed."""
+
+    def raising(tm):
+        raise AssertionError("the passage inverse was computed")
+
+    monkeypatch.setattr(checks, "_passage_inverse", raising)
+    h = Hypergraph.from_members([("e1", ["a", "b", "c"]), ("e2", ["a", "b"]), ("e3", ["x", "y"])])
+    check = next(c for c in run_checks(h)["theorem_checks"] if c["name"] == "walk_symmetries")
+    assert check == {
+        "name": "walk_symmetries",
+        "status": "not-applicable",
+        "witness": "UnreachableError",
+    }
+
+
 def test_the_check_pass_takes_one_integer_solve(monkeypatch):
     """The walk symmetries read every hitting time from the inverse ``rw_closeness`` builds."""
     calls = []

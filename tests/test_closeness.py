@@ -199,12 +199,18 @@ UNIFORM_FIXTURE_KERNELS = _uniform_fixture_kernels()
 
 
 @pytest.mark.parametrize("tm", UNIFORM_FIXTURE_KERNELS.values(), ids=UNIFORM_FIXTURE_KERNELS)
-def test_the_passage_pivot_is_the_determinant_with_state_0_deleted(tm):
+def test_the_passage_inverse_inverts_the_generator_with_state_0_deleted(tm):
+    """X (D Id - M') = d Id exactly, over a positive d that divides det(D Id - M')."""
     m, scale = tm.matrix.numerators, tm.matrix.denominator
     n, rest = len(m), tm.states[1:]
     deleted = [[scale * (i == j) - m[i][j] for j in range(1, n)] for i in range(1, n)]
-    _, d, _ = centrality._passage_inverse(tm)
-    assert abs(d) == determinant(RationalMatrix(rest, rest, deleted))
+    x, d, _ = centrality._passage_inverse(tm)
+    generator = RationalMatrix(rest, rest, deleted)
+    product = RationalMatrix(rest, rest, [row[1:] for row in x[1:]]) @ generator
+    assert product.numerators == tuple(tuple(d * (i == j) for j in range(1, n)) for i in range(1, n))
+    assert product.denominator == 1
+    assert d > 0
+    assert determinant(generator).numerator % d == 0
 
 
 @pytest.mark.parametrize("factor", [2, 7])

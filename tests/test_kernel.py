@@ -8,7 +8,8 @@ same oracles on those matrices (cut-over patched to 0) and on sized ones:
 0/1 and small-int matrices of 20 to 60 rows, numerators beyond int64,
 matrices that need several primes, an unlucky prime first or second in
 the prime source, and corrupted reconstructions the certificate must
-reject.
+reject. The Dixon solve rejects a tampered lift digit by its certificate
+and lifts in Python ints where int64 would overflow.
 The integer partition search is compared with
 the Fraction enumeration on generated hypergraphs and twin families, and
 the integer walk functions with Fraction stepping, absorption, row sums
@@ -381,6 +382,56 @@ def test_the_int_array_rule_gives_an_object_array_that_fits_back_as_int64():
     got = linalg._int_array(np.array([[1, -2], [3, 2**40]], dtype=object), 2**20)
     assert got.dtype == np.int64
     assert got.tolist() == [[1, -2], [3, 2**40]]
+
+
+def test_a_tampered_lift_digit_fails_the_certificate_and_is_never_returned(monkeypatch):
+    """A = 2 Id plus the superdiagonal, B = Id, lifted from one unknown up.
+    Until the certificate first answers, every whole reconstruction reads
+    digit 0 of entry (0, 0) raised by 1, so its candidate is X with 1 added
+    at (0, 0): the certificate rejects it, lifting goes on, and the next
+    reconstruction gives X."""
+    n = 3
+    rows = [[2 * (i == j) + (j == i + 1) for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
+    real_reconstruct, real_certified, verdicts = linalg._reconstruct, linalg._certified, []
+
+    def tampered(residues, modulus, d=1):
+        if residues.shape[1] > 1 and not verdicts:
+            residues = residues.copy()
+            residues[0, 0] = (residues[0, 0] + 1) % modulus
+        return real_reconstruct(residues, modulus, d)
+
+    def certified(*args):
+        verdicts.append(real_certified(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(linalg, "_DIXON_MIN_UNKNOWNS", 1)
+    monkeypatch.setattr(linalg, "_reconstruct", tampered)
+    monkeypatch.setattr(linalg, "_certified", certified)
+    nums, d = linalg._integer_solve(rows, n)
+    assert verdicts == [False, True]
+    want = [oracle.solve([row[:n] for row in rows], [row[n + j] for row in rows]) for j in range(n)]
+    assert [[Fraction(x, d) for x in row] for row in nums] == [list(r) for r in zip(*want)]
+
+
+def test_a_solve_whose_products_pass_int64_runs_in_python_ints(monkeypatch):
+    """Entries near 2^40 put 2 n p max|A, B| past 2^63, so the lifting runs
+    on the object arrays of ``_int_array`` and still equals the oracle."""
+    rng = random.Random(10)
+    n = linalg._DIXON_MIN_UNKNOWNS
+    rows = [[rng.randint(-(2**40), 2**40) for _ in range(n + 2)] for _ in range(n)]
+    real, kinds = linalg._int_array, []
+
+    def recording(*args):
+        out = real(*args)
+        kinds.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(linalg, "_int_array", recording)
+    nums, d = linalg._integer_solve([list(row) for row in rows], n)
+    assert object in kinds
+    for j in range(2):
+        want = oracle.solve([[Fraction(x) for x in row[:n]] for row in rows], [Fraction(row[n + j]) for row in rows])
+        assert [Fraction(row[j], d) for row in nums] == want
 
 
 def test_trial_division_is_the_definition_of_a_prime():

@@ -370,7 +370,7 @@ def test_what_is_not_an_integer_keeps_its_error_type(caller, bad):
 
 def test_one_int64_rule_serves_the_exact_kernel():
     """``linalg._int_array`` alone writes the int64 bound and handles an
-    OverflowError; the four exact numpy products state only their weights."""
+    OverflowError; the five exact numpy products state only their weights."""
 
     def writes_2_to_the_63(node, _) -> bool:
         return (
@@ -388,6 +388,7 @@ def test_one_int64_rule_serves_the_exact_kernel():
     assert _functions_using(handles_overflow) == {"linalg.py:_int_array"}
     assert _calls_to("_int_array") == {
         "linalg.py:_certified",
+        "linalg.py:_integer_solve",
         "linalg.py:_modular_rref",
         "checks.py:_walk_balanced",
         "structures.py:_sign_sums",

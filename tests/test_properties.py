@@ -1,31 +1,41 @@
-"""Randomized laws: rank identities, nullity additivity, partitions, duality."""
+"""Randomized laws: rank identities, nullity additivity, partitions, duality,
+and the Dixon solve against the Fraction oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, strategies as st
+
+import fraction_oracles as oracle
 
 from hyperlin import (
     Hypergraph,
     WalkPolicy,
     find_equal_edge_partitions,
     hitting_times,
+    linalg,
     transition_matrix,
     unit_contraction,
     units,
     verify_equal_edge_partition,
     verify_Q_annihilation,
 )
-from hyperlin.errors import IsolatedVertexError, SingletonEdgeError, SingletonEdgeNonLazyError
+from hyperlin.errors import IsolatedVertexError, SingletonEdgeError, SingletonEdgeNonLazyError, SingularError
 from hyperlin.hypergraph import dual, incidence_graph_adjacency, incidence_matrix
 from hyperlin.linalg import (
     _MODULAR_MIN_CELLS,
     RationalMatrix,
     _fraction_free_reduce,
+    _integer_row,
+    _integer_solve,
     determinant,
     nullspace,
     rref,
+    solve,
 )
 from hyperlin.spectra import (
     WEIGHT_PRESETS,
@@ -292,3 +302,69 @@ def test_the_example_matrix_ends_on_a_negative_bareiss_pivot():
 def test_transpose_product_and_bareiss_build_what_the_validating_constructor_builds(m):
     t = m.transpose()
     _as_validated(t, m @ t, t @ m, *_eliminated(m), *_eliminated(t))
+
+
+# -- the Dixon solve -----------------------------------------------------------
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def square_systems(draw):
+    """A square rational system of 0 to 6 unknowns and 1 to 3 right-hand
+    sides, with negative entries and non-unit denominators; about half have
+    one row a multiple of another, so they are singular."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=3))
+    rows = [[draw(fractions) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(fractions)
+        rows[j] = [c * x for x in rows[i]]
+    rhs = [[draw(fractions) for _ in range(k)] for _ in range(n)]
+    return rows, rhs
+
+
+#: A prime far below the lifting primes. Scaling the first row by it puts it
+#: in det(A) and leaves the solution alone.
+UNLUCKY = 1_000_003
+
+
+@pytest.mark.parametrize("unlucky", [False, True], ids=["usual primes", "unlucky prime first"])
+@given(square_systems())
+@example(([], []))
+@example(([[Fraction(0), Fraction(3)], [Fraction(-1, 2), Fraction(1)]], [[Fraction(1, 5)], [Fraction(2)]]))
+def test_the_dixon_solve_matches_the_fraction_oracle(unlucky, system):
+    """Every nonempty system is lifted. With ``unlucky`` the prime source
+    yields UNLUCKY first, which divides det(A), so the inverse takes the
+    next prime (or the certified rank shows A singular)."""
+    rows, rhs = system
+    n, k = len(rows), len(rhs[0]) if rhs else 0
+    columns = [[row[j] for row in rhs] for j in range(k)]
+    want = [oracle.solve(rows, col) for col in columns]
+    scale = [UNLUCKY if unlucky and i == 0 else 1 for i in range(n)]
+    a = [[s * x for x in _integer_row([*row, *b])[0]] for s, row, b in zip(scale, rows, rhs)]
+    labels = [f"x{i}" for i in range(n)]
+    m = RationalMatrix.from_rows(labels, labels, [[s * x for x in row] for s, row in zip(scale, rows)])
+    taken, real = [], linalg._primes
+
+    def source(*below):
+        for p in itertools.chain([UNLUCKY] if unlucky else [], real(*below)):
+            taken.append(p)
+            yield p
+
+    with mock.patch.object(linalg, "_primes", source), mock.patch.object(linalg, "_DIXON_MIN_UNKNOWNS", 1):
+        if any(w is None for w in want):
+            with pytest.raises(SingularError):
+                _integer_solve(a, n)
+            for col in columns:
+                with pytest.raises(SingularError):
+                    solve(m, [s * x for s, x in zip(scale, col)])
+        else:
+            nums, d = _integer_solve(a, n)
+            assert d > 0 and math.gcd(d, *itertools.chain.from_iterable(nums)) == 1
+            assert [[Fraction(x, d) for x in row] for row in nums] == [list(r) for r in zip(*want)]
+            for col, x in zip(columns, want):
+                assert solve(m, [s * b for s, b in zip(scale, col)]) == dict(zip(labels, x))
+    if unlucky and n:
+        assert taken[0] == UNLUCKY and len(taken) > 1
